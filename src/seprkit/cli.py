@@ -9,13 +9,11 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
-from fractions import Fraction
 
 from .catalog import verify_all
 from .classify import Field, classify_sequence, epr_forbidden_order3, forbidden_order2, forbidden_order3, scan_for_forbidden
-from .exact import GaussianRational, ScalarParseError
+from .exact import GaussianRational, ScalarParseError, parse_rational
 from .matrix import MatrixFormatError, load_matrix, matrix_to_json
 from .search import (
     COMPLEX_DEFAULT_POOL,
@@ -31,33 +29,24 @@ from .sepr import SequenceParseError, compute_epr, compute_sepr, parse_sequence
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
 
-_IMAG_ONLY = re.compile(r"^(?P<sign>[+-])?(?P<coef>\d+(?:/\d+)?)?i$")
-_REAL_MAYBE_IMAG = re.compile(
-    r"^(?P<re>[+-]?\d+(?:/\d+)?)"
-    r"(?:(?P<isign>[+-])(?P<icoef>\d+(?:/\d+)?)?i)?$"
-)
-
-
-def _imag_value(sign, coef) -> Fraction:
-    mag = Fraction(coef) if coef else Fraction(1)
-    return -mag if sign == "-" else mag
-
-
 def parse_pool_token(token: str) -> GaussianRational:
-    """One pool entry: '2', '-1/2', 'i', '-i', '2i', '1+i', '1-2i', ..."""
-    token = token.strip()
-    m = _IMAG_ONLY.match(token)
-    if m:
-        return GaussianRational(0, _imag_value(m.group("sign"), m.group("coef")))
-    m = _REAL_MAYBE_IMAG.match(token)
-    if m:
-        re_part = Fraction(m.group("re"))
-        if m.group("isign") is None:
-            return GaussianRational(re_part)
-        return GaussianRational(
-            re_part, _imag_value(m.group("isign"), m.group("icoef"))
-        )
-    raise ValueError(f"bad pool entry {token!r}")
+    """One pool entry: '2', '-1/2', 'i', '-i', '2i', '1+i', '1-2i', ...
+
+    The real part and the signed imaginary coefficient each follow the
+    scalar grammar of :func:`parse_rational`; an omitted coefficient is 1.
+    """
+    text = token.strip()
+    if not text.endswith("i"):
+        return GaussianRational(parse_rational(text))
+    body = text[:-1]
+    cut = max(body.rfind("+"), body.rfind("-"))
+    if cut <= 0:  # imaginary only
+        re_text, imag = "0", body
+    else:
+        re_text, imag = body[:cut], body[cut:].lstrip("+")
+    if imag in ("", "-"):
+        imag += "1"
+    return GaussianRational(parse_rational(re_text), parse_rational(imag))
 
 
 def parse_pool(spec: str, field: Field):

@@ -1,9 +1,14 @@
-"""Hermitian matrices over Q(i) and their exact principal-minor machinery.
+"""Hermitian matrices over Q(i) and Q(sqrt 5) and their exact principal-minor
+machinery.
 
 Matrices are immutable after construction.  The heavy operation is
-enumerating all 2**n - 1 principal minors; that runs over plain machine
-integers after clearing denominators once (fraction-free elimination stays
-exact over the Gaussian integers), with results cached per matrix.
+enumerating all 2**n - 1 principal minors.  Denominators are cleared once,
+which turns the entries into integers: plain ints for a real matrix, and
+otherwise (a, b) pairs standing for a + b*sqrt(d) in Z[sqrt d], with
+d = -1 for Gaussian entries and d = 5 for Q(sqrt 5).  Fraction-free
+elimination stays exact over those rings, so one int engine and one pair
+engine compute every determinant and rank.  The cached minor table holds
+only signs; exact minor values are built on request.
 
 Index sets follow the mathematical convention: 1-based, strictly
 increasing.
@@ -22,7 +27,6 @@ from .exact import (
     Sqrt5Rational,
     format_gaussian,
     parse_gaussian,
-    real_sign,
     ScalarParseError,
 )
 
@@ -57,14 +61,46 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# determinant kernels
+# integer kernels
 #
-# _det_ints / _det_pairs implement fraction-free elimination (multiply,
-# subtract, then exact division by the previous pivot).  The division is
+# _scale clears denominators once, so every kernel below runs on plain
+# ints: real grids as ints (d = 0), everything else as (a, b) pairs that
+# stand for a + b*sqrt(d) in Z[sqrt d] (d = -1 Gaussian, d = 5 Q(sqrt 5)).
+# The determinant kernels are fraction-free (Bareiss) elimination: multiply,
+# subtract, then divide exactly by the previous pivot.  The division is
 # exact because every intermediate entry is itself a minor of the input.
-# _det_field is ordinary elimination over any exact field scalar, and
-# _det_laplace is the independent cofactor-expansion oracle.
+# The int engine stays separate from the pair engine because it is about
+# twice as fast on real input.  Rank uses its own division-free
+# elimination, so rank and determinants stay independent of each other.
 # ---------------------------------------------------------------------------
+
+
+def _scale(rows):
+    """Return (d, scale, grid) with grid == scale * rows entrywise.
+
+    ``rows`` holds all-GaussianRational or all-Sqrt5Rational entries (see
+    _coerce_rows); ``scale`` is the positive lcm of their denominators.
+    """
+    if any(isinstance(v, Sqrt5Rational) for row in rows for v in row):
+        d = 5
+        parts = [[(v.a, v.b) for v in row] for row in rows]
+    else:
+        parts = [[(v.re, v.im) for v in row] for row in rows]
+        d = -1 if any(b for row in parts for _, b in row) else 0
+    scale = lcm(*{x.denominator for row in parts for pair in row for x in pair})
+    if d == 0:
+        grid = tuple(
+            tuple(a.numerator * (scale // a.denominator) for a, _ in row) for row in parts
+        )
+    else:
+        grid = tuple(
+            tuple(
+                (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+                for a, b in row
+            )
+            for row in parts
+        )
+    return d, scale, grid
 
 
 def _det_ints(rows) -> int:
@@ -93,9 +129,9 @@ def _det_ints(rows) -> int:
     return sign * rows[-1][-1]
 
 
-def _det_pairs(rows):
-    """Determinant of a square Gaussian-integer matrix given as (re, im)
-    int pairs; mutates ``rows``.  Returns an (re, im) pair."""
+def _det_pairs(rows, d):
+    """Determinant of a square matrix over Z[sqrt d] given as (a, b) int
+    pairs; mutates ``rows``.  Returns an (a, b) pair."""
     n = len(rows)
     sign = 1
     pa, pb = 1, 0  # previous pivot
@@ -109,77 +145,29 @@ def _det_pairs(rows):
             else:
                 return (0, 0)
         va, vb = rows[k][k]
+        dvb = d * vb
         base = rows[k]
-        nrm = pa * pa + pb * pb
+        # dividing by the pivot p means multiplying by its conjugate and
+        # dividing by its norm; a real pivot (pb == 0) divides directly
+        nrm = pa * pa - d * pb * pb
+        dpb = d * pb
         for i in range(k + 1, n):
             row = rows[i]
             la, lb = row[k]
+            dlb = d * lb
             for j in range(k + 1, n):
                 ta, tb = row[j]
                 ba, bb = base[j]
-                na = va * ta - vb * tb - la * ba + lb * bb
+                na = va * ta + dvb * tb - la * ba - dlb * bb
                 nb = va * tb + vb * ta - la * bb - lb * ba
-                if nrm == 1 and pa == 1:
-                    row[j] = (na, nb)
+                if pb:
+                    row[j] = ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
                 else:
-                    row[j] = ((na * pa + nb * pb) // nrm, (nb * pa - na * pb) // nrm)
+                    row[j] = (na // pa, nb // pa)
             row[k] = (0, 0)
         pa, pb = va, vb
     da, db = rows[-1][-1]
     return (sign * da, sign * db)
-
-
-def _det_field(rows):
-    """Determinant by ordinary elimination over an exact field scalar;
-    mutates ``rows``."""
-    n = len(rows)
-    zero = rows[0][0] - rows[0][0]
-    sign = 1
-    for k in range(n - 1):
-        if rows[k][k] == zero:
-            for r in range(k + 1, n):
-                if rows[r][k] != zero:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        base = rows[k]
-        pivot = base[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            if row[k] == zero:
-                continue
-            factor = row[k] / pivot
-            for j in range(k + 1, n):
-                row[j] = row[j] - factor * base[j]
-            row[k] = zero
-    det = rows[0][0]
-    for k in range(1, n):
-        det = det * rows[k][k]
-    return det if sign == 1 else -det
-
-
-def _det_laplace(rows):
-    """Recursive cofactor expansion along the first row."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = None
-    for j in range(n):
-        a = rows[0][j]
-        if not a:
-            continue
-        sub = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = a * _det_laplace(sub)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return rows[0][0] - rows[0][0]
-    return total
 
 
 def _rank_int_grid(rows) -> int:
@@ -219,8 +207,8 @@ def _rank_int_grid(rows) -> int:
     return piv
 
 
-def _rank_pair_grid(rows) -> int:
-    """Rank of a Gaussian-integer grid of (re, im) pairs; mutates ``rows``."""
+def _rank_pair_grid(rows, d) -> int:
+    """Rank of a grid over Z[sqrt d] of (a, b) int pairs; mutates ``rows``."""
     if not rows:
         return 0
     n_rows, n_cols = len(rows), len(rows[0])
@@ -234,16 +222,18 @@ def _rank_pair_grid(rows) -> int:
         rows[piv], rows[r] = rows[r], rows[piv]
         base = rows[piv]
         pa, pb = base[c]
+        dpb = d * pb
         for r in range(piv + 1, n_rows):
             row = rows[r]
             la, lb = row[c]
             if la == 0 and lb == 0:
                 continue
+            dlb = d * lb
             g = 0
             for j in range(c, n_cols):
                 ta, tb = row[j]
                 ba, bb = base[j]
-                na = pa * ta - pb * tb - la * ba + lb * bb
+                na = pa * ta + dpb * tb - la * ba - dlb * bb
                 nb = pa * tb + pb * ta - la * bb - lb * ba
                 row[j] = (na, nb)
                 g = gcd(g, na, nb)
@@ -257,39 +247,17 @@ def _rank_pair_grid(rows) -> int:
     return piv
 
 
+def _scaled_rank(d, rows) -> int:
+    """Rank of a grid in _scale's form; mutates ``rows``."""
+    return _rank_int_grid(rows) if d == 0 else _rank_pair_grid(rows, d)
+
+
 def grid_rank(rows: Sequence[Sequence]) -> int:
     """Rank of an arbitrary (not necessarily Hermitian) grid of scalars."""
-    grid = [list(r) for r in rows]
-    if not grid:
+    if not rows:
         return 0
-    if all(isinstance(v, int) for row in grid for v in row):
-        return _rank_int_grid(grid)
-    if all(isinstance(v, tuple) for row in grid for v in row):
-        return _rank_pair_grid(grid)
-    # generic field path
-    n_rows, n_cols = len(grid), len(grid[0])
-    zero = grid[0][0] - grid[0][0]
-    piv = 0
-    for c in range(n_cols):
-        for r in range(piv, n_rows):
-            if grid[r][c] != zero:
-                break
-        else:
-            continue
-        grid[piv], grid[r] = grid[r], grid[piv]
-        base = grid[piv]
-        pivot = base[c]
-        for r in range(piv + 1, n_rows):
-            row = grid[r]
-            if row[c] == zero:
-                continue
-            factor = row[c] / pivot
-            for j in range(c, n_cols):
-                row[j] = row[j] - factor * base[j]
-        piv += 1
-        if piv == n_rows:
-            break
-    return piv
+    d, _, grid = _scale(_coerce_rows(rows))
+    return _scaled_rank(d, [list(r) for r in grid])
 
 
 # ---------------------------------------------------------------------------
@@ -387,66 +355,42 @@ class HermitianMatrix:
 
     @property
     def is_real(self) -> bool:
-        for row in self.entries:
-            for v in row:
-                if isinstance(v, GaussianRational) and v.im != 0:
-                    return False
-        return True
+        return self._scaled_grid()[0] != -1
 
     # -- scaled integer grid (internal fast path) --------------------------
 
     def _scaled_grid(self):
-        """Return (kind, scale, grid): an integer-valued copy of the matrix.
-
-        kind 'real'  -> grid of ints,
-        kind 'gauss' -> grid of (re, im) int pairs,
-        kind 'field' -> grid of scalar objects (quadratic-extension path),
-        where grid equals scale * entries.
-        """
+        """Return _scale(entries), cached: (d, scale, grid) with grid an
+        integer-valued copy of scale * entries."""
         cached = self._grid_cache
-        if cached is not None:
-            return cached
-        first = self.entries[0][0]
-        if isinstance(first, Sqrt5Rational):
-            result = ("field", 1, self.entries)
-        else:
-            dens = set()
-            for row in self.entries:
-                for v in row:
-                    dens.add(v.re.denominator)
-                    dens.add(v.im.denominator)
-            scale = lcm(*dens) if dens else 1
-            if self.is_real:
-                grid = tuple(
-                    tuple(int(v.re * scale) for v in row) for row in self.entries
-                )
-                result = ("real", scale, grid)
-            else:
-                grid = tuple(
-                    tuple((int(v.re * scale), int(v.im * scale)) for v in row)
-                    for row in self.entries
-                )
-                result = ("gauss", scale, grid)
-        object.__setattr__(self, "_grid_cache", result)
-        return result
+        if cached is None:
+            cached = _scale(self.entries)
+            object.__setattr__(self, "_grid_cache", cached)
+        return cached
+
+    def _scaled_minor(self, subset):
+        """scale**k times the principal minor on a 0-based index tuple of
+        length k: an int, or an (a, b) pair standing for a + b*sqrt(5)."""
+        d, _, grid = self._scaled_grid()
+        if d == 0:
+            return _int_subset_det(grid, subset)
+        a, b = _pair_subset_det(grid, subset, d)
+        if d == 5:
+            return a, b
+        if b:
+            raise RuntimeError(
+                "principal minor of a Hermitian matrix came out non-real; "
+                "internal invariant violated"
+            )
+        return a
 
     def _minor_of_subset(self, subset) -> Fraction | Sqrt5Rational:
         """Exact principal minor for a 0-based index tuple."""
-        kind, scale, grid = self._scaled_grid()
-        k = len(subset)
-        if kind == "real":
-            d = _int_subset_det(grid, subset)
-            return Fraction(d, scale**k)
-        if kind == "gauss":
-            da, db = _pair_subset_det(grid, subset)
-            if db != 0:
-                raise RuntimeError(
-                    "principal minor of a Hermitian matrix came out non-real; "
-                    "internal invariant violated"
-                )
-            return Fraction(da, scale**k)
-        rows = [[grid[i][j] for j in subset] for i in subset]
-        return _det_field(rows)
+        value = self._scaled_minor(subset)
+        denom = self._scaled_grid()[1] ** len(subset)
+        if isinstance(value, tuple):
+            return Sqrt5Rational(Fraction(value[0], denom), Fraction(value[1], denom))
+        return Fraction(value, denom)
 
     # -- principal minors ---------------------------------------------------
 
@@ -458,21 +402,7 @@ class HermitianMatrix:
     def determinant(self) -> Fraction | Sqrt5Rational:
         """Exact determinant.  Hermitian determinants are real; the zero
         imaginary part is asserted and discarded."""
-        kind, scale, grid = self._scaled_grid()
-        n = self.n
-        if kind == "field":
-            return _det_field([list(r) for r in grid])
-        if n <= 3:
-            # cofactor expansion doubles as the independent small-order path
-            value = _det_laplace([list(r) for r in self.entries])
-            if isinstance(value, GaussianRational):
-                if value.im != 0:
-                    raise RuntimeError(
-                        "determinant of a Hermitian matrix came out non-real"
-                    )
-                return value.re
-            return value
-        return self._minor_of_subset(tuple(range(n)))
+        return self._minor_of_subset(tuple(range(self.n)))
 
     def all_principal_minors(self, k: int):
         """All order-``k`` principal minors, in lexicographic subset order.
@@ -487,16 +417,9 @@ class HermitianMatrix:
             out.append((idx, self._minor_of_subset(subset)))
         return out
 
-    def principal_minor_table(self):
-        """Every principal minor, keyed by 1-based index set."""
-        table = {}
-        for mask, value in self._mask_minors().items():
-            idx = tuple(i + 1 for i in range(self.n) if mask >> i & 1)
-            table[idx] = value
-        return table
-
-    def _mask_minors(self):
-        """All 2**n - 1 principal minors keyed by index bitmask (cached)."""
+    def _mask_signs(self):
+        """Signs of all 2**n - 1 principal minors keyed by index bitmask
+        (cached).  scale**k > 0, so each sign is read off the scaled minor."""
         cached = self._minor_cache
         if cached is not None:
             return cached
@@ -507,14 +430,18 @@ class HermitianMatrix:
                 mask = 0
                 for i in subset:
                     mask |= 1 << i
-                table[mask] = self._minor_of_subset(subset)
+                value = self._scaled_minor(subset)
+                if isinstance(value, tuple):
+                    table[mask] = Sqrt5Rational(*value).sign()
+                else:
+                    table[mask] = (value > 0) - (value < 0)
         object.__setattr__(self, "_minor_cache", table)
         return table
 
     def minor_signs_by_order(self):
         """List indexed by k-1: signs of all order-k principal minors in
         lexicographic subset order."""
-        table = self._mask_minors()
+        table = self._mask_signs()
         n = self.n
         out = []
         for k in range(1, n + 1):
@@ -523,19 +450,15 @@ class HermitianMatrix:
                 mask = 0
                 for i in subset:
                     mask |= 1 << i
-                signs.append(real_sign(table[mask]))
+                signs.append(table[mask])
             out.append(signs)
         return out
 
     # -- rank and inverse ---------------------------------------------------
 
     def rank(self) -> int:
-        kind, _, grid = self._scaled_grid()
-        if kind == "real":
-            return _rank_int_grid([list(r) for r in grid])
-        if kind == "gauss":
-            return _rank_pair_grid([list(r) for r in grid])
-        return grid_rank(grid)
+        d, _, grid = self._scaled_grid()
+        return _scaled_rank(d, [list(r) for r in grid])
 
     def inverse(self) -> "HermitianMatrix":
         """Exact inverse via Gauss-Jordan elimination."""
@@ -635,7 +558,7 @@ def _int_subset_det(grid, subset) -> int:
     return _det_ints(rows)
 
 
-def _pair_subset_det(grid, subset):
+def _pair_subset_det(grid, subset, d):
     k = len(subset)
     if k == 1:
         return grid[subset[0]][subset[0]]
@@ -644,11 +567,11 @@ def _pair_subset_det(grid, subset):
         (xa, xb), (ya, yb) = grid[a][a], grid[b][b]
         (ua, ub), (va, vb) = grid[a][b], grid[b][a]
         return (
-            xa * ya - xb * yb - ua * va + ub * vb,
+            xa * ya + d * xb * yb - ua * va - d * ub * vb,
             xa * yb + xb * ya - ua * vb - ub * va,
         )
     rows = [[grid[i][j] for j in subset] for i in subset]
-    return _det_pairs(rows)
+    return _det_pairs(rows, d)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +598,7 @@ def matrix_from_json_dict(doc) -> HermitianMatrix:
     if "n" not in doc or "entries" not in doc:
         raise MatrixFormatError('matrix document needs "n" and "entries" fields')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MatrixFormatError(f'"n" must be a positive integer, got {n!r}')
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n:

@@ -31,8 +31,7 @@ import random
 from typing import Dict, List, Tuple
 
 from .classify import Field, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
-from .exact import real_sign
-from .matrix import HermitianMatrix, SingularMatrixError, grid_rank, matrix_to_json
+from .matrix import HermitianMatrix, SingularMatrixError, _scaled_rank, matrix_to_json
 from .sepr import (
     EprTerm,
     SeprSequence,
@@ -105,7 +104,7 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
     if r <= 2:
         return []
     bad = []
-    kind, _, grid = matrix._scaled_grid()
+    d, _, grid = matrix._scaled_grid()
     for i in range(n):
         for j in range(n):
             sub = [
@@ -113,7 +112,7 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
                 for q, row in enumerate(grid)
                 if q != i
             ]
-            if grid_rank(sub) < r - 2:
+            if _scaled_rank(d, sub) < r - 2:
                 bad.append(
                     f"deleting row {i + 1}, column {j + 1} dropped rank below "
                     f"{r - 2} for {_describe(matrix)}"
@@ -135,10 +134,9 @@ def check_inheritance(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     n = matrix.n
     if n < 2:
         return []
-    table = matrix._mask_minors()
-    sign_by_mask = {mask: real_sign(value) for mask, value in table.items()}
+    sign_by_mask = matrix._mask_signs()
     bad = []
-    for mask in table:
+    for mask in sign_by_mask:
         m = mask.bit_count()
         if m == n:
             continue

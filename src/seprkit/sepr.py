@@ -284,9 +284,5 @@ def parse_sequence(text: str) -> SeprSequence:
     return SeprSequence.parse(text)
 
 
-def parse_epr_sequence(text: str) -> EprSequence:
-    return EprSequence.parse(text)
-
-
 def format_sequence(sequence: AnySequence) -> str:
     return str(sequence)

@@ -9,7 +9,6 @@ shares no code with the implementation under test.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -25,24 +24,30 @@ def permutation_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
-def oracle_det(rows) -> GaussianRational:
-    """Determinant by full permutation expansion (independent oracle)."""
+def oracle_det(rows):
+    """Determinant by full permutation expansion (independent oracle).
+
+    Uses scalar arithmetic only, so it takes GaussianRational and
+    Sqrt5Rational entries alike."""
     n = len(rows)
-    total = GaussianRational(0)
+    total = 0
     for perm in permutations(range(n)):
-        prod = GaussianRational(1)
+        prod = 1
         for i, j in enumerate(perm):
-            prod = prod * GaussianRational._coerce(rows[i][j])
-        total = total + (prod if permutation_sign(perm) > 0 else -prod)
+            prod = prod * rows[i][j]
+        total = total + prod if permutation_sign(perm) > 0 else total - prod
     return total
 
 
-def oracle_principal_minor(matrix: HermitianMatrix, subset) -> Fraction:
-    """Principal minor via the permutation-expansion oracle (0-based subset)."""
+def oracle_principal_minor(matrix: HermitianMatrix, subset):
+    """Principal minor via the permutation-expansion oracle (0-based subset):
+    a Fraction, or a Sqrt5Rational for a Q(sqrt 5) matrix."""
     rows = [[matrix.entries[i][j] for j in subset] for i in subset]
     value = oracle_det(rows)
-    assert value.im == 0
-    return value.re
+    if isinstance(value, GaussianRational):
+        assert value.im == 0
+        return value.re
+    return value
 
 
 def oracle_minors_by_order(matrix: HermitianMatrix):

@@ -88,6 +88,9 @@ def test_sqrt5_witness_exact():
     assert any(isinstance(p, Sqrt5Rational) for p in rec.params)
     m = build_witness("VierFour.9")
     assert isinstance(m.entries[0][1], Sqrt5Rational)
+    assert m.determinant() == Sqrt5Rational(21, 4)
+    assert str(m.determinant()) == "21+4*sqrt(5)"
+    assert all(isinstance(v, Sqrt5Rational) for _, v in m.all_principal_minors(2))
     computed, ok = verify_witness("VierFour.9")
     assert ok and str(computed) == "S*A*S*A+"
 

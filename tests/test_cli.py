@@ -3,7 +3,7 @@ import json
 import pytest
 
 from seprkit.cli import main, parse_pool_token
-from seprkit.exact import GaussianRational
+from seprkit.exact import GaussianRational, ScalarParseError
 from seprkit.matrix import HermitianMatrix, matrix_to_json
 
 
@@ -25,8 +25,10 @@ def test_pool_token_parsing():
     assert parse_pool_token("1+i") == GaussianRational(1, 1)
     assert parse_pool_token("1-2i") == GaussianRational(1, -2)
     assert parse_pool_token("1/2+3/4i") == GaussianRational(Fraction(1, 2), Fraction(3, 4))
-    with pytest.raises(ValueError):
-        parse_pool_token("x")
+    # each part follows the scalar grammar: no leading '+', no zero denominator
+    for bad in ("x", "+1", "+i", "1+-2i", "1/0", "1+1/0i"):
+        with pytest.raises(ScalarParseError):
+            parse_pool_token(bad)
 
 
 def test_compute(diag_file, capsys):
@@ -136,6 +138,9 @@ def test_usage_errors(capsys):
     # unknown subcommands surface argparse's usage status
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+    pool_1_0 = ["search", "--target", "NN", "--order-n", "2", "--field", "real", "--pool", "1/0"]
+    assert main(pool_1_0) == 2
+    assert "zero denominator in '1/0' (offset 2)" in capsys.readouterr().err
 
 
 def test_matrix_roundtrip_through_cli(tmp_path, capsys):

@@ -3,9 +3,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_minors_by_order, oracle_principal_minor, random_hermitian
-from seprkit.exact import GaussianRational, I
+from conftest import oracle_det, oracle_minors_by_order, oracle_principal_minor, random_hermitian
+from seprkit.exact import GaussianRational, I, Sqrt5Rational, real_sign
 from seprkit.matrix import (
     HermitianMatrix,
     IndexSetError,
@@ -109,6 +111,85 @@ def test_fractional_entries_minors_match_oracle():
             oracle_principal_minor(m, (0, 1, 2))
         ]
         assert m.determinant() == oracle_principal_minor(m, (0, 1, 2))
+
+
+# Entries of the three scalar kinds the integer engines cover: real
+# rationals (d = 0), Gaussian rationals (d = -1) and Q(sqrt 5) (d = 5).
+# Small numerators make zero pivots, and so row swaps, common.
+_RATIONALS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+_REAL = st.builds(GaussianRational, _RATIONALS)
+_ENTRIES = {
+    "real": _REAL,
+    "gaussian": st.builds(GaussianRational, _RATIONALS, _RATIONALS),
+    "sqrt5": st.builds(Sqrt5Rational, _RATIONALS, _RATIONALS),
+}
+_DIAGONALS = {"real": _REAL, "gaussian": _REAL, "sqrt5": _ENTRIES["sqrt5"]}
+
+
+def _product(left, right):
+    return [
+        [sum((a * b for a, b in zip(row, col)), GaussianRational(0)) for col in zip(*right)]
+        for row in left
+    ]
+
+
+@st.composite
+def _hermitian(draw, kind):
+    """A random Hermitian matrix, or (to force singular minors) a sum of
+    fewer than n rank-one terms v v*."""
+    n = draw(st.integers(1, 5))
+    if n > 1 and draw(st.booleans()):
+        vs = [[draw(_ENTRIES[kind]) for _ in range(n)] for _ in range(draw(st.integers(1, n - 1)))]
+        return HermitianMatrix(_product(list(zip(*vs)), [[v.conjugate() for v in row] for row in vs]))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(_DIAGONALS[kind])
+        for j in range(i + 1, n):
+            rows[i][j] = draw(_ENTRIES[kind])
+            rows[j][i] = rows[i][j].conjugate()
+    return HermitianMatrix(rows)
+
+
+@st.composite
+def _grid(draw, kind):
+    """A rectangular grid, drawn as a product through an inner dimension
+    that may be smaller than both sides, so rank deficiency is common."""
+    n_rows, inner, n_cols = (draw(st.integers(1, 4)) for _ in range(3))
+    left = [[draw(_ENTRIES[kind]) for _ in range(inner)] for _ in range(n_rows)]
+    right = [[draw(_ENTRIES[kind]) for _ in range(n_cols)] for _ in range(inner)]
+    return _product(left, right)
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minor_engine_matches_oracle(kind, data):
+    m = data.draw(_hermitian(kind))
+    expected = oracle_minors_by_order(m)
+    got = [[v for _, v in m.all_principal_minors(k)] for k in range(1, m.n + 1)]
+    assert got == expected
+    value_type = Sqrt5Rational if kind == "sqrt5" else Fraction
+    assert all(type(v) is value_type for row in got for v in row)
+    assert m.determinant() == expected[-1][0]
+    assert m.minor_signs_by_order() == [[real_sign(v) for v in row] for row in expected]
+    assert m.rank() == max((k for k, row in enumerate(expected, 1) if any(row)), default=0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sqrt5"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grid_rank_matches_oracle(kind, data):
+    grid = data.draw(_grid(kind))
+    n_rows, n_cols = len(grid), len(grid[0])
+    largest = 0
+    for k in range(1, min(n_rows, n_cols) + 1):
+        if any(
+            oracle_det([[grid[i][j] for j in cols] for i in rows])
+            for rows in combinations(range(n_rows), k)
+            for cols in combinations(range(n_cols), k)
+        ):
+            largest = k
+    assert grid_rank(grid) == largest
 
 
 def test_rank_examples():
@@ -232,3 +313,5 @@ def test_json_loader_rejects():
     assert "(1,2)" in str(err.value)
     with pytest.raises(MatrixFormatError):
         matrix_from_json("not json")
+    with pytest.raises(MatrixFormatError):
+        matrix_from_json('{"n": true, "entries": [[["1","0"]]]}')
