@@ -140,10 +140,14 @@ def cmd_catalog(args) -> int:
 
 
 def _parse_order_spec(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (int(lo), int(hi))
-    return int(text)
+    """``--order-n`` value: N, or LO:HI for a range of orders."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return (int(lo), int(hi))
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--order-n: expected N or LO:HI, got {text!r}") from None
 
 
 def cmd_search(args) -> int:

@@ -6,9 +6,9 @@ enumerating all 2**n - 1 principal minors.  Denominators are cleared once,
 which turns the entries into integers: plain ints for a real matrix, and
 otherwise (a, b) pairs standing for a + b*sqrt(d) in Z[sqrt d], with
 d = -1 for Gaussian entries and d = 5 for Q(sqrt 5).  Fraction-free
-elimination stays exact over those rings, so one int engine and one pair
-engine compute every determinant and rank.  The cached minor table holds
-only signs; exact minor values are built on request.
+elimination stays exact over those rings, so int kernels and pair kernels
+compute every determinant, rank and inverse.  The cached minor table
+holds only signs; exact minor values are built on request.
 
 Index sets follow the mathematical convention: 1-based, strictly
 increasing.
@@ -69,7 +69,13 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # The determinant kernels are fraction-free (Bareiss) elimination: multiply,
 # subtract, then divide exactly by the previous pivot.  The division is
 # exact because every intermediate entry is itself a minor of the input.
-# The int engine stays separate from the pair engine because it is about
+# The inverse kernels run the same step as Gauss-Jordan elimination on the
+# grid augmented with the identity, over every row but the pivot's; there
+# every intermediate entry is a minor of the augmented grid, so the
+# division stays exact.  The left half would end as D * I, with D the last
+# pivot, and the right half ends as D * grid**-1.  Columns left of the
+# pivot are not updated, because no later step reads them.
+# Each int engine stays separate from its pair engine because it is about
 # twice as fast on real input.  Rank uses its own division-free
 # elimination, so rank and determinants stay independent of each other.
 # ---------------------------------------------------------------------------
@@ -168,6 +174,85 @@ def _det_pairs(rows, d):
         pa, pb = va, vb
     da, db = rows[-1][-1]
     return (sign * da, sign * db)
+
+
+def _inverse_ints(rows):
+    """Fraction-free Gauss-Jordan on a square integer matrix augmented with
+    the identity; mutates ``rows``.
+
+    Returns (D, R) with D the last pivot (+-det) and R == D * rows**-1, an
+    integer matrix.  Raises SingularMatrixError when a column has no pivot.
+    """
+    n = len(rows)
+    width = 2 * n
+    for i, row in enumerate(rows):
+        row.extend([0] * n)
+        row[n + i] = 1
+    prev = 1
+    for k in range(n):
+        if rows[k][k] == 0:
+            for r in range(k + 1, n):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    break
+            else:
+                raise SingularMatrixError("matrix is singular; no exact inverse")
+        pivot = rows[k][k]
+        base = rows[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = rows[i]
+            lead = row[k]
+            for j in range(k + 1, width):
+                row[j] = (pivot * row[j] - lead * base[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return prev, [row[n:] for row in rows]
+
+
+def _inverse_pairs(rows, d):
+    """_inverse_ints over Z[sqrt d], entries as (a, b) int pairs; mutates
+    ``rows``.  Returns (D, R) with D and the entries of R as pairs."""
+    n = len(rows)
+    width = 2 * n
+    for i, row in enumerate(rows):
+        row.extend([(0, 0)] * n)
+        row[n + i] = (1, 0)
+    pa, pb = 1, 0  # previous pivot
+    for k in range(n):
+        if rows[k][k] == (0, 0):
+            for r in range(k + 1, n):
+                if rows[r][k] != (0, 0):
+                    rows[k], rows[r] = rows[r], rows[k]
+                    break
+            else:
+                raise SingularMatrixError("matrix is singular; no exact inverse")
+        va, vb = rows[k][k]
+        dvb = d * vb
+        base = rows[k]
+        # divide by the previous pivot as _det_pairs does; after a row swap
+        # a Hermitian pivot need not be real
+        nrm = pa * pa - d * pb * pb
+        dpb = d * pb
+        for i in range(n):
+            if i == k:
+                continue
+            row = rows[i]
+            la, lb = row[k]
+            dlb = d * lb
+            for j in range(k + 1, width):
+                ta, tb = row[j]
+                ba, bb = base[j]
+                na = va * ta + dvb * tb - la * ba - dlb * bb
+                nb = va * tb + vb * ta - la * bb - lb * ba
+                if pb:
+                    row[j] = ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
+                else:
+                    row[j] = (na // pa, nb // pa)
+            row[k] = (0, 0)
+        pa, pb = va, vb
+    return (pa, pb), [row[n:] for row in rows]
 
 
 def _rank_int_grid(rows) -> int:
@@ -461,30 +546,35 @@ class HermitianMatrix:
         return _scaled_rank(d, [list(r) for r in grid])
 
     def inverse(self) -> "HermitianMatrix":
-        """Exact inverse via Gauss-Jordan elimination."""
-        n = self.n
-        work = [list(row) for row in self.entries]
-        zero = work[0][0] - work[0][0]
-        one = zero + 1
-        aug = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for c in range(n):
-            for r in range(c, n):
-                if work[r][c] != zero:
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular; no exact inverse")
-            work[c], work[r] = work[r], work[c]
-            aug[c], aug[r] = aug[r], aug[c]
-            pivot = work[c][c]
-            work[c] = [v / pivot for v in work[c]]
-            aug[c] = [v / pivot for v in aug[c]]
-            for r in range(n):
-                if r == c or work[r][c] == zero:
-                    continue
-                f = work[r][c]
-                work[r] = [v - f * w for v, w in zip(work[r], work[c])]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-        return HermitianMatrix(aug, validate=True)
+        """Exact inverse by fraction-free Gauss-Jordan elimination on the
+        scaled integer grid.
+
+        The kernel returns the last pivot D and R == D * grid**-1; since
+        grid == scale * self, the inverse is scale * R / D, and only this
+        last step builds rationals.  Raises SingularMatrixError for a
+        singular matrix.
+        """
+        d, scale, grid = self._scaled_grid()
+        work = [list(r) for r in grid]
+        if d == 0:
+            last, scaled_inv = _inverse_ints(work)
+            rows = [
+                [GaussianRational(Fraction(scale * v, last)) for v in row] for row in scaled_inv
+            ]
+        else:
+            (da, db), scaled_inv = _inverse_pairs(work, d)
+            # divide by D: multiply by its conjugate, divide by its norm
+            nrm = da * da - d * db * db
+            ca, cb = scale * da, scale * db
+            kind = Sqrt5Rational if d == 5 else GaussianRational
+            rows = [
+                [
+                    kind(Fraction(a * ca - d * b * cb, nrm), Fraction(b * ca - a * cb, nrm))
+                    for a, b in row
+                ]
+                for row in scaled_inv
+            ]
+        return HermitianMatrix(rows, validate=True)
 
     # -- structural transforms ---------------------------------------------
 

@@ -71,6 +71,19 @@ def wide_pool(field: Field) -> Tuple[GaussianRational, ...]:
 OrderSpec = Union[int, Tuple[int, int]]
 
 
+def _check_search_inputs(budget: int, pool, field: Field) -> None:
+    """Reject a sample budget below 1, an empty entry pool, or a non-real
+    pool entry for a real-symmetric search (ValueError)."""
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if not pool:
+        raise ValueError("entry pool is empty")
+    if field is Field.REAL_SYMMETRIC:
+        for v in pool:
+            if v.im != 0:
+                raise ValueError(f"real-symmetric search cannot use non-real pool entry {v}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     n: OrderSpec
@@ -85,16 +98,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if not self.pool:
-            raise ValueError("entry pool is empty")
-        if self.field is Field.REAL_SYMMETRIC:
-            for v in self.pool:
-                if v.im != 0:
-                    raise ValueError(
-                        f"real-symmetric search cannot use non-real pool entry {v}"
-                    )
+        _check_search_inputs(self.budget, self.pool, self.field)
         if isinstance(self.n, tuple):
             lo, hi = self.n
             if lo < 1 or hi < lo:
@@ -464,6 +468,8 @@ def attainability_census(
     """
     if order not in (2, 3):
         raise ValueError("census supports orders 2 and 3")
+    pool = tuple(search_pool) if search_pool is not None else default_pool(field)
+    _check_search_inputs(search_budget, pool, field)
     forbidden = (
         forbidden_order2(field) if order == 2 else forbidden_order3(field)
     )
@@ -569,7 +575,6 @@ def attainability_census(
                     absorb(f"{label}+negate", m.negate())
             return count
 
-        pool = tuple(search_pool) if search_pool is not None else default_pool(field)
         searched = pooled(pool, search_budget, seed, "random")
         if missing and search_pool is None:
             wide_searched = pooled(

@@ -141,6 +141,24 @@ def test_usage_errors(capsys):
     pool_1_0 = ["search", "--target", "NN", "--order-n", "2", "--field", "real", "--pool", "1/0"]
     assert main(pool_1_0) == 2
     assert "zero denominator in '1/0' (offset 2)" in capsys.readouterr().err
+    for budget in ("0", "-1"):
+        census = ["search", "--census", "--order", "2", "--field", "real", "--budget", budget]
+        assert main(census) == 2
+        assert "error: budget must be positive" in capsys.readouterr().err
+    for spec in ("abc", "1:x"):
+        assert main(["properties", "--field", "real", "--order-n", spec]) == 2
+        assert f"error: --order-n: expected N or LO:HI, got '{spec}'" in capsys.readouterr().err
+
+
+def test_census_rejects_non_real_pool_for_real_field(capsys):
+    pool = "--pool=i,-i,1,-1,0,2,-2,1+i"
+    census = ["search", "--census", "--order", "3", "--field", "real", pool]
+    target = ["search", "--target", "NN", "--order-n", "2", "--field", "real", pool]
+    for argv in (census, target):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "real-symmetric search cannot use non-real pool entry 1i" in captured.err
 
 
 def test_matrix_roundtrip_through_cli(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_det, oracle_minors_by_order, oracle_principal_minor, random_hermitian
+from seprkit.catalog import build_witness
 from seprkit.exact import GaussianRational, I, Sqrt5Rational, real_sign
 from seprkit.matrix import (
     HermitianMatrix,
@@ -134,16 +135,19 @@ def _product(left, right):
 
 
 @st.composite
-def _hermitian(draw, kind):
-    """A random Hermitian matrix, or (to force singular minors) a sum of
-    fewer than n rank-one terms v v*."""
+def _hermitian(draw, kind, diagonals=None):
+    """A random Hermitian matrix with diagonal entries from ``diagonals``
+    (default: the kind's), or (to force singular minors) a sum of fewer
+    than n rank-one terms v v*."""
     n = draw(st.integers(1, 5))
     if n > 1 and draw(st.booleans()):
         vs = [[draw(_ENTRIES[kind]) for _ in range(n)] for _ in range(draw(st.integers(1, n - 1)))]
         return HermitianMatrix(_product(list(zip(*vs)), [[v.conjugate() for v in row] for row in vs]))
+    if diagonals is None:
+        diagonals = _DIAGONALS[kind]
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = draw(_DIAGONALS[kind])
+        rows[i][i] = draw(diagonals)
         for j in range(i + 1, n):
             rows[i][j] = draw(_ENTRIES[kind])
             rows[j][i] = rows[i][j].conjugate()
@@ -190,6 +194,25 @@ def test_grid_rank_matches_oracle(kind, data):
         ):
             largest = k
     assert grid_rank(grid) == largest
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_oracle(kind, data):
+    # frequent zero diagonal entries force row swaps, and for Gaussian
+    # entries the swapped-in pivot is then non-real
+    m = data.draw(_hermitian(kind, st.one_of(st.just(0), _DIAGONALS[kind])))
+    if oracle_det(m.entries) == 0:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    value_type = Sqrt5Rational if kind == "sqrt5" else GaussianRational
+    assert all(type(v) is value_type for row in inv.entries for v in row)
+    identity = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
+    assert _product(m.entries, inv.entries) == identity
+    assert _product(inv.entries, m.entries) == identity
 
 
 def test_rank_examples():
@@ -251,6 +274,19 @@ def test_inverse_examples():
     assert HermitianMatrix(prod_rows) == HermitianMatrix.identity(5)
     with pytest.raises(SingularMatrixError):
         HermitianMatrix.zero(2).inverse()
+
+
+def test_sqrt5_witness_inverse():
+    m = build_witness("VierFour.9")
+    inv = m.inverse()
+    assert [[str(v) for v in row] for row in inv.entries] == [
+        ["-126/361+24/361*sqrt(5)", "62/361-29/361*sqrt(5)", "10/19-1/19*sqrt(5)", "2/361+34/361*sqrt(5)"],
+        ["62/361-29/361*sqrt(5)", "-105/361+20/361*sqrt(5)", "-1/19+2/19*sqrt(5)", "148/361-11/361*sqrt(5)"],
+        ["10/19-1/19*sqrt(5)", "-1/19+2/19*sqrt(5)", "0", "-8/19-3/19*sqrt(5)"],
+        ["2/361+34/361*sqrt(5)", "148/361-11/361*sqrt(5)", "-8/19-3/19*sqrt(5)", "63/361-12/361*sqrt(5)"],
+    ]
+    assert all(isinstance(v, Sqrt5Rational) for row in inv.entries for v in row)
+    assert _product(m.entries, inv.entries) == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 def test_determinant_permutation_invariant():
