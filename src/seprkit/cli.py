@@ -199,6 +199,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_properties(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--max-n", args.max_n)):
+        if value < 1:
+            print(f"error: {flag}: expected an integer ≥ 1, got {value}", file=sys.stderr)
+            return USAGE_ERROR
     field = Field.parse(args.field)
     pool = parse_pool(args.pool, field)
     if args.mode == "exhaustive":
@@ -290,8 +294,11 @@ def main(argv=None) -> int:
     except (SequenceParseError, ScalarParseError, MatrixFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # a path that cannot be read (missing, a directory, no permission)
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -8,7 +8,9 @@ otherwise (a, b) pairs standing for a + b*sqrt(d) in Z[sqrt d], with
 d = -1 for Gaussian entries and d = 5 for Q(sqrt 5).  Fraction-free
 elimination stays exact over those rings, so int kernels and pair kernels
 compute every determinant, rank and inverse.  The cached minor table
-holds only signs; exact minor values are built on request.
+holds only signs and comes from one depth-first walk over the index sets
+that eliminates each nonsingular prefix once; exact minor values are
+built on request.
 
 Index sets follow the mathematical convention: 1-based, strictly
 increasing.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -75,6 +78,21 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # division stays exact.  The left half would end as D * I, with D the last
 # pivot, and the right half ends as D * grid**-1.  Columns left of the
 # pivot are not updated, because no later step reads them.
+# The sign walk (_sign_walk) is a depth-first walk over the index sets S,
+# in lexicographic order unless zero pivots reorder it.  A nonsingular S
+# carries the block B of bordered minors det[S+i, S+l] over its later
+# indices, packed as its upper triangle since B is Hermitian.  B's
+# diagonal holds the children's minors det[S+j], and one Bareiss step
+# dividing by det S gives a child's block (exact by Sylvester's identity,
+# for any S).  A singular child S+j has no block, so the walk moves the
+# later indices with a zero diagonal entry in B behind the others: the
+# sets through j are then reached as S+l+...+j below a nonsingular S+l.
+# Once every remaining diagonal entry is zero, each minor S+U below S+j
+# (U holds j and later indices) is det B[U] / (det S)**(|U| - 1), so its
+# sign is sign(det B[U]) * sign(det S)**(|U| - 1).  When a single index l follows
+# j, the child S+j has one descendant, S+j+l, whose minor is num / det S
+# with num the 2 x 2 determinant of B on {j, l}: the walk takes
+# sign(num) * sign(det S) and never divides.
 # Each int engine stays separate from its pair engine because it is about
 # twice as fast on real input.  Rank uses its own division-free
 # elimination, so rank and determinants stay independent of each other.
@@ -174,6 +192,188 @@ def _det_pairs(rows, d):
         pa, pb = va, vb
     da, db = rows[-1][-1]
     return (sign * da, sign * db)
+
+
+def _reduce_ints(block, a, prev):
+    """One Bareiss step on a packed Hermitian block, whose row r holds the
+    entries (r, r), (r, r + 1), ...: pivot on position a, divide by
+    ``prev``, and return the packed block of the positions after a.  Entry
+    (r, a) is read as the stored (a, r), since the block is symmetric."""
+    row = block[a]
+    piv = row[0]
+    return [
+        [(piv * x - lead * y) // prev for x, y in zip(block[r], row[r - a :])]
+        for r, lead in enumerate(row[1:], a + 1)
+    ]
+
+
+def _reduce_pairs(block, a, prev, d):
+    """_reduce_ints over Z[sqrt d], entries as (a, b) pairs.  Entry (r, a)
+    is the conjugate of the stored (a, r) for d = -1 and equal to it for
+    d = 5.  Pivot and ``prev`` are real for d = -1 (principal minors); a
+    non-real one (d = 5) takes the general product, and the division
+    multiplies by the conjugate of ``prev`` and divides by its norm."""
+    row = block[a]
+    va, vb = row[0]
+    pa, pb = prev
+    general = vb or pb
+    dvb, dpb, nrm = d * vb, d * pb, pa * pa - d * pb * pb
+    out = []
+    for r, (la, lb) in enumerate(row[1:], a + 1):
+        if d < 0:
+            lb = -lb
+        dlb = d * lb
+        pairs = zip(block[r], row[r - a :])
+        if general:
+            nums = (
+                (va * xa + dvb * xb - la * ya - dlb * yb, va * xb + vb * xa - la * yb - lb * ya)
+                for (xa, xb), (ya, yb) in pairs
+            )
+            out.append([((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm) for na, nb in nums])
+        else:
+            out.append(
+                [
+                    ((va * xa - la * ya - dlb * yb) // pa, (va * xb - la * yb - lb * ya) // pa)
+                    for (xa, xb), (ya, yb) in pairs
+                ]
+            )
+    return out
+
+
+def _gaussian_real(value) -> int:
+    """The real part of a Z[i] pair that stands for a principal minor."""
+    a, b = value
+    if b:
+        raise RuntimeError(
+            "principal minor of a Hermitian matrix came out non-real; "
+            "internal invariant violated"
+        )
+    return a
+
+
+def _sign(value, d) -> int:
+    """Sign of a scaled principal minor in _scale's form."""
+    if d == 5:
+        return Sqrt5Rational(*value).sign()
+    if d:
+        value = _gaussian_real(value)
+    return (value > 0) - (value < 0)
+
+
+def _sign_walk(grid, d):
+    """Signs of all 2**n - 1 principal minors of a scaled Hermitian grid in
+    _scale's form, keyed by index bitmask.
+
+    See the comment above the integer kernels; the walk starts at the
+    empty set, whose block is the grid and whose determinant is 1.
+    """
+    table = {}
+    block = [list(row[i:]) for i, row in enumerate(grid)]
+    bits = [1 << i for i in range(len(grid))]
+    if d == 0:
+        _walk_ints(block, bits, 0, 1, 1, table)
+    else:
+        _walk_pairs(block, bits, 0, (1, 0), 1, table, d)
+    return table
+
+
+def _unpack(block, d):
+    """The full square matrix of a packed Hermitian block."""
+    full = [[None] * len(block) for _ in block]
+    for r, row in enumerate(block):
+        for c, v in enumerate(row, r):
+            full[r][c] = v
+            full[c][r] = (v[0], -v[1]) if d < 0 else v
+    return full
+
+
+def _zero_pivots_last(block, bits, d):
+    """The packed block and its index bits reordered so that the positions
+    with a zero diagonal entry come after the others, or None when every
+    diagonal entry is zero."""
+    zero = (0, 0) if d else 0
+    order = [p for p, row in enumerate(block) if row[0] != zero]
+    if not order:
+        return None
+    order += [p for p, row in enumerate(block) if row[0] == zero]
+    full = _unpack(block, d)
+    return [[full[p][q] for q in order[i:]] for i, p in enumerate(order)], [bits[p] for p in order]
+
+
+def _walk_ints(block, bits, mask, prev, psign, table):
+    """The walk below the node ``mask`` (S) for an integer block; position a
+    of the block stands for the index of bit bits[a], prev = det S and
+    psign = sign(prev)."""
+    last = len(block) - 1
+    for a, row in enumerate(block):
+        piv = row[0]
+        child = mask | bits[a]
+        s = table[child] = (piv > 0) - (piv < 0)
+        if a < last - 1:
+            if s:
+                _walk_ints(_reduce_ints(block, a, prev), bits[a + 1 :], child, piv, s, table)
+                continue
+            moved = _zero_pivots_last(block[a:], bits[a:], 0)
+            if moved:
+                _walk_ints(*moved, mask, prev, psign, table)
+                return
+            _walk_singular(block, a, bits, child, psign, table, 0)
+        elif a == last - 1:
+            # a leaf: its one minor is num / prev, so take sign(num) * psign
+            num = piv * block[last][0] - row[1] * row[1]
+            table[child | bits[last]] = ((num > 0) - (num < 0)) * psign
+
+
+def _walk_pairs(block, bits, mask, prev, psign, table, d):
+    """_walk_ints for a block over Z[sqrt d]."""
+    last = len(block) - 1
+    for a, row in enumerate(block):
+        piv = row[0]
+        child = mask | bits[a]
+        s = table[child] = _sign(piv, d)
+        if a < last - 1:
+            if s:
+                _walk_pairs(_reduce_pairs(block, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
+                continue
+            moved = _zero_pivots_last(block[a:], bits[a:], d)
+            if moved:
+                _walk_pairs(*moved, mask, prev, psign, table, d)
+                return
+            _walk_singular(block, a, bits, child, psign, table, d)
+        elif a == last - 1:
+            (va, vb), (xa, xb), (la, lb) = piv, block[last][0], row[1]
+            lc = -lb if d < 0 else lb  # entry (last, a) is (la, lc)
+            num = (va * xa + d * vb * xb - la * la - d * lc * lb, va * xb + vb * xa - la * lb - lc * la)
+            table[child | bits[last]] = _sign(num, d) * psign
+
+
+def _walk_singular(block, a, bits, child, psign, table, d):
+    """Signs below a singular child S+j at block position a whose later
+    positions all have zero diagonal entries too, so none can be a pivot.
+
+    Each minor S+U, with U holding j and later positions, comes from the
+    block B of S: det S+U = det B[U] / (det S)**(|U| - 1).  A zero row in
+    B makes all of them zero.
+    """
+    zero = (0, 0) if d else 0
+    if all(v == zero for v in block[a]):
+        later = sum(bits[a + 1 :])
+        sub = later
+        while sub:
+            table[child | sub] = 0
+            sub = (sub - 1) & later
+        return
+    full = _unpack(block[a:], d)
+    for k in range(1, len(full)):
+        flip = psign**k
+        for rest in combinations(range(1, len(full)), k):
+            idx = (0, *rest)
+            rows = [[full[i][j] for j in idx] for i in idx]
+            value = _det_pairs(rows, d) if d else _det_ints(rows)
+            mask = child
+            for t in rest:
+                mask |= bits[a + t]
+            table[mask] = _sign(value, d) * flip
 
 
 def _inverse_ints(rows):
@@ -371,6 +571,16 @@ def _coerce_rows(rows):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _order_masks(n):
+    """Per order k = 1..n, the bitmasks of the k-subsets of range(n) in
+    lexicographic order."""
+    return tuple(
+        tuple(sum(1 << i for i in subset) for subset in combinations(range(n), k))
+        for k in range(1, n + 1)
+    )
+
+
 class HermitianMatrix:
     """An n-by-n Hermitian matrix with exact entries.
 
@@ -457,17 +667,11 @@ class HermitianMatrix:
         """scale**k times the principal minor on a 0-based index tuple of
         length k: an int, or an (a, b) pair standing for a + b*sqrt(5)."""
         d, _, grid = self._scaled_grid()
+        rows = [[grid[i][j] for j in subset] for i in subset]
         if d == 0:
-            return _int_subset_det(grid, subset)
-        a, b = _pair_subset_det(grid, subset, d)
-        if d == 5:
-            return a, b
-        if b:
-            raise RuntimeError(
-                "principal minor of a Hermitian matrix came out non-real; "
-                "internal invariant violated"
-            )
-        return a
+            return _det_ints(rows)
+        value = _det_pairs(rows, d)
+        return value if d == 5 else _gaussian_real(value)
 
     def _minor_of_subset(self, subset) -> Fraction | Sqrt5Rational:
         """Exact principal minor for a 0-based index tuple."""
@@ -504,40 +708,19 @@ class HermitianMatrix:
 
     def _mask_signs(self):
         """Signs of all 2**n - 1 principal minors keyed by index bitmask
-        (cached).  scale**k > 0, so each sign is read off the scaled minor."""
+        (cached), from one _sign_walk over the scaled grid."""
         cached = self._minor_cache
-        if cached is not None:
-            return cached
-        n = self.n
-        table = {}
-        for k in range(1, n + 1):
-            for subset in combinations(range(n), k):
-                mask = 0
-                for i in subset:
-                    mask |= 1 << i
-                value = self._scaled_minor(subset)
-                if isinstance(value, tuple):
-                    table[mask] = Sqrt5Rational(*value).sign()
-                else:
-                    table[mask] = (value > 0) - (value < 0)
-        object.__setattr__(self, "_minor_cache", table)
-        return table
+        if cached is None:
+            d, _, grid = self._scaled_grid()
+            cached = _sign_walk(grid, d)
+            object.__setattr__(self, "_minor_cache", cached)
+        return cached
 
     def minor_signs_by_order(self):
         """List indexed by k-1: signs of all order-k principal minors in
         lexicographic subset order."""
         table = self._mask_signs()
-        n = self.n
-        out = []
-        for k in range(1, n + 1):
-            signs = []
-            for subset in combinations(range(n), k):
-                mask = 0
-                for i in subset:
-                    mask |= 1 << i
-                signs.append(table[mask])
-            out.append(signs)
-        return out
+        return [[table[mask] for mask in masks] for masks in _order_masks(self.n)]
 
     # -- rank and inverse ---------------------------------------------------
 
@@ -627,41 +810,6 @@ class HermitianMatrix:
             for i, row in enumerate(self.entries)
             if i != drop_row - 1
         ]
-
-
-def _int_subset_det(grid, subset) -> int:
-    k = len(subset)
-    if k == 1:
-        return grid[subset[0]][subset[0]]
-    if k == 2:
-        a, b = subset
-        return grid[a][a] * grid[b][b] - grid[a][b] * grid[b][a]
-    if k == 3:
-        a, b, c = subset
-        r0, r1, r2 = grid[a], grid[b], grid[c]
-        return (
-            r0[a] * (r1[b] * r2[c] - r1[c] * r2[b])
-            - r0[b] * (r1[a] * r2[c] - r1[c] * r2[a])
-            + r0[c] * (r1[a] * r2[b] - r1[b] * r2[a])
-        )
-    rows = [[grid[i][j] for j in subset] for i in subset]
-    return _det_ints(rows)
-
-
-def _pair_subset_det(grid, subset, d):
-    k = len(subset)
-    if k == 1:
-        return grid[subset[0]][subset[0]]
-    if k == 2:
-        a, b = subset
-        (xa, xb), (ya, yb) = grid[a][a], grid[b][b]
-        (ua, ub), (va, vb) = grid[a][b], grid[b][a]
-        return (
-            xa * ya + d * xb * yb - ua * va - d * ub * vb,
-            xa * yb + xb * ya - ua * vb - ub * va,
-        )
-    rows = [[grid[i][j] for j in subset] for i in subset]
-    return _det_pairs(rows, d)
 
 
 # ---------------------------------------------------------------------------

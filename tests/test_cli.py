@@ -51,6 +51,16 @@ def test_compute_bad_file(tmp_path, capsys):
     assert main(["compute", str(path)]) == 2
 
 
+def test_compute_unreadable_path(tmp_path, capsys):
+    # a directory or a missing file is a located usage error, not a traceback
+    missing = tmp_path / "missing.json"
+    for path, reason in ((tmp_path, "Is a directory"), (missing, "No such file or directory")):
+        assert main(["compute", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {reason}\n"
+
+
 def test_classify(capsys):
     assert main(["classify", "NA+A*", "--field", "real"]) == 0
     assert "FORBIDDEN (real symmetric): real-NA+A*" in capsys.readouterr().out
@@ -148,6 +158,9 @@ def test_usage_errors(capsys):
     for spec in ("abc", "1:x"):
         assert main(["properties", "--field", "real", "--order-n", spec]) == 2
         assert f"error: --order-n: expected N or LO:HI, got '{spec}'" in capsys.readouterr().err
+    for flag in ("--samples", "--max-n"):
+        assert main(["properties", "--field", "real", flag, "0"]) == 2
+        assert f"error: {flag}: expected an integer ≥ 1, got 0" in capsys.readouterr().err
 
 
 def test_census_rejects_non_real_pool_for_real_field(capsys):

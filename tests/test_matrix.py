@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_det, oracle_minors_by_order, oracle_principal_minor, random_hermitian
@@ -125,6 +125,14 @@ _ENTRIES = {
     "sqrt5": st.builds(Sqrt5Rational, _RATIONALS, _RATIONALS),
 }
 _DIAGONALS = {"real": _REAL, "gaussian": _REAL, "sqrt5": _ENTRIES["sqrt5"]}
+# Integral entries cancel far more often: det[S + j] = 0 below a
+# nonsingular, often negative, det S.
+_SMALL = st.integers(-2, 2)
+_INTEGRAL = {
+    "real": st.builds(GaussianRational, _SMALL),
+    "gaussian": st.builds(GaussianRational, _SMALL, _SMALL),
+    "sqrt5": st.builds(Sqrt5Rational, _SMALL, _SMALL),
+}
 
 
 def _product(left, right):
@@ -135,13 +143,16 @@ def _product(left, right):
 
 
 @st.composite
-def _hermitian(draw, kind, diagonals=None):
-    """A random Hermitian matrix with diagonal entries from ``diagonals``
+def _hermitian(draw, kind, diagonals=None, orders=(1, 5), entries=None):
+    """A random Hermitian matrix of an order in ``orders`` (LO, HI) with
+    diagonal entries from ``diagonals`` and the others from ``entries``
     (default: the kind's), or (to force singular minors) a sum of fewer
     than n rank-one terms v v*."""
-    n = draw(st.integers(1, 5))
+    if entries is None:
+        entries = _ENTRIES[kind]
+    n = draw(st.integers(*orders))
     if n > 1 and draw(st.booleans()):
-        vs = [[draw(_ENTRIES[kind]) for _ in range(n)] for _ in range(draw(st.integers(1, n - 1)))]
+        vs = [[draw(entries) for _ in range(n)] for _ in range(draw(st.integers(1, n - 1)))]
         return HermitianMatrix(_product(list(zip(*vs)), [[v.conjugate() for v in row] for row in vs]))
     if diagonals is None:
         diagonals = _DIAGONALS[kind]
@@ -149,7 +160,7 @@ def _hermitian(draw, kind, diagonals=None):
     for i in range(n):
         rows[i][i] = draw(diagonals)
         for j in range(i + 1, n):
-            rows[i][j] = draw(_ENTRIES[kind])
+            rows[i][j] = draw(entries)
             rows[j][i] = rows[i][j].conjugate()
     return HermitianMatrix(rows)
 
@@ -177,6 +188,62 @@ def test_minor_engine_matches_oracle(kind, data):
     assert m.determinant() == expected[-1][0]
     assert m.minor_signs_by_order() == [[real_sign(v) for v in row] for row in expected]
     assert m.rank() == max((k for k, row in enumerate(expected, 1) if any(row)), default=0)
+
+
+@st.composite
+def _negative_singular_prefix(draw, kind, orders, entries):
+    """A random Hermitian matrix with det[i] = -u < 0 and det[i, j] = 0 for
+    one j with i < j <= n - 3, or for every j > i: singular prefixes right
+    below a negative pivot that still have at least two later indices."""
+    m = draw(_hermitian(kind, None, (max(orders[0], 4), orders[1]), entries))
+    n = m.n
+    rows = [list(row) for row in m.entries]
+    i = draw(st.integers(0, n - 4))
+    u = draw(st.integers(1, 3))
+    rows[i][i] = -u
+    later = range(i + 1, n) if draw(st.booleans()) else [draw(st.integers(i + 1, n - 3))]
+    for j in later:
+        v = draw(entries.filter(lambda x: x != 0))
+        rows[i][j], rows[j][i], rows[j][j] = v, v.conjugate(), -(v * v.conjugate()) / u
+    return HermitianMatrix(rows)
+
+
+def _oracle_sign_table(m):
+    """The oracle's sign of every principal minor, keyed by index bitmask."""
+    return {
+        sum(1 << i for i in subset): real_sign(oracle_principal_minor(m, subset))
+        for k in range(1, m.n + 1)
+        for subset in combinations(range(m.n), k)
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@pytest.mark.parametrize("orders, examples", [((1, 5), 60), ((6, 7), 3)], ids=["n1-5", "n6-7"])
+def test_sign_table_matches_oracle(kind, orders, examples):
+    # Zero diagonal entries and low-rank draws make singular prefixes, also
+    # below a negative nonsingular pivot.  The oracle's cost grows as n!
+    # (about 2 s per draw at n = 7), so orders 6 and 7 get few draws and
+    # report a failing draw without shrinking it.
+    diagonals = st.one_of(st.just(0), _INTEGRAL["sqrt5" if kind == "sqrt5" else "real"], _DIAGONALS[kind])
+    entries = st.one_of(_INTEGRAL[kind], _ENTRIES[kind])
+    phases = [p for p in Phase if p is not Phase.shrink or orders[1] <= 5]
+
+    @settings(max_examples=examples, deadline=None, phases=phases)
+    @given(m=st.one_of(_hermitian(kind, diagonals, orders, entries), _negative_singular_prefix(kind, orders, entries)))
+    def check(m):
+        assert m._mask_signs() == _oracle_sign_table(m)
+
+    check()
+
+
+def test_sign_table_below_negative_singular_prefix():
+    # det[1] = -1 and det[1, j] = 0 for j = 2, 3, 4, while the reduced
+    # block of {1} has nonzero entries off its diagonal: every minor on
+    # {1, 2, ...} comes from that block divided by (det[1])**(|U| - 1),
+    # and the odd powers flip the sign.
+    m = HermitianMatrix([[-1, 1, 1, 1], [1, -1, 0, 1], [1, 0, -1, -1], [1, 1, -1, -1]])
+    assert m._mask_signs() == _oracle_sign_table(m)
+    assert m.minor_signs_by_order() == [[-1, -1, -1, -1], [0, 0, 0, 1, 0, 0], [1, 1, 0, 1], [0]]
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "sqrt5"])
