@@ -142,12 +142,14 @@ def cmd_catalog(args) -> int:
 def _parse_order_spec(text: str):
     """``--order-n`` value: N, or LO:HI for a range of orders."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return (int(lo), int(hi))
-        return int(text)
+        orders = tuple(int(part) for part in text.split(":", 1))
     except ValueError:
         raise ValueError(f"--order-n: expected N or LO:HI, got {text!r}") from None
+    if min(orders) < 1:
+        raise ValueError(f"--order-n: expected orders ≥ 1, got {text!r}")
+    if orders[0] > orders[-1]:
+        raise ValueError(f"--order-n: expected LO ≤ HI, got {text!r}")
+    return orders if len(orders) == 2 else orders[0]
 
 
 def cmd_search(args) -> int:

@@ -13,13 +13,8 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import Union
 
 Rational = Fraction
-
-NEGATIVE = -1
-ZERO = 0
-POSITIVE = 1
 
 
 class ScalarParseError(ValueError):
@@ -328,9 +323,6 @@ class Sqrt5Rational:
             return tail if self.b > 0 else f"-{tail}"
         sep = "+" if self.b > 0 else "-"
         return f"{format_rational(self.a)}{sep}{tail}"
-
-
-RealValue = Union[Fraction, int, Sqrt5Rational]
 
 
 def real_sign(value) -> int:

@@ -6,8 +6,9 @@ enumerating all 2**n - 1 principal minors.  Denominators are cleared once,
 which turns the entries into integers: plain ints for a real matrix, and
 otherwise (a, b) pairs standing for a + b*sqrt(d) in Z[sqrt d], with
 d = -1 for Gaussian entries and d = 5 for Q(sqrt 5).  Fraction-free
-elimination stays exact over those rings, so int kernels and pair kernels
-compute every determinant, rank and inverse.  The cached minor table
+elimination stays exact over those rings.  One Gauss-Jordan kernel per
+form returns the rank, the sign of its row swaps and the last pivot,
+which give every determinant, rank and inverse.  The cached minor table
 holds only signs and comes from one depth-first walk over the index sets
 that eliminates each nonsingular prefix once; exact minor values are
 built on request.
@@ -22,7 +23,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -69,15 +70,17 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # _scale clears denominators once, so every kernel below runs on plain
 # ints: real grids as ints (d = 0), everything else as (a, b) pairs that
 # stand for a + b*sqrt(d) in Z[sqrt d] (d = -1 Gaussian, d = 5 Q(sqrt 5)).
-# The determinant kernels are fraction-free (Bareiss) elimination: multiply,
-# subtract, then divide exactly by the previous pivot.  The division is
-# exact because every intermediate entry is itself a minor of the input.
-# The inverse kernels run the same step as Gauss-Jordan elimination on the
-# grid augmented with the identity, over every row but the pivot's; there
-# every intermediate entry is a minor of the augmented grid, so the
-# division stays exact.  The left half would end as D * I, with D the last
-# pivot, and the right half ends as D * grid**-1.  Columns left of the
-# pivot are not updated, because no later step reads them.
+# Determinant, rank and inverse come from one fraction-free (Bareiss)
+# Gauss-Jordan elimination per form (_eliminate_ints, _eliminate_pairs).
+# It takes pivot columns left to right, skips a column with no nonzero
+# entry at or below the next pivot row, and updates every row but the
+# pivot's: multiply, subtract, then divide exactly by the previous pivot.
+# The division is exact because every intermediate entry is a minor of the
+# input.  Columns left of the pivot are not updated, because no later step
+# reads them.  The kernel returns the rank, the sign of its row swaps and
+# the last pivot: a square grid of full rank has determinant sign * last,
+# and on a nonsingular grid augmented with the identity the right half
+# ends as last * grid**-1.
 # The sign walk (_sign_walk) is a depth-first walk over the index sets S,
 # in lexicographic order unless zero pivots reorder it.  A nonsingular S
 # carries the block B of bordered minors det[S+i, S+l] over its later
@@ -93,9 +96,8 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # j, the child S+j has one descendant, S+j+l, whose minor is num / det S
 # with num the 2 x 2 determinant of B on {j, l}: the walk takes
 # sign(num) * sign(det S) and never divides.
-# Each int engine stays separate from its pair engine because it is about
-# twice as fast on real input.  Rank uses its own division-free
-# elimination, so rank and determinants stay independent of each other.
+# Each int kernel and walk stays separate from its pair counterpart
+# because it is about twice as fast on real input.
 # ---------------------------------------------------------------------------
 
 
@@ -127,59 +129,67 @@ def _scale(rows):
     return d, scale, grid
 
 
-def _det_ints(rows) -> int:
-    """Determinant of a square integer matrix; mutates ``rows``."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
+def _eliminate_ints(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer grid; mutates
+    ``rows``.  Returns (rank, swap sign, last pivot)."""
+    width = len(rows[0]) if rows else 0
+    rank, sign, prev = 0, 1, 1
+    for c in range(width):
+        if rank == len(rows):
+            break
+        if rows[rank][c] == 0:
+            for r in range(rank + 1, len(rows)):
+                if rows[r][c]:
+                    rows[rank], rows[r] = rows[r], rows[rank]
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = rows[k][k]
-        base = rows[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            lead = row[k]
-            for j in range(k + 1, n):
+                continue
+        base = rows[rank]
+        pivot = base[c]
+        for i, row in enumerate(rows):
+            if i == rank:
+                continue
+            lead = row[c]
+            for j in range(c + 1, width):
                 row[j] = (pivot * row[j] - lead * base[j]) // prev
-            row[k] = 0
+            row[c] = 0
         prev = pivot
-    return sign * rows[-1][-1]
+        rank += 1
+    return rank, sign, prev
 
 
-def _det_pairs(rows, d):
-    """Determinant of a square matrix over Z[sqrt d] given as (a, b) int
-    pairs; mutates ``rows``.  Returns an (a, b) pair."""
-    n = len(rows)
-    sign = 1
+def _eliminate_pairs(rows, d):
+    """_eliminate_ints over Z[sqrt d], entries as (a, b) int pairs; the last
+    pivot is a pair too.  Dividing by the previous pivot multiplies by its
+    conjugate and divides by its norm; a real one divides directly.  A
+    pivot need not be real even for d = -1: after a row swap, or in a grid
+    that is not Hermitian."""
+    width = len(rows[0]) if rows else 0
+    rank, sign = 0, 1
     pa, pb = 1, 0  # previous pivot
-    for k in range(n - 1):
-        if rows[k][k] == (0, 0):
-            for r in range(k + 1, n):
-                if rows[r][k] != (0, 0):
-                    rows[k], rows[r] = rows[r], rows[k]
+    for c in range(width):
+        if rank == len(rows):
+            break
+        if rows[rank][c] == (0, 0):
+            for r in range(rank + 1, len(rows)):
+                if rows[r][c] != (0, 0):
+                    rows[rank], rows[r] = rows[r], rows[rank]
                     sign = -sign
                     break
             else:
-                return (0, 0)
-        va, vb = rows[k][k]
+                continue
+        base = rows[rank]
+        va, vb = base[c]
         dvb = d * vb
-        base = rows[k]
-        # dividing by the pivot p means multiplying by its conjugate and
-        # dividing by its norm; a real pivot (pb == 0) divides directly
         nrm = pa * pa - d * pb * pb
         dpb = d * pb
-        for i in range(k + 1, n):
-            row = rows[i]
-            la, lb = row[k]
+        for i, row in enumerate(rows):
+            if i == rank:
+                continue
+            la, lb = row[c]
             dlb = d * lb
-            for j in range(k + 1, n):
+            for j in range(c + 1, width):
                 ta, tb = row[j]
                 ba, bb = base[j]
                 na = va * ta + dvb * tb - la * ba - dlb * bb
@@ -188,10 +198,24 @@ def _det_pairs(rows, d):
                     row[j] = ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
                 else:
                     row[j] = (na // pa, nb // pa)
-            row[k] = (0, 0)
+            row[c] = (0, 0)
         pa, pb = va, vb
-    da, db = rows[-1][-1]
-    return (sign * da, sign * db)
+        rank += 1
+    return rank, sign, (pa, pb)
+
+
+def _eliminate(d, rows):
+    """(rank, swap sign, last pivot) of a grid in _scale's form; mutates
+    ``rows``."""
+    return _eliminate_ints(rows) if d == 0 else _eliminate_pairs(rows, d)
+
+
+def _det(d, rows):
+    """Determinant of a square grid in _scale's form; mutates ``rows``."""
+    rank, sign, last = _eliminate(d, rows)
+    if d == 0:
+        return sign * last if rank == len(rows) else 0
+    return (sign * last[0], sign * last[1]) if rank == len(rows) else (0, 0)
 
 
 def _reduce_ints(block, a, prev):
@@ -369,180 +393,17 @@ def _walk_singular(block, a, bits, child, psign, table, d):
         for rest in combinations(range(1, len(full)), k):
             idx = (0, *rest)
             rows = [[full[i][j] for j in idx] for i in idx]
-            value = _det_pairs(rows, d) if d else _det_ints(rows)
+            value = _det(d, rows)
             mask = child
             for t in rest:
                 mask |= bits[a + t]
             table[mask] = _sign(value, d) * flip
 
 
-def _inverse_ints(rows):
-    """Fraction-free Gauss-Jordan on a square integer matrix augmented with
-    the identity; mutates ``rows``.
-
-    Returns (D, R) with D the last pivot (+-det) and R == D * rows**-1, an
-    integer matrix.  Raises SingularMatrixError when a column has no pivot.
-    """
-    n = len(rows)
-    width = 2 * n
-    for i, row in enumerate(rows):
-        row.extend([0] * n)
-        row[n + i] = 1
-    prev = 1
-    for k in range(n):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k]:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular; no exact inverse")
-        pivot = rows[k][k]
-        base = rows[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = rows[i]
-            lead = row[k]
-            for j in range(k + 1, width):
-                row[j] = (pivot * row[j] - lead * base[j]) // prev
-            row[k] = 0
-        prev = pivot
-    return prev, [row[n:] for row in rows]
-
-
-def _inverse_pairs(rows, d):
-    """_inverse_ints over Z[sqrt d], entries as (a, b) int pairs; mutates
-    ``rows``.  Returns (D, R) with D and the entries of R as pairs."""
-    n = len(rows)
-    width = 2 * n
-    for i, row in enumerate(rows):
-        row.extend([(0, 0)] * n)
-        row[n + i] = (1, 0)
-    pa, pb = 1, 0  # previous pivot
-    for k in range(n):
-        if rows[k][k] == (0, 0):
-            for r in range(k + 1, n):
-                if rows[r][k] != (0, 0):
-                    rows[k], rows[r] = rows[r], rows[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular; no exact inverse")
-        va, vb = rows[k][k]
-        dvb = d * vb
-        base = rows[k]
-        # divide by the previous pivot as _det_pairs does; after a row swap
-        # a Hermitian pivot need not be real
-        nrm = pa * pa - d * pb * pb
-        dpb = d * pb
-        for i in range(n):
-            if i == k:
-                continue
-            row = rows[i]
-            la, lb = row[k]
-            dlb = d * lb
-            for j in range(k + 1, width):
-                ta, tb = row[j]
-                ba, bb = base[j]
-                na = va * ta + dvb * tb - la * ba - dlb * bb
-                nb = va * tb + vb * ta - la * bb - lb * ba
-                if pb:
-                    row[j] = ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
-                else:
-                    row[j] = (na // pa, nb // pa)
-            row[k] = (0, 0)
-        pa, pb = va, vb
-    return (pa, pb), [row[n:] for row in rows]
-
-
-def _rank_int_grid(rows) -> int:
-    """Rank of an integer grid by division-free elimination with per-row
-    gcd reduction; mutates ``rows``."""
-    if not rows:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    piv = 0
-    for c in range(n_cols):
-        for r in range(piv, n_rows):
-            if rows[r][c]:
-                break
-        else:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        base = rows[piv]
-        p = base[c]
-        for r in range(piv + 1, n_rows):
-            row = rows[r]
-            a = row[c]
-            if not a:
-                continue
-            for j in range(c, n_cols):
-                row[j] = p * row[j] - a * base[j]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                for j in range(n_cols):
-                    row[j] //= g
-        piv += 1
-        if piv == n_rows:
-            break
-    return piv
-
-
-def _rank_pair_grid(rows, d) -> int:
-    """Rank of a grid over Z[sqrt d] of (a, b) int pairs; mutates ``rows``."""
-    if not rows:
-        return 0
-    n_rows, n_cols = len(rows), len(rows[0])
-    piv = 0
-    for c in range(n_cols):
-        for r in range(piv, n_rows):
-            if rows[r][c] != (0, 0):
-                break
-        else:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        base = rows[piv]
-        pa, pb = base[c]
-        dpb = d * pb
-        for r in range(piv + 1, n_rows):
-            row = rows[r]
-            la, lb = row[c]
-            if la == 0 and lb == 0:
-                continue
-            dlb = d * lb
-            g = 0
-            for j in range(c, n_cols):
-                ta, tb = row[j]
-                ba, bb = base[j]
-                na = pa * ta + dpb * tb - la * ba - dlb * bb
-                nb = pa * tb + pb * ta - la * bb - lb * ba
-                row[j] = (na, nb)
-                g = gcd(g, na, nb)
-            if g > 1:
-                for j in range(n_cols):
-                    ta, tb = row[j]
-                    row[j] = (ta // g, tb // g)
-        piv += 1
-        if piv == n_rows:
-            break
-    return piv
-
-
-def _scaled_rank(d, rows) -> int:
-    """Rank of a grid in _scale's form; mutates ``rows``."""
-    return _rank_int_grid(rows) if d == 0 else _rank_pair_grid(rows, d)
-
-
 def grid_rank(rows: Sequence[Sequence]) -> int:
     """Rank of an arbitrary (not necessarily Hermitian) grid of scalars."""
-    if not rows:
-        return 0
     d, _, grid = _scale(_coerce_rows(rows))
-    return _scaled_rank(d, [list(r) for r in grid])
+    return _eliminate(d, [list(r) for r in grid])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +528,8 @@ class HermitianMatrix:
         """scale**k times the principal minor on a 0-based index tuple of
         length k: an int, or an (a, b) pair standing for a + b*sqrt(5)."""
         d, _, grid = self._scaled_grid()
-        rows = [[grid[i][j] for j in subset] for i in subset]
-        if d == 0:
-            return _det_ints(rows)
-        value = _det_pairs(rows, d)
-        return value if d == 5 else _gaussian_real(value)
+        value = _det(d, [[grid[i][j] for j in subset] for i in subset])
+        return _gaussian_real(value) if d == -1 else value
 
     def _minor_of_subset(self, subset) -> Fraction | Sqrt5Rational:
         """Exact principal minor for a 0-based index tuple."""
@@ -726,27 +584,33 @@ class HermitianMatrix:
 
     def rank(self) -> int:
         d, _, grid = self._scaled_grid()
-        return _scaled_rank(d, [list(r) for r in grid])
+        return _eliminate(d, [list(r) for r in grid])[0]
 
     def inverse(self) -> "HermitianMatrix":
         """Exact inverse by fraction-free Gauss-Jordan elimination on the
-        scaled integer grid.
+        scaled integer grid augmented with the identity.
 
-        The kernel returns the last pivot D and R == D * grid**-1; since
-        grid == scale * self, the inverse is scale * R / D, and only this
-        last step builds rationals.  Raises SingularMatrixError for a
-        singular matrix.
+        A zero left on the left half's diagonal means a pivot column was
+        skipped: the matrix is singular, and SingularMatrixError is raised.
+        Otherwise the right half R == D * grid**-1, with D the last pivot;
+        since grid == scale * self, the inverse is scale * R / D, and only
+        this last step builds rationals.
         """
         d, scale, grid = self._scaled_grid()
-        work = [list(r) for r in grid]
+        n = self.n
+        zero, one = ((0, 0), (1, 0)) if d else (0, 1)
+        work = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(grid)]
+        _, _, last = _eliminate(d, work)
+        if any(row[i] == zero for i, row in enumerate(work)):
+            raise SingularMatrixError("matrix is singular; no exact inverse")
+        scaled_inv = [row[n:] for row in work]
         if d == 0:
-            last, scaled_inv = _inverse_ints(work)
             rows = [
                 [GaussianRational(Fraction(scale * v, last)) for v in row] for row in scaled_inv
             ]
         else:
-            (da, db), scaled_inv = _inverse_pairs(work, d)
             # divide by D: multiply by its conjugate, divide by its norm
+            da, db = last
             nrm = da * da - d * db * db
             ca, cb = scale * da, scale * db
             kind = Sqrt5Rational if d == 5 else GaussianRational
@@ -817,10 +681,22 @@ class HermitianMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _json_entry(i, j, v) -> list:
+    """The [re, im] form of entry (i, j) (0-based); a Q(sqrt 5) entry has
+    one only when it is rational."""
+    if isinstance(v, Sqrt5Rational):
+        if v.b:
+            raise MatrixFormatError(f"entry ({i + 1},{j + 1}): {v} has no [re, im] form")
+        v = GaussianRational(v.a)
+    return format_gaussian(v)
+
+
 def matrix_to_json_dict(matrix: HermitianMatrix) -> dict:
     return {
         "n": matrix.n,
-        "entries": [[format_gaussian(v) for v in row] for row in matrix.entries],
+        "entries": [
+            [_json_entry(i, j, v) for j, v in enumerate(row)] for i, row in enumerate(matrix.entries)
+        ],
     }
 
 

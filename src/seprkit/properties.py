@@ -31,7 +31,7 @@ import random
 from typing import Dict, List, Tuple
 
 from .classify import Field, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
-from .matrix import HermitianMatrix, SingularMatrixError, _scaled_rank, matrix_to_json
+from .matrix import HermitianMatrix, SingularMatrixError, _eliminate, matrix_to_json
 from .sepr import (
     EprTerm,
     SeprSequence,
@@ -112,7 +112,7 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
                 for q, row in enumerate(grid)
                 if q != i
             ]
-            if _scaled_rank(d, sub) < r - 2:
+            if _eliminate(d, sub)[0] < r - 2:
                 bad.append(
                     f"deleting row {i + 1}, column {j + 1} dropped rank below "
                     f"{r - 2} for {_describe(matrix)}"

@@ -161,6 +161,11 @@ def test_usage_errors(capsys):
     for flag in ("--samples", "--max-n"):
         assert main(["properties", "--field", "real", flag, "0"]) == 2
         assert f"error: {flag}: expected an integer ≥ 1, got 0" in capsys.readouterr().err
+    for spec, expected in (("0", "orders ≥ 1"), ("0:2", "orders ≥ 1"), ("3:1", "LO ≤ HI")):
+        search = ["search", "--target", "A+A+", "--order-n", spec, "--field", "real"]
+        for argv in (search, ["properties", "--field", "real", "--order-n", spec]):
+            assert main(argv) == 2
+            assert f"error: --order-n: expected {expected}, got '{spec}'" in capsys.readouterr().err
 
 
 def test_census_rejects_non_real_pool_for_real_field(capsys):

@@ -246,7 +246,7 @@ def test_sign_table_below_negative_singular_prefix():
     assert m.minor_signs_by_order() == [[-1, -1, -1, -1], [0, 0, 0, 1, 0, 0], [1, 1, 0, 1], [0]]
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "sqrt5"])
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_grid_rank_matches_oracle(kind, data):
@@ -394,6 +394,16 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(matrix_to_json(m))
     assert load_matrix(path) == m
+
+
+def test_sqrt5_matrix_to_json():
+    # the JSON document holds [re, im] pairs: an irrational Q(sqrt 5) entry
+    # is rejected by position, a rational one is written as usual
+    with pytest.raises(MatrixFormatError) as err:
+        matrix_to_json(build_witness("VierFour.9"))
+    assert str(err.value) == "entry (1,2): 2+1*sqrt(5) has no [re, im] form"
+    m = HermitianMatrix([[Sqrt5Rational(Fraction(1, 2)), 2], [2, 0]])
+    assert matrix_from_json(matrix_to_json(m)) == HermitianMatrix([[Fraction(1, 2), 2], [2, 0]])
 
 
 def test_json_loader_rejects():
