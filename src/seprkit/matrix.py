@@ -1,11 +1,15 @@
 """Hermitian matrices over Q(i) and Q(sqrt 5) and their exact principal-minor
 machinery.
 
-Matrices are immutable after construction.  The heavy operation is
-enumerating all 2**n - 1 principal minors.  Denominators are cleared once,
-which turns the entries into integers: plain ints for a real matrix, and
-otherwise (a, b) pairs standing for a + b*sqrt(d) in Z[sqrt d], with
-d = -1 for Gaussian entries and d = 5 for Q(sqrt 5).  Fraction-free
+A matrix is its scaled integer grid (d, scale, grid), immutable after
+construction: entry (i, j) is grid[i][j] / scale, where grid holds plain
+ints for a real matrix (d = 0) and otherwise (a, b) pairs standing for
+a + b*sqrt(d) in Z[sqrt d], with d = -1 for Gaussian entries and d = 5
+for Q(sqrt 5).  scale is the lcm of the entries' denominators, so equal
+matrices have equal grids.  Scalar entries are read in one pass; the
+structural transforms and the inverse build their result's grid
+directly, and exact entries are built only on request.  The heavy
+operation is enumerating all 2**n - 1 principal minors.  Fraction-free
 elimination stays exact over those rings.  One Gauss-Jordan kernel per
 form returns the rank, the sign of its row swaps and the last pivot,
 which give every determinant, rank and inverse.  The cached minor table
@@ -23,7 +27,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -67,9 +71,10 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # ---------------------------------------------------------------------------
 # integer kernels
 #
-# _scale clears denominators once, so every kernel below runs on plain
-# ints: real grids as ints (d = 0), everything else as (a, b) pairs that
-# stand for a + b*sqrt(d) in Z[sqrt d] (d = -1 Gaussian, d = 5 Q(sqrt 5)).
+# A matrix stores its entries in _scale's form, so every kernel below runs
+# on plain ints: real grids as ints (d = 0), everything else as (a, b)
+# pairs that stand for a + b*sqrt(d) in Z[sqrt d] (d = -1 Gaussian, d = 5
+# Q(sqrt 5)).
 # Determinant, rank and inverse come from one fraction-free (Bareiss)
 # Gauss-Jordan elimination per form (_eliminate_ints, _eliminate_pairs).
 # It takes pivot columns left to right, skips a column with no nonzero
@@ -104,29 +109,45 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 def _scale(rows):
     """Return (d, scale, grid) with grid == scale * rows entrywise.
 
-    ``rows`` holds all-GaussianRational or all-Sqrt5Rational entries (see
-    _coerce_rows); ``scale`` is the positive lcm of their denominators.
+    ``rows`` holds ints, Fractions, GaussianRationals and Sqrt5Rationals;
+    ``scale`` is the positive lcm of their denominators.  d is 5 when any
+    entry is a Sqrt5Rational (a non-real GaussianRational is then out of
+    place), else -1 when any entry has an imaginary part, else 0.
     """
-    if any(isinstance(v, Sqrt5Rational) for row in rows for v in row):
-        d = 5
-        parts = [[(v.a, v.b) for v in row] for row in rows]
-    else:
-        parts = [[(v.re, v.im) for v in row] for row in rows]
-        d = -1 if any(b for row in parts for _, b in row) else 0
+    d = 5 if any(isinstance(v, Sqrt5Rational) for row in rows for v in row) else 0
+    parts = []
+    for i, row in enumerate(rows):
+        out = []
+        for j, v in enumerate(row):
+            if isinstance(v, GaussianRational) and not (d == 5 and v.im):
+                out.append((v.re, v.im))
+            elif isinstance(v, (int, Fraction)):
+                out.append((v, 0))
+            elif isinstance(v, Sqrt5Rational):
+                out.append((v.a, v.b))
+            else:
+                raise MatrixFormatError(
+                    f"entry ({i + 1},{j + 1}): cannot interpret {v!r} as a matrix scalar"
+                )
+        parts.append(out)
     scale = lcm(*{x.denominator for row in parts for pair in row for x in pair})
-    if d == 0:
-        grid = tuple(
-            tuple(a.numerator * (scale // a.denominator) for a, _ in row) for row in parts
-        )
-    else:
-        grid = tuple(
+    if d == 5 or any(b for row in parts for _, b in row):
+        return d or -1, scale, tuple(
             tuple(
                 (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
                 for a, b in row
             )
             for row in parts
         )
-    return d, scale, grid
+    grid = tuple(tuple(a.numerator * (scale // a.denominator) for a, _ in row) for row in parts)
+    return 0, scale, grid
+
+
+def _entrywise(grid, d, f):
+    """A grid in _scale's form with f applied to each of its integers."""
+    if d == 0:
+        return tuple(tuple(f(v) for v in row) for row in grid)
+    return tuple(tuple((f(a), f(b)) for a, b in row) for row in grid)
 
 
 def _eliminate_ints(rows):
@@ -402,34 +423,13 @@ def _walk_singular(block, a, bits, child, psign, table, d):
 
 def grid_rank(rows: Sequence[Sequence]) -> int:
     """Rank of an arbitrary (not necessarily Hermitian) grid of scalars."""
-    d, _, grid = _scale(_coerce_rows(rows))
+    d, _, grid = _scale(rows)
     return _eliminate(d, [list(r) for r in grid])[0]
 
 
 # ---------------------------------------------------------------------------
 # the matrix type
 # ---------------------------------------------------------------------------
-
-
-def _coerce_rows(rows):
-    """Normalize an entry grid to all-GaussianRational or all-Sqrt5Rational."""
-    grid = [list(r) for r in rows]
-    has_sqrt5 = any(isinstance(v, Sqrt5Rational) for row in grid for v in row)
-    out = []
-    for i, row in enumerate(grid):
-        new = []
-        for j, v in enumerate(row):
-            if has_sqrt5:
-                c = Sqrt5Rational._coerce(v)
-            else:
-                c = GaussianRational._coerce(v)
-            if c is None:
-                raise MatrixFormatError(
-                    f"entry ({i + 1},{j + 1}): cannot interpret {v!r} as a matrix scalar"
-                )
-            new.append(c)
-        out.append(tuple(new))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -443,35 +443,55 @@ def _order_masks(n):
 
 
 class HermitianMatrix:
-    """An n-by-n Hermitian matrix with exact entries.
+    """An n-by-n Hermitian matrix with exact entries, stored as its scaled
+    integer grid (see the module docstring).
 
-    Entries are GaussianRationals (or, for the single quadratic-extension
-    witness, Sqrt5Rationals).  The conjugate-symmetry invariant is checked
-    at construction.
+    Its entries are GaussianRationals, or Sqrt5Rationals when any entry
+    it was built from is one (d = 5).  Every matrix, whether built from
+    entries or by a transform, goes through _adopt, which checks its shape
+    and the conjugate-symmetry invariant.
     """
 
-    __slots__ = ("n", "entries", "_grid_cache", "_minor_cache")
+    __slots__ = ("n", "_d", "_scale", "_grid", "_rank", "_minor_cache")
 
-    def __init__(self, rows, *, validate: bool = True):
-        entries = _coerce_rows(rows)
-        n = len(entries)
+    def __init__(self, rows: Sequence[Sequence]):
+        self._adopt(*_scale(rows))
+
+    @classmethod
+    def _of(cls, d, scale, grid) -> "HermitianMatrix":
+        """The matrix grid / scale, with grid in _scale's form."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(d, scale, grid)
+        return matrix
+
+    def _adopt(self, d, scale, grid):
+        """Check and store a grid in _scale's form: a real grid is stored
+        with d = 0, and a common factor of scale and every grid integer is
+        divided out, so that scale is the lcm of the entries' denominators."""
+        n = len(grid)
         if n < 1:
             raise MatrixFormatError("order must be at least 1")
-        for i, row in enumerate(entries):
+        for i, row in enumerate(grid):
             if len(row) != n:
                 raise MatrixFormatError(f"row {i + 1} has {len(row)} entries, expected {n}")
-        if validate:
-            for i in range(n):
-                for j in range(i, n):
-                    if entries[i][j] != entries[j][i].conjugate():
-                        raise MatrixFormatError(
-                            f"entry ({i + 1},{j + 1}) is not the conjugate of entry "
-                            f"({j + 1},{i + 1}): Hermitian invariant violated"
-                        )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_grid_cache", None)
-        object.__setattr__(self, "_minor_cache", None)
+        if d == -1 and not any(b for row in grid for _, b in row):
+            d, grid = 0, tuple(tuple(a for a, _ in row) for row in grid)
+        if scale != 1:
+            g = gcd(scale, *(x for row in grid for v in row for x in (v if d else (v,))))
+            if g != 1:
+                scale //= g
+                grid = _entrywise(grid, d, lambda v: v // g)
+        for i, row in enumerate(grid):
+            for j in range(i, n):
+                v, w = row[j], grid[j][i]
+                if v != (w if d != -1 else (w[0], -w[1])):
+                    raise MatrixFormatError(
+                        f"entry ({i + 1},{j + 1}) is not the conjugate of entry "
+                        f"({j + 1},{i + 1}): Hermitian invariant violated"
+                    )
+        state = {"n": n, "_d": d, "_scale": scale, "_grid": grid, "_rank": None, "_minor_cache": None}
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -480,8 +500,7 @@ class HermitianMatrix:
 
     @classmethod
     def zero(cls, n: int) -> "HermitianMatrix":
-        z = GaussianRational(0)
-        return cls([[z] * n for _ in range(n)], validate=False)
+        return cls._of(0, 1, ((0,) * n,) * n)
 
     @classmethod
     def identity(cls, n: int) -> "HermitianMatrix":
@@ -491,60 +510,51 @@ class HermitianMatrix:
     def diagonal(cls, values) -> "HermitianMatrix":
         vals = list(values)
         n = len(vals)
-        z = GaussianRational(0)
-        rows = [[vals[i] if i == j else z for j in range(n)] for i in range(n)]
-        return cls(rows, validate=True)
+        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- basics -----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, HermitianMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self._d, self._scale, self._grid) == (other._d, other._scale, other._grid)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self._d, self._scale, self._grid))
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"HermitianMatrix({self.n}x{self.n}: {rows})"
 
     @property
+    def entries(self):
+        """The exact entries, rows of GaussianRationals or (d = 5)
+        Sqrt5Rationals, built from the grid on each call."""
+        s = self._scale
+        if self._d == 0:
+            return tuple(tuple(GaussianRational(Fraction(v, s)) for v in row) for row in self._grid)
+        kind = Sqrt5Rational if self._d == 5 else GaussianRational
+        return tuple(tuple(kind(Fraction(a, s), Fraction(b, s)) for a, b in row) for row in self._grid)
+
+    @property
     def is_real(self) -> bool:
-        return self._scaled_grid()[0] != -1
-
-    # -- scaled integer grid (internal fast path) --------------------------
-
-    def _scaled_grid(self):
-        """Return _scale(entries), cached: (d, scale, grid) with grid an
-        integer-valued copy of scale * entries."""
-        cached = self._grid_cache
-        if cached is None:
-            cached = _scale(self.entries)
-            object.__setattr__(self, "_grid_cache", cached)
-        return cached
-
-    def _scaled_minor(self, subset):
-        """scale**k times the principal minor on a 0-based index tuple of
-        length k: an int, or an (a, b) pair standing for a + b*sqrt(5)."""
-        d, _, grid = self._scaled_grid()
-        value = _det(d, [[grid[i][j] for j in subset] for i in subset])
-        return _gaussian_real(value) if d == -1 else value
+        return self._d != -1
 
     def _minor_of_subset(self, subset) -> Fraction | Sqrt5Rational:
         """Exact principal minor for a 0-based index tuple."""
-        value = self._scaled_minor(subset)
-        denom = self._scaled_grid()[1] ** len(subset)
-        if isinstance(value, tuple):
+        d, grid = self._d, self._grid
+        value = _det(d, [[grid[i][j] for j in subset] for i in subset])
+        denom = self._scale ** len(subset)
+        if d == 5:
             return Sqrt5Rational(Fraction(value[0], denom), Fraction(value[1], denom))
-        return Fraction(value, denom)
+        return Fraction(_gaussian_real(value) if d else value, denom)
 
     # -- principal minors ---------------------------------------------------
 
     def principal_submatrix(self, alpha: Iterable[int]) -> "HermitianMatrix":
         idx = as_index_set(alpha, self.n)
-        rows = [[self.entries[i - 1][j - 1] for j in idx] for i in idx]
-        return HermitianMatrix(rows, validate=False)
+        grid = self._grid
+        return self._of(self._d, self._scale, tuple(tuple(grid[i - 1][j - 1] for j in idx) for i in idx))
 
     def determinant(self) -> Fraction | Sqrt5Rational:
         """Exact determinant.  Hermitian determinants are real; the zero
@@ -569,8 +579,7 @@ class HermitianMatrix:
         (cached), from one _sign_walk over the scaled grid."""
         cached = self._minor_cache
         if cached is None:
-            d, _, grid = self._scaled_grid()
-            cached = _sign_walk(grid, d)
+            cached = _sign_walk(self._grid, self._d)
             object.__setattr__(self, "_minor_cache", cached)
         return cached
 
@@ -583,8 +592,11 @@ class HermitianMatrix:
     # -- rank and inverse ---------------------------------------------------
 
     def rank(self) -> int:
-        d, _, grid = self._scaled_grid()
-        return _eliminate(d, [list(r) for r in grid])[0]
+        """Rank by elimination of the grid (cached; the minor table is
+        never read)."""
+        if self._rank is None:
+            object.__setattr__(self, "_rank", _eliminate(self._d, [list(r) for r in self._grid])[0])
+        return self._rank
 
     def inverse(self) -> "HermitianMatrix":
         """Exact inverse by fraction-free Gauss-Jordan elimination on the
@@ -593,54 +605,47 @@ class HermitianMatrix:
         A zero left on the left half's diagonal means a pivot column was
         skipped: the matrix is singular, and SingularMatrixError is raised.
         Otherwise the right half R == D * grid**-1, with D the last pivot;
-        since grid == scale * self, the inverse is scale * R / D, and only
-        this last step builds rationals.
+        since grid == scale * self, the inverse is scale * R / D.  Its grid
+        is scale * R * sign(D) over |D| for a real D, and otherwise
+        scale * R * conj(D) * sign(N) over |N|, N = D * conj(D) the norm.
         """
-        d, scale, grid = self._scaled_grid()
-        n = self.n
+        d, scale, n = self._d, self._scale, self.n
         zero, one = ((0, 0), (1, 0)) if d else (0, 1)
-        work = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(grid)]
+        work = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(self._grid)]
         _, _, last = _eliminate(d, work)
         if any(row[i] == zero for i, row in enumerate(work)):
             raise SingularMatrixError("matrix is singular; no exact inverse")
-        scaled_inv = [row[n:] for row in work]
         if d == 0:
-            rows = [
-                [GaussianRational(Fraction(scale * v, last)) for v in row] for row in scaled_inv
-            ]
-        else:
-            # divide by D: multiply by its conjugate, divide by its norm
-            da, db = last
-            nrm = da * da - d * db * db
-            ca, cb = scale * da, scale * db
-            kind = Sqrt5Rational if d == 5 else GaussianRational
-            rows = [
-                [
-                    kind(Fraction(a * ca - d * b * cb, nrm), Fraction(b * ca - a * cb, nrm))
-                    for a, b in row
-                ]
-                for row in scaled_inv
-            ]
-        return HermitianMatrix(rows, validate=True)
+            k = scale if last > 0 else -scale
+            return self._of(0, abs(last), tuple(tuple(k * v for v in row[n:]) for row in work))
+        da, db = last
+        nrm = da * da - d * db * db
+        ca, cb = (scale * da, -scale * db) if nrm > 0 else (-scale * da, scale * db)
+        grid = tuple(tuple((a * ca + d * b * cb, a * cb + b * ca) for a, b in row[n:]) for row in work)
+        return self._of(d, abs(nrm), grid)
 
     # -- structural transforms ---------------------------------------------
 
     def negate(self) -> "HermitianMatrix":
-        return HermitianMatrix(
-            [[-v for v in row] for row in self.entries], validate=False
-        )
+        return self._of(self._d, self._scale, _entrywise(self._grid, self._d, lambda v: -v))
 
     __neg__ = negate
 
     def direct_sum(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        n, m = self.n, other.n
-        z = GaussianRational(0)
-        rows = []
-        for i in range(n):
-            rows.append(list(self.entries[i]) + [z] * m)
-        for i in range(m):
-            rows.append([z] * n + list(other.entries[i]))
-        return HermitianMatrix(rows, validate=False)
+        """The block-diagonal matrix with self above other, over the lcm of
+        their scales; a real grid beside a non-real one becomes pairs."""
+        d = self._d or other._d
+        if other._d not in (0, d):
+            raise MatrixFormatError("no direct sum of a Gaussian and a Q(sqrt 5) matrix")
+        scale = lcm(self._scale, other._scale)
+        grids = []
+        for m in (self, other):
+            k = scale // m._scale
+            grid = m._grid if k == 1 else _entrywise(m._grid, m._d, lambda v: k * v)
+            grids.append(tuple(tuple((v, 0) for v in row) for row in grid) if d and not m._d else grid)
+        pad = (0, 0) if d else 0
+        top = tuple(row + (pad,) * other.n for row in grids[0])
+        return self._of(d, scale, top + tuple((pad,) * self.n + row for row in grids[1]))
 
     def permute(self, perm: Sequence[int]) -> "HermitianMatrix":
         """Simultaneous row/column permutation: entry (i, j) of the result
@@ -648,11 +653,8 @@ class HermitianMatrix:
         p = tuple(perm)
         if sorted(p) != list(range(1, self.n + 1)):
             raise ValueError(f"invalid permutation of 1..{self.n}: {perm!r}")
-        rows = [
-            [self.entries[p[i] - 1][p[j] - 1] for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return HermitianMatrix(rows, validate=False)
+        rows = [self._grid[k - 1] for k in p]
+        return self._of(self._d, self._scale, tuple(tuple(row[k - 1] for k in p) for row in rows))
 
     def duplicate_last(self) -> "HermitianMatrix":
         """Border the matrix with a copy of its last column (and the
@@ -661,10 +663,8 @@ class HermitianMatrix:
         The appended row equals the original last row: those entries are
         already the conjugates of the appended column.
         """
-        n = self.n
-        rows = [list(row) + [row[n - 1]] for row in self.entries]
-        rows.append(list(self.entries[n - 1]) + [self.entries[n - 1][n - 1]])
-        return HermitianMatrix(rows, validate=True)
+        rows = tuple(row + (row[-1],) for row in self._grid)
+        return self._of(self._d, self._scale, rows + rows[-1:])
 
     def submatrix_grid(self, drop_row: int, drop_col: int):
         """The (n-1)x(n-1) grid after deleting one row and one column
@@ -728,7 +728,7 @@ def matrix_from_json_dict(doc) -> HermitianMatrix:
             except ScalarParseError as exc:
                 raise MatrixFormatError(f"entry ({i + 1},{j + 1}): {exc}") from exc
         rows.append(parsed)
-    return HermitianMatrix(rows, validate=True)
+    return HermitianMatrix(rows)
 
 
 def matrix_from_json(text: str) -> HermitianMatrix:

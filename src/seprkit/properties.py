@@ -104,7 +104,7 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
     if r <= 2:
         return []
     bad = []
-    d, _, grid = matrix._scaled_grid()
+    d, grid = matrix._d, matrix._grid
     for i in range(n):
         for j in range(n):
             sub = [

@@ -113,40 +113,39 @@ def _diag_candidates(pool) -> Tuple[Fraction, ...]:
     return tuple(sorted({v.re for v in pool}))
 
 
-def random_matrix(
-    rng: random.Random, n: int, pool, field: Field
-) -> HermitianMatrix:
+def random_matrix(rng: random.Random, n: int, pool) -> HermitianMatrix:
     """One random Hermitian matrix: uniform pool draws, diagonal keeping
     only the real part."""
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = GaussianRational(rng.choice(pool).re)
+        rows[i][i] = rng.choice(pool).re
         for j in range(i + 1, n):
             v = rng.choice(pool)
             rows[i][j] = v
             rows[j][i] = v.conjugate()
-    return HermitianMatrix(rows, validate=False)
+    return HermitianMatrix(rows)
 
 
-def exhaustive_matrices(n: int, pool, field: Field) -> Iterator[HermitianMatrix]:
+def exhaustive_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
     """Deterministic odometer enumeration over free entries: n diagonal
     slots over the pool's distinct real parts, then the upper triangle
     row-major over the pool."""
     diag_values = _diag_candidates(pool)
     upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = [(v, v.conjugate()) for v in pool]
     for diag in product(diag_values, repeat=n):
-        base = [[GaussianRational(0)] * n for _ in range(n)]
+        base = [[0] * n for _ in range(n)]
         for i in range(n):
-            base[i][i] = GaussianRational(diag[i])
+            base[i][i] = diag[i]
         if not upper_slots:
-            yield HermitianMatrix([row[:] for row in base], validate=False)
+            yield HermitianMatrix(base)
             continue
-        for vals in product(pool, repeat=len(upper_slots)):
+        for vals in product(pairs, repeat=len(upper_slots)):
             rows = [row[:] for row in base]
-            for (i, j), v in zip(upper_slots, vals):
+            for (i, j), (v, conjugate) in zip(upper_slots, vals):
                 rows[i][j] = v
-                rows[j][i] = v.conjugate()
-            yield HermitianMatrix(rows, validate=False)
+                rows[j][i] = conjugate
+            yield HermitianMatrix(rows)
 
 
 def _orders(spec: OrderSpec) -> Tuple[int, int]:
@@ -158,7 +157,7 @@ def _orders(spec: OrderSpec) -> Tuple[int, int]:
 def _iter_config(cfg: SearchConfig) -> Iterator[HermitianMatrix]:
     if cfg.mode == "exhaustive":
         count = 0
-        for m in exhaustive_matrices(cfg.n, cfg.pool, cfg.field):
+        for m in exhaustive_matrices(cfg.n, cfg.pool):
             if count >= cfg.budget:
                 return
             count += 1
@@ -168,7 +167,7 @@ def _iter_config(cfg: SearchConfig) -> Iterator[HermitianMatrix]:
     lo, hi = _orders(cfg.n)
     for _ in range(cfg.budget):
         n = lo if lo == hi else rng.randint(lo, hi)
-        yield random_matrix(rng, n, cfg.pool, cfg.field)
+        yield random_matrix(rng, n, cfg.pool)
 
 
 @dataclass(frozen=True)
@@ -342,7 +341,7 @@ def full_sequence_sweep(
         return cached
     found: Dict[str, HermitianMatrix] = {}
     count = 0
-    for m in exhaustive_matrices(order, pool, field):
+    for m in exhaustive_matrices(order, pool):
         count += 1
         if count > budget:
             break
@@ -568,7 +567,7 @@ def attainability_census(
             label = f"search:{tag}(orders {order}..{max_search_order}, seed {seed_})"
             while count < budget and missing:
                 n = rng.randint(order, max_search_order)
-                m = random_matrix(rng, n, pool, field)
+                m = random_matrix(rng, n, pool)
                 count += 1
                 absorb(label, m)
                 if missing:

@@ -42,7 +42,8 @@ def oracle_det(rows):
 def oracle_principal_minor(matrix: HermitianMatrix, subset):
     """Principal minor via the permutation-expansion oracle (0-based subset):
     a Fraction, or a Sqrt5Rational for a Q(sqrt 5) matrix."""
-    rows = [[matrix.entries[i][j] for j in subset] for i in subset]
+    entries = matrix.entries  # built from the grid on each read
+    rows = [[entries[i][j] for j in subset] for i in subset]
     value = oracle_det(rows)
     if isinstance(value, GaussianRational):
         assert value.im == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_det, oracle_minors_by_order, oracle_principal_minor, random_hermitian
 from seprkit.catalog import build_witness
+from seprkit import matrix as matrix_module
 from seprkit.exact import GaussianRational, I, Sqrt5Rational, real_sign
 from seprkit.matrix import (
     HermitianMatrix,
@@ -386,6 +387,57 @@ def test_duplicate_last_complex_stays_hermitian():
     assert bordered.entries[1][3] == I
     assert bordered.entries[3][1] == -I
     assert bordered.entries[3][3] == GaussianRational(0)
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_grid_transforms_match_entry_rebuilds(kind, data):
+    # Each transform builds its result's grid directly; it must equal, hash
+    # included, the matrix built from the transformed exact entries.  A
+    # Gaussian submatrix can come out real, and a sum with a real matrix
+    # lifts its grid to pairs.
+    entries = st.one_of(_INTEGRAL[kind], _ENTRIES[kind])
+    m = data.draw(_hermitian(kind, None, (1, 5), entries))
+    other = data.draw(_hermitian(kind, None, (1, 3), entries))
+    n, rows = m.n, [list(row) for row in m.entries]
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    subset = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    cases = [
+        (m.negate(), [[-v for v in row] for row in rows]),
+        (m.permute(perm), [[rows[i - 1][j - 1] for j in perm] for i in perm]),
+        (m.duplicate_last(), [row + [row[-1]] for row in rows] + [rows[-1] + [rows[-1][-1]]]),
+        (m.direct_sum(HermitianMatrix.zero(1)), [row + [0] for row in rows] + [[0] * (n + 1)]),
+        (
+            m.direct_sum(other),
+            [row + [0] * other.n for row in rows] + [[0] * n + list(row) for row in other.entries],
+        ),
+        (m.principal_submatrix(subset), [[rows[i - 1][j - 1] for j in subset] for i in subset]),
+    ]
+    for got, expected_rows in cases:
+        expected = HermitianMatrix(expected_rows)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert got.entries == expected.entries
+
+
+def test_equal_matrices_have_equal_grids():
+    # a transform that drops denominators divides them out of the scale
+    assert HermitianMatrix.diagonal([2, 4]).inverse() == HermitianMatrix.diagonal([Fraction(1, 2), Fraction(1, 4)])
+    assert HermitianMatrix([[Fraction(1, 2), 1], [1, 0]]).principal_submatrix((2,)) == HermitianMatrix([[0]])
+    # a matrix typed Q(sqrt 5) stays so even when every entry is rational
+    assert HermitianMatrix([[Sqrt5Rational(Fraction(1, 2)), 2], [2, 0]]) != HermitianMatrix(
+        [[Fraction(1, 2), 2], [2, 0]]
+    )
+
+
+def test_rank_eliminates_once(monkeypatch):
+    calls = []
+    eliminate = matrix_module._eliminate
+    monkeypatch.setattr(matrix_module, "_eliminate", lambda d, rows: calls.append(d) or eliminate(d, rows))
+    m = HermitianMatrix.diagonal([1, -1, 0])
+    assert [m.rank() for _ in range(3)] == [2, 2, 2]
+    assert len(calls) == 1
 
 
 def test_json_roundtrip(tmp_path):

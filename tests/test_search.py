@@ -32,7 +32,7 @@ def test_config_validation():
 def test_exhaustive_enumeration_counts():
     # real 3x3 over {-1,0,1}: 3 diagonal + 3 upper slots, 3 values each
     pool = tuple(GaussianRational(v) for v in (-1, 0, 1))
-    count = sum(1 for _ in exhaustive_matrices(3, pool, Field.REAL_SYMMETRIC))
+    count = sum(1 for _ in exhaustive_matrices(3, pool))
     assert count == 3**6
     # complex 2x2 over {0, 1, -1, i, -i}: diagonal uses the 3 distinct real
     # parts, the single upper slot all 5 entries
@@ -43,7 +43,7 @@ def test_exhaustive_enumeration_counts():
         I,
         -I,
     )
-    count = sum(1 for _ in exhaustive_matrices(2, cpool, Field.HERMITIAN))
+    count = sum(1 for _ in exhaustive_matrices(2, cpool))
     assert count == 3 * 3 * 5
 
 
