@@ -666,15 +666,6 @@ class HermitianMatrix:
         rows = tuple(row + (row[-1],) for row in self._grid)
         return self._of(self._d, self._scale, rows + rows[-1:])
 
-    def submatrix_grid(self, drop_row: int, drop_col: int):
-        """The (n-1)x(n-1) grid after deleting one row and one column
-        (1-based); generally not Hermitian."""
-        return [
-            [v for j, v in enumerate(row) if j != drop_col - 1]
-            for i, row in enumerate(self.entries)
-            if i != drop_row - 1
-        ]
-
 
 # ---------------------------------------------------------------------------
 # JSON document format

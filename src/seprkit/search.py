@@ -8,6 +8,11 @@ triangle follows by conjugate symmetry.  Exhaustive mode enumerates the
 same free entries in odometer order, diagonal candidates being the
 distinct real parts occurring in the pool.
 
+Every generator builds scaled integer grids directly: a pool is scaled
+into a GridPool once per search, not once per matrix, and the det = 0
+completions are solved in integers.  Each grid still goes through
+HermitianMatrix's checks.
+
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
 """
@@ -18,13 +23,13 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import product
-from math import isqrt
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from math import isqrt, lcm
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .catalog import build_witness, get_record, witness_ids
 from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
-from .matrix import HermitianMatrix, SingularMatrixError
+from .matrix import HermitianMatrix, SingularMatrixError, _scale
 from .properties import run_suite
 from .sepr import SeprSequence, SeprTerm, compute_sepr
 
@@ -109,43 +114,57 @@ class SearchConfig:
             raise ValueError("order must be at least 1")
 
 
-def _diag_candidates(pool) -> Tuple[Fraction, ...]:
-    return tuple(sorted({v.re for v in pool}))
+class GridPool(NamedTuple):
+    """An entry pool in _scale's form, scaled once per search: the ring
+    d, one common scale, each value as its (v, conj v) grid pair and its
+    real part's grid value, both in pool order, and the diagonal
+    candidates, the distinct real parts in ascending order."""
+
+    d: int
+    scale: int
+    pairs: tuple
+    reals: tuple
+    diag: tuple
 
 
-def random_matrix(rng: random.Random, n: int, pool) -> HermitianMatrix:
+def grid_pool(pool) -> GridPool:
+    """The GridPool of a tuple of GaussianRationals."""
+    d, scale, (row,) = _scale([pool])
+    if d == -1:
+        pairs = tuple((v, (v[0], -v[1])) for v in row)
+        reals = tuple((v[0], 0) for v in row)
+    else:
+        pairs, reals = tuple((v, v) for v in row), row
+    return GridPool(d, scale, pairs, reals, tuple(sorted(set(reals))))
+
+
+def random_matrix(rng: random.Random, n: int, pool: GridPool) -> HermitianMatrix:
     """One random Hermitian matrix: uniform pool draws, diagonal keeping
     only the real part."""
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = rng.choice(pool).re
+        rows[i][i] = rng.choice(pool.reals)
         for j in range(i + 1, n):
-            v = rng.choice(pool)
-            rows[i][j] = v
-            rows[j][i] = v.conjugate()
-    return HermitianMatrix(rows)
+            rows[i][j], rows[j][i] = rng.choice(pool.pairs)
+    return HermitianMatrix._of(pool.d, pool.scale, tuple(map(tuple, rows)))
 
 
 def exhaustive_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
     """Deterministic odometer enumeration over free entries: n diagonal
     slots over the pool's distinct real parts, then the upper triangle
     row-major over the pool."""
-    diag_values = _diag_candidates(pool)
+    d, scale, pairs, _, diag_values = grid_pool(pool)
     upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pairs = [(v, v.conjugate()) for v in pool]
     for diag in product(diag_values, repeat=n):
-        base = [[0] * n for _ in range(n)]
+        base = [[None] * n for _ in range(n)]
         for i in range(n):
             base[i][i] = diag[i]
-        if not upper_slots:
-            yield HermitianMatrix(base)
-            continue
         for vals in product(pairs, repeat=len(upper_slots)):
             rows = [row[:] for row in base]
             for (i, j), (v, conjugate) in zip(upper_slots, vals):
                 rows[i][j] = v
                 rows[j][i] = conjugate
-            yield HermitianMatrix(rows)
+            yield HermitianMatrix._of(d, scale, tuple(map(tuple, rows)))
 
 
 def _orders(spec: OrderSpec) -> Tuple[int, int]:
@@ -165,9 +184,10 @@ def _iter_config(cfg: SearchConfig) -> Iterator[HermitianMatrix]:
         return
     rng = random.Random(cfg.seed)
     lo, hi = _orders(cfg.n)
+    pool = grid_pool(cfg.pool)
     for _ in range(cfg.budget):
         n = lo if lo == hi else rng.randint(lo, hi)
-        yield random_matrix(rng, n, cfg.pool)
+        yield random_matrix(rng, n, pool)
 
 
 @dataclass(frozen=True)
@@ -314,7 +334,7 @@ _STOCK: Tuple[Tuple[str, HermitianMatrix], ...] = (
     ("diag(1,-1,-1,0)", HermitianMatrix.diagonal([1, -1, -1, 0])),
 )
 
-_SWEEP_CACHE: Dict[Tuple[Field, tuple, int], Dict[str, HermitianMatrix]] = {}
+_SWEEP_CACHE: Dict[Tuple[Field, tuple, int, int], Dict[str, HermitianMatrix]] = {}
 
 
 def _sweep_pool(field: Field) -> Tuple[GaussianRational, ...]:
@@ -333,9 +353,10 @@ def full_sequence_sweep(
     order: int, field: Field, pool=None, budget: int = 200_000
 ) -> Dict[str, HermitianMatrix]:
     """Exhaustively enumerate small matrices and index them by their full
-    sign sequence (first matrix found wins).  Cached per configuration."""
+    sign sequence (first matrix found wins).  Cached per configuration,
+    budget included."""
     pool = tuple(pool) if pool is not None else _sweep_pool(field)
-    key = (field, pool, order)
+    key = (field, pool, order, budget)
     cached = _SWEEP_CACHE.get(key)
     if cached is not None:
         return cached
@@ -352,32 +373,6 @@ def full_sequence_sweep(
     return found
 
 
-def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
-
-
-def _rational_quadratic_roots(a: Fraction, b: Fraction, c: Fraction):
-    """Rational roots of a*t**2 + b*t + c = 0 (all coefficients rational)."""
-    if a == 0:
-        if b == 0:
-            return ()
-        return (Fraction(-c, b),)
-    disc = b * b - 4 * a * c
-    root = _fraction_sqrt(disc)
-    if root is None:
-        return ()
-    if root == 0:
-        return (Fraction(-b, 2 * a),)
-    return (Fraction(-b + root, 2 * a), Fraction(-b - root, 2 * a))
-
-
 def singular_completions(values) -> Iterator[HermitianMatrix]:
     """Real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]] with
     determinant forced to zero.
@@ -385,21 +380,33 @@ def singular_completions(values) -> Iterator[HermitianMatrix]:
     Five entries range over the given rational values; the last
     off-diagonal entry is solved for exactly (rational roots of the
     det = 0 quadratic), which reaches witnesses whose final entry lies far
-    outside any small pool.  Deterministic; duplicates skipped.
+    outside any small pool.  The values are scaled by the lcm s of their
+    denominators, and the quadratic is solved in integers.  Deterministic;
+    duplicates skipped.
     """
     vals = sorted({Fraction(v.re) if isinstance(v, GaussianRational) else Fraction(v) for v in values})
+    s = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (s // v.denominator) for v in vals]
     seen = set()
-    for x, y, z, a, b in product(vals, repeat=5):
-        # det = -x c^2 + 2ab c + (xyz - y b^2 - z a^2)
-        qa = -x
-        qb = 2 * a * b
-        qc = x * y * z - y * b * b - z * a * a
-        if qa == 0 and qb == 0:
-            roots = tuple(vals) if qc == 0 else ()
+    for x, y, z, a, b in product(ints, repeat=5):
+        # s**3 * det = -x c**2 + 2ab c + k for x, y, z, a, b, c the entries
+        # times s; each root is c = num / den, so the matrix has scale s * den
+        k = x * y * z - y * b * b - z * a * a
+        if x:
+            disc = a * a * b * b + x * k  # a quarter of the discriminant
+            r = isqrt(max(disc, 0))
+            if r * r != disc:
+                continue
+            roots = ((a * b - r, x), (a * b + r, x)) if r else ((a * b, x),)
+        elif a and b:
+            roots = ((-k, 2 * a * b),)
         else:
-            roots = _rational_quadratic_roots(qa, qb, qc)
-        for c in roots:
-            m = HermitianMatrix([[x, a, b], [a, y, c], [b, c, z]])
+            roots = tuple((c, 1) for c in ints) if k == 0 else ()
+        for num, den in roots:
+            if den < 0:
+                num, den = -num, -den
+            grid = ((x * den, a * den, b * den), (a * den, y * den, num), (b * den, num, z * den))
+            m = HermitianMatrix._of(0, s * den, grid)
             if m not in seen:
                 seen.add(m)
                 yield m
@@ -563,11 +570,12 @@ def attainability_census(
         # its negation), not just one target
         def pooled(pool, budget, seed_, tag) -> int:
             rng = random.Random(seed_)
+            scaled = grid_pool(pool)
             count = 0
             label = f"search:{tag}(orders {order}..{max_search_order}, seed {seed_})"
             while count < budget and missing:
                 n = rng.randint(order, max_search_order)
-                m = random_matrix(rng, n, pool)
+                m = random_matrix(rng, n, scaled)
                 count += 1
                 absorb(label, m)
                 if missing:

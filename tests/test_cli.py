@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -132,6 +133,23 @@ def test_search_census_cli(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 45
     assert all(len(l.split("\t")) == 3 for l in lines)
+
+
+# sha256 of the default census stdout, recorded when the generators still
+# built entry rows; any change to a witness or its source changes it
+CENSUS_STDOUT_SHA256 = {
+    ("2", "real"): "d3711f46e134c7bb549337711ded8f22c7abefaca8331acdea347aa39f10a78b",
+    ("2", "hermitian"): "5ee613fd30a43c5371c772adc604cc454086cc556ff739c1854f76e265723a12",
+    ("3", "real"): "9e6ac4c4753a3335ecadb8c68e84955ba1fe9c42807856f4678bf629759466f3",
+    ("3", "hermitian"): "52fa488c1e7e072a38c709bbd2d966784c6330fa4023925e0ac467afb7971fc5",
+}
+
+
+@pytest.mark.parametrize("order, field", CENSUS_STDOUT_SHA256)
+def test_census_stdout_pinned(order, field, capsys):
+    assert main(["search", "--census", "--order", order, "--field", field]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_STDOUT_SHA256[order, field]
 
 
 def test_properties_cli(capsys):

@@ -1,5 +1,11 @@
+import random
+from fractions import Fraction
+from itertools import product
+from math import isqrt
+
 import pytest
 
+from conftest import oracle_det
 from seprkit.classify import Field, forbidden_order2, forbidden_order3
 from seprkit.exact import GaussianRational, I
 from seprkit.matrix import HermitianMatrix
@@ -10,7 +16,10 @@ from seprkit.search import (
     attainability_census,
     exhaustive_matrices,
     find_witness,
+    full_sequence_sweep,
+    grid_pool,
     hunt_counterexamples,
+    random_matrix,
     singular_completions,
 )
 from seprkit.sepr import compute_sepr, parse_sequence
@@ -154,6 +163,91 @@ def test_singular_completions_are_singular():
         if seen >= 50:
             break
     assert seen == 50
+
+
+GENERATOR_POOLS = {
+    "integral": (GaussianRational(0), GaussianRational(1), GaussianRational(-1), I, -I),
+    "fractional-real": tuple(GaussianRational(v) for v in (Fraction(-1, 2), 0, Fraction(1, 3), 2)),
+    "fractional-gaussian": (
+        GaussianRational(Fraction(1, 2)),
+        GaussianRational(0, Fraction(-1, 3)),
+        GaussianRational(Fraction(1, 2), Fraction(1, 3)),
+        GaussianRational(0),
+    ),
+}
+
+
+def _assert_canonical(m):
+    # a generated grid must be the one the entry constructor builds
+    rebuilt = HermitianMatrix([list(row) for row in m.entries])
+    assert (m._d, m._scale, m._grid) == (rebuilt._d, rebuilt._scale, rebuilt._grid)
+    assert hash(m) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("pool", GENERATOR_POOLS.values(), ids=GENERATOR_POOLS.keys())
+def test_generators_emit_canonical_grids(pool):
+    rng = random.Random(11)
+    scaled = grid_pool(pool)
+    for _ in range(300):
+        _assert_canonical(random_matrix(rng, rng.randint(1, 5), scaled))
+    for n in (1, 2, 3):
+        for m in exhaustive_matrices(n, pool):
+            _assert_canonical(m)
+    for m in singular_completions(pool):
+        _assert_canonical(m)
+
+
+def _rational_sqrt(q: Fraction):
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+
+
+def _fraction_completions(values):
+    """Entry rows of the det = 0 completions, solved over the rationals:
+    the rational roots c of -x c^2 + 2ab c + (xyz - y b^2 - z a^2), with
+    (-qb + sqrt disc) / 2qa first, or every value when the polynomial
+    vanishes; first occurrence kept."""
+    vals = sorted({Fraction(v.re) for v in values})
+    out, seen = [], set()
+    for x, y, z, a, b in product(vals, repeat=5):
+        qa, qb, qc = -x, 2 * a * b, x * y * z - y * b * b - z * a * a
+        if qa == 0:
+            roots = (-qc / qb,) if qb else (vals if qc == 0 else ())
+        else:
+            root = _rational_sqrt(qb * qb - 4 * qa * qc)
+            if root is None:
+                roots = ()
+            elif root == 0:
+                roots = (-qb / (2 * qa),)
+            else:
+                roots = ((-qb + root) / (2 * qa), (-qb - root) / (2 * qa))
+        for c in roots:
+            rows = ((x, a, b), (a, y, c), (b, c, z))
+            if rows not in seen:
+                seen.add(rows)
+                out.append(rows)
+    return out
+
+
+def test_singular_completions_match_rational_solver():
+    pool = tuple(GaussianRational(v) for v in (-1, Fraction(-1, 2), 0, Fraction(1, 3), 2))
+    expected = _fraction_completions(pool)
+    got = [tuple(tuple(v.re for v in row) for row in m.entries) for m in singular_completions(pool)]
+    assert got == expected
+    assert len(got) > 1000
+    assert all(oracle_det(rows) == 0 for rows in got)
+
+
+def test_sweep_cache_respects_budget():
+    # a small-budget sweep must not stand in for the default one, nor the
+    # other way round, whichever was cached first
+    small = full_sequence_sweep(3, Field.REAL_SYMMETRIC, budget=10)
+    assert 0 < len(small) <= 10
+    rep = attainability_census(3, Field.REAL_SYMMETRIC)
+    assert rep.budgets["sweep-real"] == 62
+    assert full_sequence_sweep(3, Field.REAL_SYMMETRIC, budget=10) == small
 
 
 def test_census_order2():
