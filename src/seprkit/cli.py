@@ -13,7 +13,7 @@ import sys
 
 from .catalog import verify_all
 from .classify import Field, classify_sequence, epr_forbidden_order3, forbidden_order2, forbidden_order3, scan_for_forbidden
-from .exact import GaussianRational, ScalarParseError, parse_rational
+from .exact import ScalarParseError, parse_pool_token
 from .matrix import MatrixFormatError, load_matrix, matrix_to_json
 from .search import (
     COMPLEX_DEFAULT_POOL,
@@ -28,26 +28,6 @@ from .sepr import SequenceParseError, compute_epr, compute_sepr, parse_sequence
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
-
-def parse_pool_token(token: str) -> GaussianRational:
-    """One pool entry: '2', '-1/2', 'i', '-i', '2i', '1+i', '1-2i', ...
-
-    The real part and the signed imaginary coefficient each follow the
-    scalar grammar of :func:`parse_rational`; an omitted coefficient is 1.
-    """
-    text = token.strip()
-    if not text.endswith("i"):
-        return GaussianRational(parse_rational(text))
-    body = text[:-1]
-    cut = max(body.rfind("+"), body.rfind("-"))
-    if cut <= 0:  # imaginary only
-        re_text, imag = "0", body
-    else:
-        re_text, imag = body[:cut], body[cut:].lstrip("+")
-    if imag in ("", "-"):
-        imag += "1"
-    return GaussianRational(parse_rational(re_text), parse_rational(imag))
-
 
 def parse_pool(spec: str, field: Field):
     if spec == "real-default":

@@ -51,6 +51,26 @@ def parse_rational(text: str) -> Fraction:
     return -value if sign else value
 
 
+def parse_pool_token(token: str) -> GaussianRational:
+    """One pool entry: '2', '-1/2', 'i', '-i', '2i', '1+i', '1-2i', ...
+
+    The real part and the signed imaginary coefficient each follow the
+    scalar grammar of :func:`parse_rational`; an omitted coefficient is 1.
+    """
+    text = token.strip()
+    if not text.endswith("i"):
+        return GaussianRational(parse_rational(text))
+    body = text[:-1]
+    cut = max(body.rfind("+"), body.rfind("-"))
+    if cut <= 0:  # imaginary only
+        re_text, imag = "0", body
+    else:
+        re_text, imag = body[:cut], body[cut:].lstrip("+")
+    if imag in ("", "-"):
+        imag += "1"
+    return GaussianRational(parse_rational(re_text), parse_rational(imag))
+
+
 def format_rational(q: Fraction) -> str:
     """Inverse of :func:`parse_rational`."""
     q = Fraction(q)

@@ -8,10 +8,18 @@ triangle follows by conjugate symmetry.  Exhaustive mode enumerates the
 same free entries in odometer order, diagonal candidates being the
 distinct real parts occurring in the pool.
 
+The census sweep enumerates only canonical grids, with a nondecreasing
+diagonal and a real nonnegative first row; every class of signed
+permutation similarity over the sweep's closed pools has one.  Such
+similarities only reorder the principal minors of each order, so the
+sweep finds every sequence of the full enumeration; the representative of
+a sequence is the first canonical grid attaining it (see
+full_sequence_sweep).
+
 Every generator builds scaled integer grids directly: a pool is scaled
 into a GridPool once per search, not once per matrix, and the det = 0
 completions are solved in integers.  Each grid still goes through
-HermitianMatrix's checks.
+HermitianMatrix's checks and gets its own sign walk.
 
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
@@ -22,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
 from math import isqrt, lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -334,7 +342,7 @@ _STOCK: Tuple[Tuple[str, HermitianMatrix], ...] = (
     ("diag(1,-1,-1,0)", HermitianMatrix.diagonal([1, -1, -1, 0])),
 )
 
-_SWEEP_CACHE: Dict[Tuple[Field, tuple, int, int], Dict[str, HermitianMatrix]] = {}
+_SWEEP_CACHE: Dict[Tuple[Field, int, int], Dict[str, HermitianMatrix]] = {}
 
 
 def _sweep_pool(field: Field) -> Tuple[GaussianRational, ...]:
@@ -350,27 +358,56 @@ def _sweep_pool(field: Field) -> Tuple[GaussianRational, ...]:
 
 
 def full_sequence_sweep(
-    order: int, field: Field, pool=None, budget: int = 200_000
+    order: int, field: Field, budget: int = 200_000
 ) -> Dict[str, HermitianMatrix]:
-    """Exhaustively enumerate small matrices and index them by their full
-    sign sequence (first matrix found wins).  Cached per configuration,
-    budget included."""
-    pool = tuple(pool) if pool is not None else _sweep_pool(field)
-    key = (field, pool, order, budget)
+    """Index every full sign sequence of an order-n matrix over
+    _sweep_pool(field) by one matrix attaining it.  Cached per field,
+    order and budget; the budget counts the canonical grids below.
+
+    Only canonical grids are enumerated: a nondecreasing diagonal
+    (combinations with replacement of the diagonal candidates), first-row
+    entries b_1j among the pool's real nonnegative values, and every other
+    upper entry over the whole pool, in odometer order.  The first
+    canonical grid with a given sequence represents it.
+
+    The reduction is exact because of _sweep_pool's closed pools,
+    {-2..2} and {0, +-1, +-i}: each is closed under conjugation and under
+    multiplication by the units U = {+-1} (real) or {+-1, +-i}
+    (Hermitian), and contains |v| for each entry v.  So every grid of
+    exhaustive_matrices(order, pool) is (DP)* C (DP) for a canonical
+    grid C, a permutation matrix P (sorting the diagonal) and a diagonal D
+    with entries in U (making b_1j = |b_1j|).  Permutation similarity only
+    permutes the principal minors of each order, and D* B D has B's
+    principal minors, so both grids have one sequence: the key set is the
+    full enumeration's, only the representatives differ.  A pool without
+    these closures would lose sequences, so the pool is not a parameter.
+    """
+    key = (field, order, budget)
     cached = _SWEEP_CACHE.get(key)
     if cached is not None:
         return cached
     found: Dict[str, HermitianMatrix] = {}
-    count = 0
-    for m in exhaustive_matrices(order, pool):
-        count += 1
-        if count > budget:
-            break
-        text = str(compute_sepr(m))
-        if text not in found:
-            found[text] = m
+    for m in islice(_canonical_matrices(order, _sweep_pool(field)), budget):
+        found.setdefault(str(compute_sepr(m)), m)
     _SWEEP_CACHE[key] = found
     return found
+
+
+def _canonical_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
+    """The canonical grids of full_sequence_sweep, in its order."""
+    d, scale, pairs, _, diag_values = grid_pool(pool)
+    first_row = tuple(p for v, p in zip(pool, pairs) if v.im == 0 and v.re >= 0)
+    upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    choices = [first_row if i == 0 else pairs for i, _ in upper_slots]
+    for diag in combinations_with_replacement(diag_values, n):
+        for vals in product(*choices):
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diag[i]
+            for (i, j), (v, conjugate) in zip(upper_slots, vals):
+                rows[i][j] = v
+                rows[j][i] = conjugate
+            yield HermitianMatrix._of(d, scale, tuple(map(tuple, rows)))
 
 
 def singular_completions(values) -> Iterator[HermitianMatrix]:

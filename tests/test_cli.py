@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from seprkit.cli import main, parse_pool_token
-from seprkit.exact import GaussianRational, ScalarParseError
+from seprkit.cli import main
+from seprkit.exact import GaussianRational, ScalarParseError, parse_pool_token
 from seprkit.matrix import HermitianMatrix, matrix_to_json
 
 

@@ -21,6 +21,7 @@ from seprkit.search import (
     hunt_counterexamples,
     random_matrix,
     singular_completions,
+    _sweep_pool,
 )
 from seprkit.sepr import compute_sepr, parse_sequence
 
@@ -248,6 +249,18 @@ def test_sweep_cache_respects_budget():
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert rep.budgets["sweep-real"] == 62
     assert full_sequence_sweep(3, Field.REAL_SYMMETRIC, budget=10) == small
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@pytest.mark.parametrize("field", Field, ids=lambda f: f.name)
+def test_sweep_finds_every_sequence_of_the_full_enumeration(order, field):
+    # the canonical sweep keeps one grid per signed-permutation similarity
+    # class, so it must reach exactly the sequences of all grids
+    enumerated = set(exhaustive_matrices(order, _sweep_pool(field)))
+    sweep = full_sequence_sweep(order, field)
+    assert set(sweep) == {str(compute_sepr(m)) for m in enumerated}
+    for text, m in sweep.items():
+        assert m in enumerated and str(compute_sepr(m)) == text
 
 
 def test_census_order2():
