@@ -131,6 +131,11 @@ def _complex_g(a):
     ]
 
 
+def _complex(*params):
+    """The Complex family's two shapes: f(a, b) of order 6, g(a) of order 4."""
+    return _complex_f(*params) if len(params) == 2 else _complex_g(*params)
+
+
 _NSF_REAL_GRIDS = (
     [
         [1, 0, 1, 1],
@@ -338,7 +343,7 @@ _FAMILIES: Dict[str, tuple] = {
         ],
     ),
     "Complex": (
-        None,  # two shapes; built specially below
+        _complex,
         False,
         "complex",
         [
@@ -405,31 +410,21 @@ def get_record(witness_id: str) -> WitnessRecord:
         raise KeyError(f"unknown witness id {witness_id!r}") from None
 
 
+def _base_matrix(rec: WitnessRecord) -> HermitianMatrix:
+    return HermitianMatrix(_FAMILIES[rec.family][0](*rec.params))
+
+
 def build_witness(witness_id: str) -> HermitianMatrix:
     """Construct the exact witness matrix for a catalog id."""
     rec = get_record(witness_id)
-    builder, inverse_defined, _, _ = _FAMILIES[rec.family]
-    if rec.family == "Complex":
-        index = int(witness_id.split(".")[1])
-        if index <= 2:
-            grid = _complex_f(*rec.params)
-        else:
-            grid = _complex_g(*rec.params)
-        return HermitianMatrix(grid)
-    grid = builder(*rec.params)
-    base = HermitianMatrix(grid)
-    if inverse_defined:
-        return base.inverse()
-    return base
+    base = _base_matrix(rec)
+    return base.inverse() if _FAMILIES[rec.family][1] else base
 
 
 def witness_base(witness_id: str) -> Optional[HermitianMatrix]:
     """For inverse-defined witnesses, the base matrix being inverted."""
     rec = get_record(witness_id)
-    builder, inverse_defined, _, _ = _FAMILIES[rec.family]
-    if not inverse_defined:
-        return None
-    return HermitianMatrix(builder(*rec.params))
+    return _base_matrix(rec) if _FAMILIES[rec.family][1] else None
 
 
 def verify_witness(witness_id: str) -> Tuple[SeprSequence, bool]:

@@ -144,7 +144,7 @@ def cmd_search(args) -> int:
             field,
             search_budget=args.budget,
             seed=args.seed,
-            search_pool=pool if args.pool != "default" else None,
+            search_pool=pool,
         )
         for line in report.lines():
             print(line)

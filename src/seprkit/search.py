@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from collections import ChainMap
 from itertools import combinations_with_replacement, islice, product
 from math import isqrt, lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -84,17 +85,24 @@ def wide_pool(field: Field) -> Tuple[GaussianRational, ...]:
 OrderSpec = Union[int, Tuple[int, int]]
 
 
-def _check_search_inputs(budget: int, pool, field: Field) -> None:
-    """Reject a sample budget below 1, an empty entry pool, or a non-real
-    pool entry for a real-symmetric search (ValueError)."""
+def _check_search_inputs(budget: int, pool, field: Field) -> Tuple[GaussianRational, ...]:
+    """The entry pool as a tuple of GaussianRationals (ints and Fractions
+    are converted).  Reject a sample budget below 1, an empty pool, an
+    entry that is no exact rational or Gaussian rational, or a non-real
+    entry for a real-symmetric search (ValueError)."""
     if budget < 1:
         raise ValueError("budget must be positive")
     if not pool:
         raise ValueError("entry pool is empty")
-    if field is Field.REAL_SYMMETRIC:
-        for v in pool:
-            if v.im != 0:
-                raise ValueError(f"real-symmetric search cannot use non-real pool entry {v}")
+    entries = []
+    for v in pool:
+        entry = GaussianRational._coerce(v)
+        if entry is None:
+            raise ValueError(f"pool entry {v!r} is not an exact rational or Gaussian rational")
+        if field is Field.REAL_SYMMETRIC and entry.im != 0:
+            raise ValueError(f"real-symmetric search cannot use non-real pool entry {entry}")
+        entries.append(entry)
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        _check_search_inputs(self.budget, self.pool, self.field)
+        object.__setattr__(self, "pool", _check_search_inputs(self.budget, self.pool, self.field))
         if isinstance(self.n, tuple):
             lo, hi = self.n
             if lo < 1 or hi < lo:
@@ -157,22 +165,29 @@ def random_matrix(rng: random.Random, n: int, pool: GridPool) -> HermitianMatrix
     return HermitianMatrix._of(pool.d, pool.scale, tuple(map(tuple, rows)))
 
 
+def _grids(d: int, scale: int, diagonals, choices) -> Iterator[HermitianMatrix]:
+    """Odometer over free entries: for each diagonal in turn, every upper
+    triangle, row-major, upper slot k ranging over the (v, conj v) grid
+    pairs choices[k]."""
+    for diag in diagonals:
+        n = len(diag)
+        upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for vals in product(*choices):
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = diag[i]
+            for (i, j), (v, conjugate) in zip(upper_slots, vals):
+                rows[i][j] = v
+                rows[j][i] = conjugate
+            yield HermitianMatrix._of(d, scale, tuple(map(tuple, rows)))
+
+
 def exhaustive_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
     """Deterministic odometer enumeration over free entries: n diagonal
     slots over the pool's distinct real parts, then the upper triangle
     row-major over the pool."""
     d, scale, pairs, _, diag_values = grid_pool(pool)
-    upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for diag in product(diag_values, repeat=n):
-        base = [[None] * n for _ in range(n)]
-        for i in range(n):
-            base[i][i] = diag[i]
-        for vals in product(pairs, repeat=len(upper_slots)):
-            rows = [row[:] for row in base]
-            for (i, j), (v, conjugate) in zip(upper_slots, vals):
-                rows[i][j] = v
-                rows[j][i] = conjugate
-            yield HermitianMatrix._of(d, scale, tuple(map(tuple, rows)))
+    return _grids(d, scale, product(diag_values, repeat=n), [pairs] * (n * (n - 1) // 2))
 
 
 def _orders(spec: OrderSpec) -> Tuple[int, int]:
@@ -183,12 +198,7 @@ def _orders(spec: OrderSpec) -> Tuple[int, int]:
 
 def _iter_config(cfg: SearchConfig) -> Iterator[HermitianMatrix]:
     if cfg.mode == "exhaustive":
-        count = 0
-        for m in exhaustive_matrices(cfg.n, cfg.pool):
-            if count >= cfg.budget:
-                return
-            count += 1
-            yield m
+        yield from islice(exhaustive_matrices(cfg.n, cfg.pool), cfg.budget)
         return
     rng = random.Random(cfg.seed)
     lo, hi = _orders(cfg.n)
@@ -342,7 +352,7 @@ _STOCK: Tuple[Tuple[str, HermitianMatrix], ...] = (
     ("diag(1,-1,-1,0)", HermitianMatrix.diagonal([1, -1, -1, 0])),
 )
 
-_SWEEP_CACHE: Dict[Tuple[Field, int, int], Dict[str, HermitianMatrix]] = {}
+MAX_SEARCH_ORDER = 6  # largest matrix order the census's random search draws
 
 
 def _sweep_pool(field: Field) -> Tuple[GaussianRational, ...]:
@@ -357,12 +367,9 @@ def _sweep_pool(field: Field) -> Tuple[GaussianRational, ...]:
     )
 
 
-def full_sequence_sweep(
-    order: int, field: Field, budget: int = 200_000
-) -> Dict[str, HermitianMatrix]:
+def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     """Index every full sign sequence of an order-n matrix over
-    _sweep_pool(field) by one matrix attaining it.  Cached per field,
-    order and budget; the budget counts the canonical grids below.
+    _sweep_pool(field) by one matrix attaining it.
 
     Only canonical grids are enumerated: a nondecreasing diagonal
     (combinations with replacement of the diagonal candidates), first-row
@@ -382,32 +389,14 @@ def full_sequence_sweep(
     full enumeration's, only the representatives differ.  A pool without
     these closures would lose sequences, so the pool is not a parameter.
     """
-    key = (field, order, budget)
-    cached = _SWEEP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    found: Dict[str, HermitianMatrix] = {}
-    for m in islice(_canonical_matrices(order, _sweep_pool(field)), budget):
-        found.setdefault(str(compute_sepr(m)), m)
-    _SWEEP_CACHE[key] = found
-    return found
-
-
-def _canonical_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
-    """The canonical grids of full_sequence_sweep, in its order."""
+    pool = _sweep_pool(field)
     d, scale, pairs, _, diag_values = grid_pool(pool)
     first_row = tuple(p for v, p in zip(pool, pairs) if v.im == 0 and v.re >= 0)
-    upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    choices = [first_row if i == 0 else pairs for i, _ in upper_slots]
-    for diag in combinations_with_replacement(diag_values, n):
-        for vals in product(*choices):
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            for (i, j), (v, conjugate) in zip(upper_slots, vals):
-                rows[i][j] = v
-                rows[j][i] = conjugate
-            yield HermitianMatrix._of(d, scale, tuple(map(tuple, rows)))
+    choices = [first_row] * (order - 1) + [pairs] * ((order - 1) * (order - 2) // 2)
+    found: Dict[str, HermitianMatrix] = {}
+    for m in _grids(d, scale, combinations_with_replacement(diag_values, order), choices):
+        found.setdefault(str(compute_sepr(m)), m)
+    return found
 
 
 def singular_completions(values) -> Iterator[HermitianMatrix]:
@@ -466,14 +455,14 @@ def _strengthened(pattern: SeprSequence, keep_first: bool) -> Optional[SeprSeque
     return SeprSequence(terms)
 
 
-def _census_base_matrices(field: Field) -> Iterator[Tuple[str, HermitianMatrix]]:
-    for label, m in _STOCK:
-        yield f"stock:{label}", m
-    for wid in witness_ids():
-        rec = get_record(wid)
-        if field is Field.REAL_SYMMETRIC and rec.field != "real":
-            continue
-        yield f"catalog:{wid}", build_witness(wid)
+def _census_bases(field: Field) -> List[Tuple[str, HermitianMatrix]]:
+    """The stock matrices and the field's catalog witnesses, labelled."""
+    stock = [(f"stock:{label}", m) for label, m in _STOCK]
+    return stock + [
+        (f"catalog:{wid}", build_witness(wid))
+        for wid in witness_ids()
+        if field is Field.HERMITIAN or get_record(wid).field == "real"
+    ]
 
 
 def _derived_matrices(
@@ -492,149 +481,118 @@ def _derived_matrices(
                 pass
 
 
+def _census_ladder(
+    order: int, field: Field, pool, search_budget: int, seed: int, bases, missing: set, budgets: dict
+) -> Iterator[Tuple[Optional[str], str, HermitianMatrix]]:
+    """The census's witness sources after its bases, in preference order,
+    as (budget counter or None, source, matrix).  A rung starts only when
+    the census pulls past the rung before it."""
+    for label, m in bases:
+        yield from ((None, source, dm) for source, dm in _derived_matrices(label, m))
+
+    # exhaustive small-matrix sweeps; real matrices also count for Hermitian
+    sweep_rungs = [("sweep-real", Field.REAL_SYMMETRIC)]
+    if field is Field.HERMITIAN:
+        sweep_rungs.append(("sweep-complex", Field.HERMITIAN))
+    sweeps = []
+    for size, sweep_field in sweep_rungs:
+        sweeps.append(full_sequence_sweep(order, sweep_field))
+        budgets[size] = len(sweeps[-1])
+        for m in sweeps[-1].values():
+            yield None, f"search:exhaustive-{order}x{order}", m
+
+    # append constructions: the missing pattern, strengthened, as the full
+    # sequence of a sweep matrix (real sweep first)
+    index = ChainMap(*sweeps)
+    for pattern in sorted(missing, key=str):
+        base = _strengthened(pattern, keep_first=False)
+        if base is not None and str(base) in index:
+            m = index[str(base)].direct_sum(HermitianMatrix.zero(1))
+            yield None, f"construction:append-zero(base={base})", m
+            continue
+        base = _strengthened(pattern, keep_first=True)
+        if base is not None and str(base) in index:
+            yield None, f"construction:duplicate-last(base={base})", index[str(base)].duplicate_last()
+
+    # det = 0 completions reach trailing-N patterns whose witnesses need
+    # one large entry
+    for m in singular_completions(REAL_DEFAULT_POOL):
+        yield "completions-tried", "construction:det-zero-completion", m
+
+    # pooled random search: every window of every sample and of its
+    # negation counts; the wide pool follows only the field's default pool
+    searches = [("search-samples-used", "random", pool, seed)]
+    if pool == default_pool(field):
+        searches.append(("wide-search-samples-used", "random-wide", wide_pool(field), seed + 1))
+    for counter, tag, entries, search_seed in searches:
+        rng = random.Random(search_seed)
+        scaled = grid_pool(entries)
+        label = f"search:{tag}(orders {order}..{MAX_SEARCH_ORDER}, seed {search_seed})"
+        for _ in range(search_budget):
+            m = random_matrix(rng, rng.randint(order, MAX_SEARCH_ORDER), scaled)
+            yield counter, label, m
+            yield None, f"{label}+negate", m.negate()
+
+
 def attainability_census(
     order: int,
     field: Field,
     search_budget: int = 300,
     seed: int = DEFAULT_SEED,
     search_pool=None,
-    max_search_order: int = 6,
-    sweep_budget: int = 200_000,
 ) -> CensusReport:
     """Try to witness every non-forbidden pattern of the given order.
 
-    Witness sources, in preference order: catalog windows (plus a few
-    stock matrices), structural transforms of catalog witnesses, append
-    constructions over exhaustive small-matrix sweeps, and seeded random
-    search.  Patterns still missing are reported as open, never as
+    Every stock matrix and catalog witness is scanned in full.  While
+    patterns are missing, the sources follow in this order: structural
+    transforms of those bases; every matrix of the exhaustive canonical
+    sweep over real matrices, then (Hermitian census) over complex ones;
+    append-zero and duplicate-last constructions on sweep matrices; det = 0
+    completions of real 3x3 matrices; seeded random search over the search
+    pool, orders order..6, each sample followed by its negation; and, when
+    the search pool is the field's default, the same search over the wider
+    pool.  Patterns still missing are reported as open, never as
     impossible.
     """
     if order not in (2, 3):
         raise ValueError("census supports orders 2 and 3")
-    pool = tuple(search_pool) if search_pool is not None else default_pool(field)
-    _check_search_inputs(search_budget, pool, field)
-    forbidden = (
-        forbidden_order2(field) if order == 2 else forbidden_order3(field)
+    pool = _check_search_inputs(
+        search_budget, default_pool(field) if search_pool is None else search_pool, field
     )
+    forbidden = forbidden_order2(field) if order == 2 else forbidden_order3(field)
     targets = [p for p in all_patterns(order) if p not in forbidden]
     missing = set(targets)
     found: Dict[SeprSequence, str] = {}
     violations: List[str] = []
+    budgets = {
+        "search-sample-budget": search_budget, "max-search-order": MAX_SEARCH_ORDER,
+        "search-samples-used": 0, "wide-search-samples-used": 0, "completions-tried": 0,
+    }
 
     def absorb(source: str, matrix: HermitianMatrix):
         s = compute_sepr(matrix)
         for _, w in s.windows(order):
             if w in forbidden:
-                violations.append(
-                    f"forbidden pattern {w} appeared in {s} from {source}"
-                )
+                violations.append(f"forbidden pattern {w} appeared in {s} from {source}")
             elif w in missing:
                 missing.discard(w)
                 found[w] = source
 
-    bases = []
-    for label, m in _census_base_matrices(field):
-        bases.append((label, m))
+    bases = _census_bases(field)
+    for label, m in bases:
         absorb(label, m)
-
     if missing:
-        for label, m in bases:
+        for counter, source, m in _census_ladder(
+            order, field, pool, search_budget, seed, bases, missing, budgets
+        ):
+            if counter is not None:
+                budgets[counter] += 1
+            absorb(source, m)
             if not missing:
                 break
-            for dlabel, dm in _derived_matrices(label, m):
-                absorb(dlabel, dm)
-                if not missing:
-                    break
-
-    # exhaustive small-matrix sweeps; real matrices also count for Hermitian
-    sweeps: List[Dict[str, HermitianMatrix]] = []
-    sweep_sizes: Dict[str, int] = {}
-    if missing:
-        sweeps.append(
-            full_sequence_sweep(order, Field.REAL_SYMMETRIC, budget=sweep_budget)
-        )
-        sweep_sizes["sweep-real"] = len(sweeps[-1])
-        if field is Field.HERMITIAN:
-            sweeps.append(full_sequence_sweep(order, field, budget=sweep_budget))
-            sweep_sizes["sweep-complex"] = len(sweeps[-1])
-        for sweep in sweeps:
-            for text, m in sweep.items():
-                if not missing:
-                    break
-                absorb(f"search:exhaustive-{order}x{order}", m)
-
-    if missing and order == 3:
-        def lookup(base: SeprSequence) -> Optional[HermitianMatrix]:
-            for sweep in sweeps:
-                m = sweep.get(str(base))
-                if m is not None:
-                    return m
-            return None
-
-        for pattern in sorted(missing, key=str):
-            # zero-append route: strengthen every S, demand a full-sequence base
-            base = _strengthened(pattern, keep_first=False)
-            if base is not None:
-                m = lookup(base)
-                if m is not None:
-                    absorb(
-                        f"construction:append-zero(base={base})",
-                        m.direct_sum(HermitianMatrix.zero(1)),
-                    )
-                    continue
-            base = _strengthened(pattern, keep_first=True)
-            if base is not None:
-                m = lookup(base)
-                if m is not None:
-                    absorb(
-                        f"construction:duplicate-last(base={base})", m.duplicate_last()
-                    )
-
-    completions_tried = 0
-    if missing and order == 3:
-        # deterministic det=0 completions reach trailing-N patterns whose
-        # witnesses need one large entry
-        label = "construction:det-zero-completion"
-        for m in singular_completions(REAL_DEFAULT_POOL):
-            completions_tried += 1
-            absorb(label, m)
-            if not missing:
-                break
-
-    searched = wide_searched = 0
-    if missing:
-        # pooled random search: absorb every window of every sample (and of
-        # its negation), not just one target
-        def pooled(pool, budget, seed_, tag) -> int:
-            rng = random.Random(seed_)
-            scaled = grid_pool(pool)
-            count = 0
-            label = f"search:{tag}(orders {order}..{max_search_order}, seed {seed_})"
-            while count < budget and missing:
-                n = rng.randint(order, max_search_order)
-                m = random_matrix(rng, n, scaled)
-                count += 1
-                absorb(label, m)
-                if missing:
-                    absorb(f"{label}+negate", m.negate())
-            return count
-
-        searched = pooled(pool, search_budget, seed, "random")
-        if missing and search_pool is None:
-            wide_searched = pooled(
-                wide_pool(field), search_budget, seed + 1, "random-wide"
-            )
 
     rows = [
         CensusRow(p, "witnessed", found[p]) if p in found else CensusRow(p, "open", "-")
         for p in targets
     ]
-    budgets = {
-        "search-sample-budget": search_budget,
-        "search-samples-used": searched,
-        "wide-search-samples-used": wide_searched,
-        "completions-tried": completions_tried,
-        "max-search-order": max_search_order,
-        **sweep_sizes,
-    }
     return CensusReport(order=order, field=field, rows=rows, budgets=budgets, violations=violations)

@@ -144,12 +144,68 @@ CENSUS_STDOUT_SHA256 = {
     ("3", "hermitian"): "52fa488c1e7e072a38c709bbd2d966784c6330fa4023925e0ac467afb7971fc5",
 }
 
+# the stderr summary of each default census: how far down the witness
+# ladder it went, rung by rung
+CENSUS_STDERR = {
+    ("2", "real"): "census order 2 over real symmetric: 45/45 patterns witnessed (0 open; budgets: "
+    "completions-tried=0, max-search-order=6, search-sample-budget=10000, search-samples-used=0, "
+    "wide-search-samples-used=0)\n",
+    ("2", "hermitian"): "census order 2 over hermitian: 45/45 patterns witnessed (0 open; budgets: "
+    "completions-tried=0, max-search-order=6, search-sample-budget=10000, search-samples-used=0, "
+    "wide-search-samples-used=0)\n",
+    ("3", "real"): "census order 3 over real symmetric: 242/242 patterns witnessed (0 open; budgets: "
+    "completions-tried=1929, max-search-order=6, search-sample-budget=10000, search-samples-used=4, "
+    "sweep-real=62, wide-search-samples-used=0)\n",
+    ("3", "hermitian"): "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
+    "completions-tried=1929, max-search-order=6, search-sample-budget=10000, search-samples-used=73, "
+    "sweep-complex=42, sweep-real=62, wide-search-samples-used=0)\n",
+}
+
 
 @pytest.mark.parametrize("order, field", CENSUS_STDOUT_SHA256)
 def test_census_stdout_pinned(order, field, capsys):
     assert main(["search", "--census", "--order", order, "--field", field]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_STDOUT_SHA256[order, field]
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == CENSUS_STDOUT_SHA256[order, field]
+    assert captured.err == CENSUS_STDERR[order, field]
+
+
+# small-budget censuses that reach the random and wide searches: (field,
+# budget) -> (sha256 of stdout, stderr)
+SMALL_BUDGET_CENSUS = {
+    ("real", "3"): (
+        "56b77df59a1dfd6a1d230571735651403c294d0c45a5d83a15116a90932b512b",
+        "census order 3 over real symmetric: 241/242 patterns witnessed (1 open; budgets: "
+        "completions-tried=1929, max-search-order=6, search-sample-budget=3, search-samples-used=3, "
+        "sweep-real=62, wide-search-samples-used=3)\n",
+    ),
+    ("hermitian", "20"): (
+        "737274f96f0732d8db34d5ab888bf6d9cfbd47fd93d91cc352edef72c096987c",
+        "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
+        "completions-tried=1929, max-search-order=6, search-sample-budget=20, search-samples-used=20, "
+        "sweep-complex=42, sweep-real=62, wide-search-samples-used=3)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("field, budget", SMALL_BUDGET_CENSUS)
+def test_small_budget_census_pinned(field, budget, capsys):
+    assert main(["search", "--census", "--order", "3", "--field", field, "--budget", budget]) == 0
+    captured = capsys.readouterr()
+    sha256, err = SMALL_BUDGET_CENSUS[field, budget]
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("field, name", (("real", "real-default"), ("hermitian", "complex-default")))
+def test_census_named_default_pool_runs_the_wide_search(field, name, capsys):
+    # a pool spec naming the field's default pool is the default census
+    census = ["search", "--census", "--order", "3", "--field", field, "--budget", "3"]
+    assert main(census) == 0
+    default = capsys.readouterr()
+    assert main(census + ["--pool", name]) == 0
+    assert capsys.readouterr() == default
+    assert "wide-search-samples-used=3" in default.err
 
 
 def test_properties_cli(capsys):

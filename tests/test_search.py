@@ -37,6 +37,26 @@ def test_config_validation():
         SearchConfig(n=2, pool=REAL_DEFAULT_POOL, field=Field.HERMITIAN, mode="walk")
     with pytest.raises(ValueError):
         SearchConfig(n=(2, 3), pool=REAL_DEFAULT_POOL, field=Field.HERMITIAN, mode="exhaustive")
+    for bad in (0.5, "1", None):
+        with pytest.raises(ValueError, match=f"pool entry {bad!r} is not an exact"):
+            SearchConfig(n=2, pool=(0, bad), field=Field.HERMITIAN)
+        with pytest.raises(ValueError, match=f"pool entry {bad!r} is not an exact"):
+            attainability_census(3, Field.HERMITIAN, search_pool=(bad,))
+
+
+def test_int_and_fraction_pools_are_gaussian_pools():
+    pool = (GaussianRational(0), GaussianRational(1), GaussianRational(Fraction(1, 2)))
+    cfg = SearchConfig(n=2, pool=(0, 1, Fraction(1, 2)), field=Field.REAL_SYMMETRIC)
+    assert cfg.pool == pool and all(isinstance(v, GaussianRational) for v in cfg.pool)
+    for mode in ("random", "exhaustive"):
+        report = hunt_counterexamples(
+            SearchConfig(n=2, pool=(0, 1), field=Field.REAL_SYMMETRIC, mode=mode, budget=20)
+        )
+        assert report.samples == (20 if mode == "random" else 2**3) and report.clean
+    given = attainability_census(3, Field.REAL_SYMMETRIC, search_budget=5, search_pool=(0, 1))
+    gaussian = attainability_census(3, Field.REAL_SYMMETRIC, search_budget=5, search_pool=pool[:2])
+    assert [r.line() for r in given.rows] == [r.line() for r in gaussian.rows]
+    assert given.budgets == gaussian.budgets and given.budgets["search-samples-used"] == 5
 
 
 def test_exhaustive_enumeration_counts():
@@ -239,16 +259,6 @@ def test_singular_completions_match_rational_solver():
     assert got == expected
     assert len(got) > 1000
     assert all(oracle_det(rows) == 0 for rows in got)
-
-
-def test_sweep_cache_respects_budget():
-    # a small-budget sweep must not stand in for the default one, nor the
-    # other way round, whichever was cached first
-    small = full_sequence_sweep(3, Field.REAL_SYMMETRIC, budget=10)
-    assert 0 < len(small) <= 10
-    rep = attainability_census(3, Field.REAL_SYMMETRIC)
-    assert rep.budgets["sweep-real"] == 62
-    assert full_sequence_sweep(3, Field.REAL_SYMMETRIC, budget=10) == small
 
 
 @pytest.mark.parametrize("order", (1, 2, 3))
