@@ -106,7 +106,8 @@ def cmd_catalog(args) -> int:
     try:
         report = verify_all(family=args.family, witness_id=args.id)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
     for line in report.lines():
         print(line)
@@ -139,6 +140,15 @@ def cmd_search(args) -> int:
         if args.order is None:
             print("error: --census needs --order 2 or 3", file=sys.stderr)
             return USAGE_ERROR
+        for flag, given in (
+            ("--target", args.target is not None),
+            ("--order-n", args.order_n is not None),
+            ("--mode", args.mode is not None),
+            ("--subsequence", args.subsequence),
+        ):
+            if given:
+                print(f"error: {flag} does not apply to --census", file=sys.stderr)
+                return USAGE_ERROR
         report = attainability_census(
             args.order,
             field,
@@ -166,7 +176,7 @@ def cmd_search(args) -> int:
         pool=pool,
         field=field,
         target=target,
-        mode=args.mode,
+        mode=args.mode or "random",
         budget=args.budget,
         seed=args.seed,
         subsequence=args.subsequence,
@@ -245,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order-n", default=None, help="matrix order, N or LO:HI")
     _field_arg(p)
     p.add_argument("--pool", default="default", help="comma-separated entries, or real-default/complex-default")
-    p.add_argument("--mode", choices=("random", "exhaustive"), default="random")
+    p.add_argument("--mode", choices=("random", "exhaustive"), default=None, help="random (default) or exhaustive")
     p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--subsequence", action="store_true", help="match as a window instead of the full sequence")

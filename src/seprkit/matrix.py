@@ -731,5 +731,10 @@ def matrix_from_json(text: str) -> HermitianMatrix:
 
 
 def load_matrix(path) -> HermitianMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from None
+    return matrix_from_json(text)

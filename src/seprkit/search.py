@@ -18,8 +18,8 @@ full_sequence_sweep).
 
 Every generator builds scaled integer grids directly: a pool is scaled
 into a GridPool once per search, not once per matrix, and the det = 0
-completions are solved in integers.  Each grid still goes through
-HermitianMatrix's checks and gets its own sign walk.
+completions are solved in integers, one per similarity class.  Each grid
+still goes through HermitianMatrix's checks and gets its own sign walk.
 
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from collections import ChainMap
 from itertools import combinations_with_replacement, islice, product
-from math import isqrt, lcm
+from math import isqrt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .catalog import build_witness, get_record, witness_ids
@@ -399,24 +398,24 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     return found
 
 
-def singular_completions(values) -> Iterator[HermitianMatrix]:
-    """Real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]] with
-    determinant forced to zero.
-
-    Five entries range over the given rational values; the last
-    off-diagonal entry is solved for exactly (rational roots of the
-    det = 0 quadratic), which reaches witnesses whose final entry lies far
-    outside any small pool.  The values are scaled by the lcm s of their
-    denominators, and the quadratic is solved in integers.  Deterministic;
-    duplicates skipped.
+def singular_completions() -> Iterator[HermitianMatrix]:
+    """Real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]], x, y, z, a and
+    b over REAL_DEFAULT_POOL, with c solved for exactly (rational roots of
+    the det = 0 quadratic, in integers): witnesses with one entry far
+    outside any small pool.  Only a >= 0, b >= 0 and (y, a) <= (z, b) are
+    tried: similarity by diag(1, -1, 1) or diag(1, 1, -1) flips the sign of
+    a or b (and c), and exchanging indices 2 and 3 swaps (y, a) with (z, b);
+    both only reorder the principal minors, and the pool is closed under
+    negation, so every sequence of the full 5^5 enumeration is reached (460
+    matrices, not 1,929).  Deterministic; duplicates skipped.
     """
-    vals = sorted({Fraction(v.re) if isinstance(v, GaussianRational) else Fraction(v) for v in values})
-    s = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (s // v.denominator) for v in vals]
+    ints = sorted(int(v.re) for v in REAL_DEFAULT_POOL)
+    nonnegative = [v for v in ints if v >= 0]
     seen = set()
-    for x, y, z, a, b in product(ints, repeat=5):
-        # s**3 * det = -x c**2 + 2ab c + k for x, y, z, a, b, c the entries
-        # times s; each root is c = num / den, so the matrix has scale s * den
+    for x, y, z, a, b in product(ints, ints, ints, nonnegative, nonnegative):
+        if (y, a) > (z, b):
+            continue
+        # det = -x c**2 + 2ab c + k; a root c = num / den gives scale den
         k = x * y * z - y * b * b - z * a * a
         if x:
             disc = a * a * b * b + x * k  # a quarter of the discriminant
@@ -432,7 +431,7 @@ def singular_completions(values) -> Iterator[HermitianMatrix]:
             if den < 0:
                 num, den = -num, -den
             grid = ((x * den, a * den, b * den), (a * den, y * den, num), (b * den, num, z * den))
-            m = HermitianMatrix._of(0, s * den, grid)
+            m = HermitianMatrix._of(0, den, grid)
             if m not in seen:
                 seen.add(m)
                 yield m
@@ -516,7 +515,7 @@ def _census_ladder(
 
     # det = 0 completions reach trailing-N patterns whose witnesses need
     # one large entry
-    for m in singular_completions(REAL_DEFAULT_POOL):
+    for m in singular_completions():
         yield "completions-tried", "construction:det-zero-completion", m
 
     # pooled random search: every window of every sample and of its
@@ -548,11 +547,11 @@ def attainability_census(
     transforms of those bases; every matrix of the exhaustive canonical
     sweep over real matrices, then (Hermitian census) over complex ones;
     append-zero and duplicate-last constructions on sweep matrices; det = 0
-    completions of real 3x3 matrices; seeded random search over the search
-    pool, orders order..6, each sample followed by its negation; and, when
-    the search pool is the field's default, the same search over the wider
-    pool.  Patterns still missing are reported as open, never as
-    impossible.
+    completions of real 3x3 matrices, one per similarity class (see
+    singular_completions); seeded random search over the search pool,
+    orders order..6, each sample followed by its negation; and, when the
+    search pool is the field's default, the same search over the wider
+    pool.  Patterns still missing are reported as open, never as impossible.
     """
     if order not in (2, 3):
         raise ValueError("census supports orders 2 and 3")

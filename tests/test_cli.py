@@ -62,6 +62,17 @@ def test_compute_unreadable_path(tmp_path, capsys):
         assert captured.err == f"error: {path}: {reason}\n"
 
 
+def test_compute_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"n": 1}')
+    assert main(["compute", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_classify(capsys):
     assert main(["classify", "NA+A*", "--field", "real"]) == 0
     assert "FORBIDDEN (real symmetric): real-NA+A*" in capsys.readouterr().out
@@ -154,10 +165,10 @@ CENSUS_STDERR = {
     "completions-tried=0, max-search-order=6, search-sample-budget=10000, search-samples-used=0, "
     "wide-search-samples-used=0)\n",
     ("3", "real"): "census order 3 over real symmetric: 242/242 patterns witnessed (0 open; budgets: "
-    "completions-tried=1929, max-search-order=6, search-sample-budget=10000, search-samples-used=4, "
+    "completions-tried=460, max-search-order=6, search-sample-budget=10000, search-samples-used=4, "
     "sweep-real=62, wide-search-samples-used=0)\n",
     ("3", "hermitian"): "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
-    "completions-tried=1929, max-search-order=6, search-sample-budget=10000, search-samples-used=73, "
+    "completions-tried=460, max-search-order=6, search-sample-budget=10000, search-samples-used=73, "
     "sweep-complex=42, sweep-real=62, wide-search-samples-used=0)\n",
 }
 
@@ -176,13 +187,13 @@ SMALL_BUDGET_CENSUS = {
     ("real", "3"): (
         "56b77df59a1dfd6a1d230571735651403c294d0c45a5d83a15116a90932b512b",
         "census order 3 over real symmetric: 241/242 patterns witnessed (1 open; budgets: "
-        "completions-tried=1929, max-search-order=6, search-sample-budget=3, search-samples-used=3, "
+        "completions-tried=460, max-search-order=6, search-sample-budget=3, search-samples-used=3, "
         "sweep-real=62, wide-search-samples-used=3)\n",
     ),
     ("hermitian", "20"): (
         "737274f96f0732d8db34d5ab888bf6d9cfbd47fd93d91cc352edef72c096987c",
         "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
-        "completions-tried=1929, max-search-order=6, search-sample-budget=20, search-samples-used=20, "
+        "completions-tried=460, max-search-order=6, search-sample-budget=20, search-samples-used=20, "
         "sweep-complex=42, sweep-real=62, wide-search-samples-used=3)\n",
     ),
 }
@@ -240,6 +251,15 @@ def test_usage_errors(capsys):
         for argv in (search, ["properties", "--field", "real", "--order-n", spec]):
             assert main(argv) == 2
             assert f"error: --order-n: expected {expected}, got '{spec}'" in capsys.readouterr().err
+    for flag, message in (("--id", "unknown witness id 'nope'"), ("--family", "unknown family 'nope'")):
+        assert main(["catalog", "verify", flag, "nope"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the census runs its own ladder: search-only flags are refused, not ignored
+    census = ["search", "--census", "--order", "3", "--field", "real"]
+    for extra in (["--mode", "exhaustive"], ["--mode", "random"], ["--target", "NN"],
+                  ["--order-n", "3"], ["--subsequence"]):
+        assert main(census + extra) == 2
+        assert capsys.readouterr() == ("", f"error: {extra[0]} does not apply to --census\n")
 
 
 def test_census_rejects_non_real_pool_for_real_field(capsys):

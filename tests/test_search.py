@@ -175,17 +175,6 @@ def test_hunt_exhaustive_small():
     assert rep.clean
 
 
-def test_singular_completions_are_singular():
-    pool = tuple(GaussianRational(v) for v in (-1, 0, 1))
-    seen = 0
-    for m in singular_completions(pool):
-        assert m.determinant() == 0
-        seen += 1
-        if seen >= 50:
-            break
-    assert seen == 50
-
-
 GENERATOR_POOLS = {
     "integral": (GaussianRational(0), GaussianRational(1), GaussianRational(-1), I, -I),
     "fractional-real": tuple(GaussianRational(v) for v in (Fraction(-1, 2), 0, Fraction(1, 3), 2)),
@@ -214,8 +203,15 @@ def test_generators_emit_canonical_grids(pool):
     for n in (1, 2, 3):
         for m in exhaustive_matrices(n, pool):
             _assert_canonical(m)
-    for m in singular_completions(pool):
+
+
+def test_singular_completions_are_singular():
+    seen = 0
+    for m in singular_completions():
+        assert m.determinant() == 0
         _assert_canonical(m)
+        seen += 1
+    assert seen == 460
 
 
 def _rational_sqrt(q: Fraction):
@@ -252,13 +248,44 @@ def _fraction_completions(values):
     return out
 
 
+def _completion_rows():
+    return [tuple(tuple(v.re for v in row) for row in m.entries) for m in singular_completions()]
+
+
+def _similar_rows(rows):
+    """The rows of D B D for D = diag(1, +-1, +-1), and of those with
+    indices 2 and 3 exchanged."""
+    (x, a, b), (_, y, c), (_, _, z) = rows
+    for sa, sb in product((1, -1), repeat=2):
+        a2, b2, c2 = sa * a, sb * b, sa * sb * c
+        yield ((x, a2, b2), (a2, y, c2), (b2, c2, z))
+        yield ((x, b2, a2), (b2, z, c2), (a2, c2, y))
+
+
 def test_singular_completions_match_rational_solver():
-    pool = tuple(GaussianRational(v) for v in (-1, Fraction(-1, 2), 0, Fraction(1, 3), 2))
-    expected = _fraction_completions(pool)
-    got = [tuple(tuple(v.re for v in row) for row in m.entries) for m in singular_completions(pool)]
-    assert got == expected
-    assert len(got) > 1000
+    # every completion of the full 5^5 enumeration is similar to an
+    # emitted one by the sign flips and the index swap
+    got = _completion_rows()
+    assert len(got) == 460
     assert all(oracle_det(rows) == 0 for rows in got)
+    assert {image for rows in got for image in _similar_rows(rows)} == set(
+        _fraction_completions(REAL_DEFAULT_POOL)
+    )
+
+
+def test_completions_reach_every_sequence_of_the_full_enumeration():
+    # one (x, y, z, a, b) tuple per class of the sign flips of a and b and
+    # the swap of (y, a) with (z, b): the representatives come in oracle
+    # order, and reach exactly the sequences of all completions
+    oracle = _fraction_completions(REAL_DEFAULT_POOL)
+    representatives = [
+        rows for rows in oracle
+        if rows[0][1] >= 0 and rows[0][2] >= 0 and (rows[1][1], rows[0][1]) <= (rows[2][2], rows[0][2])
+    ]
+    assert _completion_rows() == representatives
+    assert {str(compute_sepr(m)) for m in singular_completions()} == {
+        str(compute_sepr(HermitianMatrix([list(row) for row in rows]))) for rows in oracle
+    }
 
 
 @pytest.mark.parametrize("order", (1, 2, 3))
