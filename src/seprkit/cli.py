@@ -164,6 +164,9 @@ def cmd_search(args) -> int:
                 print(f"violation: {v}", file=sys.stderr)
             return VERIFICATION_FAILURE
         return 0
+    if args.order is not None:
+        print("error: --order applies only to --census", file=sys.stderr)
+        return USAGE_ERROR
     if args.target is None:
         print("error: search needs --target SEQ (or --census)", file=sys.stderr)
         return USAGE_ERROR
@@ -192,9 +195,12 @@ def cmd_search(args) -> int:
 
 def cmd_properties(args) -> int:
     for flag, value in (("--samples", args.samples), ("--max-n", args.max_n)):
-        if value < 1:
+        if value is not None and value < 1:
             print(f"error: {flag}: expected an integer ≥ 1, got {value}", file=sys.stderr)
             return USAGE_ERROR
+    if args.max_n is not None and (args.order_n is not None or args.mode == "exhaustive"):
+        print("error: --max-n applies only to random mode without --order-n", file=sys.stderr)
+        return USAGE_ERROR
     field = Field.parse(args.field)
     pool = parse_pool(args.pool, field)
     if args.mode == "exhaustive":
@@ -203,7 +209,7 @@ def cmd_properties(args) -> int:
             return USAGE_ERROR
         n = _parse_order_spec(args.order_n)
     else:
-        n = (1, args.max_n) if args.order_n is None else _parse_order_spec(args.order_n)
+        n = (1, args.max_n or 6) if args.order_n is None else _parse_order_spec(args.order_n)
     cfg = SearchConfig(
         n=n,
         pool=pool,
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("properties", help="randomized property suite / counterexample hunt")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--max-n", type=int, default=6)
+    p.add_argument("--max-n", type=int, default=None, help="largest random order, 1:K (default 6)")
     p.add_argument("--order-n", default=None, help="fix the matrix order (or LO:HI)")
     _field_arg(p)
     p.add_argument("--pool", default="default")

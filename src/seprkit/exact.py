@@ -7,6 +7,12 @@ freely (including across threads) and used as dict keys.
 ``Rational`` is an alias for :class:`fractions.Fraction`, which already
 guarantees the invariants we need: arbitrary-precision integers, positive
 denominator, and storage in lowest terms.
+
+Scalar text has one grammar, ``['-'] digits ['/' digits]``, read by
+:func:`parse_ratio` into an unreduced ``(numerator, denominator)`` pair.
+:func:`parse_rational`, :func:`parse_gaussian` and :func:`parse_pool_token`
+build exact scalars from those pairs; the matrix JSON loader takes them
+straight to a scaled integer grid without building scalars at all.
 """
 
 from __future__ import annotations
@@ -31,31 +37,38 @@ class ScalarParseError(ValueError):
 _RATIONAL_RE = _re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``['-'] digits ['/' digits]`` into a reduced Fraction.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse ``['-'] digits ['/' digits]`` into ``(numerator, denominator)``.
 
-    The grammar is deliberately strict: no whitespace, no leading '+',
-    no decimals.
+    This is the package's one rational grammar; every scalar literal
+    (matrix documents, pool tokens, :func:`parse_rational`) is read through
+    it.  The grammar is deliberately strict: no whitespace, no leading '+',
+    no decimals.  The pair is not reduced ("2/4" gives (2, 4)), and its
+    denominator is positive.
     """
     if not isinstance(text, str):
         raise ScalarParseError(f"expected a rational string, got {type(text).__name__}")
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
-        raise ScalarParseError(f"malformed rational {text!r}", 0)
-    if m.end() != len(text):
-        raise ScalarParseError(f"malformed rational {text!r}", m.end())
+        m = _RATIONAL_RE.match(text)
+        raise ScalarParseError(f"malformed rational {text!r}", m.end() if m else 0)
     sign, num, den = m.groups()
-    if den is not None and int(den) == 0:
+    den = int(den) if den is not None else 1
+    if den == 0:
         raise ScalarParseError(f"zero denominator in {text!r}", len(sign) + len(num) + 1)
-    value = Fraction(int(num), int(den) if den is not None else 1)
-    return -value if sign else value
+    return (-int(num) if sign else int(num)), den
+
+
+def parse_rational(text: str) -> Fraction:
+    """:func:`parse_ratio` as a reduced Fraction."""
+    return Fraction(*parse_ratio(text))
 
 
 def parse_pool_token(token: str) -> GaussianRational:
     """One pool entry: '2', '-1/2', 'i', '-i', '2i', '1+i', '1-2i', ...
 
     The real part and the signed imaginary coefficient each follow the
-    scalar grammar of :func:`parse_rational`; an omitted coefficient is 1.
+    scalar grammar of :func:`parse_ratio`; an omitted coefficient is 1.
     """
     text = token.strip()
     if not text.endswith("i"):
@@ -203,12 +216,20 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 
-def parse_gaussian(pair) -> GaussianRational:
-    """Parse the serialized form of a Gaussian rational: a [re, im] pair of
-    rational strings."""
+def parse_gaussian_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The real and imaginary parts, as :func:`parse_ratio` pairs, of the
+    serialized form of a Gaussian rational: a [re, im] pair of rational
+    strings."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ScalarParseError(f"expected a [re, im] pair, got {pair!r}")
-    return GaussianRational(parse_rational(pair[0]), parse_rational(pair[1]))
+    return parse_ratio(pair[0]), parse_ratio(pair[1])
+
+
+def parse_gaussian(pair) -> GaussianRational:
+    """Parse the serialized form of a Gaussian rational (see
+    :func:`parse_gaussian_ratios`)."""
+    re, im = parse_gaussian_ratios(pair)
+    return GaussianRational(Fraction(*re), Fraction(*im))
 
 
 def format_gaussian(z: GaussianRational) -> list:

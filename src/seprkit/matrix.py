@@ -6,16 +6,17 @@ construction: entry (i, j) is grid[i][j] / scale, where grid holds plain
 ints for a real matrix (d = 0) and otherwise (a, b) pairs standing for
 a + b*sqrt(d) in Z[sqrt d], with d = -1 for Gaussian entries and d = 5
 for Q(sqrt 5).  scale is the lcm of the entries' denominators, so equal
-matrices have equal grids.  Scalar entries are read in one pass; the
-structural transforms and the inverse build their result's grid
-directly, and exact entries are built only on request.  The heavy
-operation is enumerating all 2**n - 1 principal minors.  Fraction-free
-elimination stays exact over those rings.  One Gauss-Jordan kernel per
-form returns the rank, the sign of its row swaps and the last pivot,
-which give every determinant, rank and inverse.  The cached minor table
-holds only signs and comes from one depth-first walk over the index sets
-that eliminates each nonsingular prefix once; exact minor values are
-built on request.
+matrices have equal grids.  Scalar entries are read in one pass, and a
+JSON document's rational strings are scaled straight to the grid without
+building scalars; the structural transforms and the inverse build their
+result's grid directly, and exact entries are built only on request.
+The heavy operation is enumerating all 2**n - 1 principal minors.
+Fraction-free elimination stays exact over those rings.  One
+Gauss-Jordan kernel per form returns the rank, the sign of its row swaps
+and the last pivot, which give every determinant, rank and inverse.  The
+cached minor table holds only signs and comes from one depth-first walk
+over the index sets that eliminates each nonsingular prefix once; exact
+minor values are built on request.
 
 Index sets follow the mathematical convention: 1-based, strictly
 increasing.
@@ -34,7 +35,7 @@ from .exact import (
     GaussianRational,
     Sqrt5Rational,
     format_gaussian,
-    parse_gaussian,
+    parse_gaussian_ratios,
     ScalarParseError,
 )
 
@@ -100,7 +101,15 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # sign is sign(det B[U]) * sign(det S)**(|U| - 1).  When a single index l follows
 # j, the child S+j has one descendant, S+j+l, whose minor is num / det S
 # with num the 2 x 2 determinant of B on {j, l}: the walk takes
-# sign(num) * sign(det S) and never divides.
+# sign(num) * sign(det S) and never divides.  A nonsingular child S+a
+# followed by exactly two positions q and r is a two-level leaf: its block
+# would be N / det S with N = det[S+a] * B - B[., a] B[a, .] on {q, r},
+# so the walk forms only the numerators N_qq, N_rr and N_qr.  The minors
+# S+a+q and S+a+r are N_qq / det S and N_rr / det S, signed by
+# sign(det S); S+a+q+r is (N_qq N_rr - N_rq N_qr) / ((det S)**2 det[S+a]),
+# signed by sign(det[S+a]) alone, since (det S)**2 > 0.  No block is
+# built, nothing is divided and nothing recurses, and a singular S+a+q
+# needs no reordering because only det[S+a] divides.
 # Each int kernel and walk stays separate from its pair counterpart
 # because it is about twice as fast on real input.
 # ---------------------------------------------------------------------------
@@ -120,27 +129,31 @@ def _scale(rows):
         out = []
         for j, v in enumerate(row):
             if isinstance(v, GaussianRational) and not (d == 5 and v.im):
-                out.append((v.re, v.im))
+                a, b = v.re, v.im
             elif isinstance(v, (int, Fraction)):
-                out.append((v, 0))
+                a, b = v, 0
             elif isinstance(v, Sqrt5Rational):
-                out.append((v.a, v.b))
+                a, b = v.a, v.b
             else:
                 raise MatrixFormatError(
                     f"entry ({i + 1},{j + 1}): cannot interpret {v!r} as a matrix scalar"
                 )
+            out.append(((a.numerator, a.denominator), (b.numerator, b.denominator)))
         parts.append(out)
-    scale = lcm(*{x.denominator for row in parts for pair in row for x in pair})
-    if d == 5 or any(b for row in parts for _, b in row):
+    return _scale_ratios(d, parts)
+
+
+def _scale_ratios(d, parts):
+    """_scale for rows of (a, b) entries, a + b*sqrt(d), whose parts are
+    (numerator, denominator) int pairs with positive denominators; d is 5
+    or 0, and 0 becomes -1 when any b is nonzero.  Unreduced pairs give a
+    multiple of the reduced grid, which _adopt's gcd step divides out."""
+    scale = lcm(*{den for row in parts for (_, da), (_, db) in row for den in (da, db)})
+    if d == 5 or any(b for row in parts for _, (b, _) in row):
         return d or -1, scale, tuple(
-            tuple(
-                (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-                for a, b in row
-            )
-            for row in parts
+            tuple((a * (scale // da), b * (scale // db)) for (a, da), (b, db) in row) for row in parts
         )
-    grid = tuple(tuple(a.numerator * (scale // a.denominator) for a, _ in row) for row in parts)
-    return 0, scale, grid
+    return 0, scale, tuple(tuple(a * (scale // da) for (a, da), _ in row) for row in parts)
 
 
 def _entrywise(grid, d, f):
@@ -355,14 +368,26 @@ def _walk_ints(block, bits, mask, prev, psign, table):
         child = mask | bits[a]
         s = table[child] = (piv > 0) - (piv < 0)
         if a < last - 1:
-            if s:
+            if not s:
+                moved = _zero_pivots_last(block[a:], bits[a:], 0)
+                if moved:
+                    _walk_ints(*moved, mask, prev, psign, table)
+                    return
+                _walk_singular(block, a, bits, child, psign, table, 0)
+            elif a < last - 2:
                 _walk_ints(_reduce_ints(block, a, prev), bits[a + 1 :], child, piv, s, table)
-                continue
-            moved = _zero_pivots_last(block[a:], bits[a:], 0)
-            if moved:
-                _walk_ints(*moved, mask, prev, psign, table)
-                return
-            _walk_singular(block, a, bits, child, psign, table, 0)
+            else:
+                # a two-level leaf on the last two positions q and r
+                (bqq, bqr), (brr,) = block[a + 1], block[last]
+                bq, br = row[1], row[2]
+                nqq = piv * bqq - bq * bq
+                nrr = piv * brr - br * br
+                nqr = piv * bqr - bq * br
+                det = nqq * nrr - nqr * nqr
+                q, r = bits[a + 1], bits[last]
+                table[child | q] = ((nqq > 0) - (nqq < 0)) * psign
+                table[child | r] = ((nrr > 0) - (nrr < 0)) * psign
+                table[child | q | r] = ((det > 0) - (det < 0)) * s
         elif a == last - 1:
             # a leaf: its one minor is num / prev, so take sign(num) * psign
             num = piv * block[last][0] - row[1] * row[1]
@@ -377,14 +402,30 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
         child = mask | bits[a]
         s = table[child] = _sign(piv, d)
         if a < last - 1:
-            if s:
+            if not s:
+                moved = _zero_pivots_last(block[a:], bits[a:], d)
+                if moved:
+                    _walk_pairs(*moved, mask, prev, psign, table, d)
+                    return
+                _walk_singular(block, a, bits, child, psign, table, d)
+            elif a < last - 2:
                 _walk_pairs(_reduce_pairs(block, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
-                continue
-            moved = _zero_pivots_last(block[a:], bits[a:], d)
-            if moved:
-                _walk_pairs(*moved, mask, prev, psign, table, d)
-                return
-            _walk_singular(block, a, bits, child, psign, table, d)
+            else:
+                (va, vb), (qa, qb), (ra, rb) = row
+                ((xa, xb), (ya, yb)), ((za, zb),) = block[a + 1], block[last]
+                qc, rc = (-qb, -rb) if d < 0 else (qb, rb)  # B[q, a] = (qa, qc), B[r, a] = (ra, rc)
+                nqq = (va * xa + d * (vb * xb - qc * qb) - qa * qa, va * xb + vb * xa - qa * qb - qc * qa)
+                nrr = (va * za + d * (vb * zb - rc * rb) - ra * ra, va * zb + vb * za - ra * rb - rc * ra)
+                na, nb = va * ya + d * (vb * yb - qc * rb) - qa * ra, va * yb + vb * ya - qa * rb - qc * ra
+                mb = -nb if d < 0 else nb  # N[r, q] = (na, mb)
+                det = (
+                    nqq[0] * nrr[0] + d * nqq[1] * nrr[1] - na * na - d * mb * nb,
+                    nqq[0] * nrr[1] + nqq[1] * nrr[0] - na * nb - mb * na,
+                )
+                q, r = bits[a + 1], bits[last]
+                table[child | q] = _sign(nqq, d) * psign
+                table[child | r] = _sign(nrr, d) * psign
+                table[child | q | r] = _sign(det, d) * s
         elif a == last - 1:
             (va, vb), (xa, xb), (la, lb) = piv, block[last][0], row[1]
             lc = -lb if d < 0 else lb  # entry (last, a) is (la, lc)
@@ -708,18 +749,18 @@ def matrix_from_json_dict(doc) -> HermitianMatrix:
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixFormatError(f'"entries" must be a list of {n} rows')
-    rows = []
+    parts = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError(f"row {i + 1} must be a list of {n} entries")
         parsed = []
         for j, cell in enumerate(row):
             try:
-                parsed.append(parse_gaussian(cell))
+                parsed.append(parse_gaussian_ratios(cell))
             except ScalarParseError as exc:
                 raise MatrixFormatError(f"entry ({i + 1},{j + 1}): {exc}") from exc
-        rows.append(parsed)
-    return HermitianMatrix(rows)
+        parts.append(parsed)
+    return HermitianMatrix._of(*_scale_ratios(0, parts))
 
 
 def matrix_from_json(text: str) -> HermitianMatrix:

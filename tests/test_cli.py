@@ -260,6 +260,14 @@ def test_usage_errors(capsys):
                   ["--order-n", "3"], ["--subsequence"]):
         assert main(census + extra) == 2
         assert capsys.readouterr() == ("", f"error: {extra[0]} does not apply to --census\n")
+    # and the census's --order, or --max-n beside a fixed order, is refused too
+    search = ["search", "--target", "NN", "--order-n", "2", "--field", "real", "--pool", "0", "--mode", "exhaustive"]
+    assert main(search + ["--order", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: --order applies only to --census\n")
+    properties = ["properties", "--field", "real", "--samples", "2", "--max-n", "3"]
+    for extra in (["--order-n", "2"], ["--mode", "exhaustive", "--order-n", "1"]):
+        assert main(properties + extra) == 2
+        assert capsys.readouterr() == ("", "error: --max-n applies only to random mode without --order-n\n")
 
 
 def test_census_rejects_non_real_pool_for_real_field(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import oracle_det, oracle_minors_by_order, oracle_principal_minor, random_hermitian
 from seprkit.catalog import build_witness
 from seprkit import matrix as matrix_module
-from seprkit.exact import GaussianRational, I, Sqrt5Rational, real_sign
+from seprkit.exact import GaussianRational, I, Sqrt5Rational, parse_gaussian, real_sign
 from seprkit.matrix import (
     HermitianMatrix,
     IndexSetError,
@@ -247,6 +248,32 @@ def test_sign_table_below_negative_singular_prefix():
     assert m.minor_signs_by_order() == [[-1, -1, -1, -1], [0, 0, 0, 1, 0, 0], [1, 1, 0, 1], [0]]
 
 
+_I, _R5 = GaussianRational(0, 1), Sqrt5Rational(0, 1)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-1, 1, 1, 0], [1, 2, 1, 1], [1, 1, -1, 2], [0, 1, 2, 3]],
+        [[-1, 1, 2, 1], [1, -3, 3, 1], [2, 3, -3, 1], [1, 1, 1, 2]],
+        [[-1, 1 + _I, _I, 0], [1 - _I, 2, 1, 1 - _I], [-_I, 1, -1, 2 * _I], [0, 1 + _I, -2 * _I, 3]],
+        [[-1, _I, 2, 1], [-_I, -3, 3 * _I, 1], [2, -3 * _I, -3, 1 + _I], [1, 1, 1 - _I, 2]],
+        [[1 - _R5, _R5, 1, 0], [_R5, 2, 1, 1], [1, 1, -1, 1 + _R5], [0, 1, 1 + _R5, 3]],
+        [[-1, 1, _R5, 1], [1, -3, 3, 1], [_R5, 3, -3, 1], [1, 1, 1, 2 + _R5]],
+    ],
+    ids=["real-same", "real-opposite", "gaussian-same", "gaussian-opposite", "sqrt5-same", "sqrt5-opposite"],
+)
+def test_two_level_leaf_matches_oracle(rows):
+    # The walk takes the two-level leaf on child S+{2} with q, r = 3, 4
+    # twice: below S = {1}, where det S < 0, and below S = {}, where
+    # det S = 1.  In each "same" matrix sign det[S+2] equals sign det S at
+    # both; in each "opposite" one it differs at both, and det[2, 3] = 0
+    # makes S+2+3 singular.  Gaussian and Q(sqrt 5) entries make B[q, a]
+    # and N[q, r] non-real or irrational.
+    m = HermitianMatrix(rows)
+    assert m._mask_signs() == _oracle_sign_table(m)
+
+
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -460,6 +487,29 @@ def test_sqrt5_matrix_to_json():
     assert matrix_from_json(matrix_to_json(m)) == HermitianMatrix([[Fraction(1, 2), 2], [2, 0]])
 
 
+def _json_doc(cell):
+    return '{"n": 2, "entries": [[["0","0"], %s], [["1","0"],["0","0"]]]}' % cell
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ('"1"', "expected a [re, im] pair, got '1' (offset 0)"),
+        ('["1"]', "expected a [re, im] pair, got ['1'] (offset 0)"),
+        ('["x","0"]', "malformed rational 'x' (offset 0)"),
+        ('["1/0","0"]', "zero denominator in '1/0' (offset 2)"),
+        ('["+1","0"]', "malformed rational '+1' (offset 0)"),
+        ('[" 1","0"]', "malformed rational ' 1' (offset 0)"),
+        ('[1,"0"]', "expected a rational string, got int (offset 0)"),
+    ],
+    ids=["non-list", "one-element", "x", "zero-denominator", "plus", "space", "number"],
+)
+def test_json_loader_cell_messages(cell, message):
+    with pytest.raises(MatrixFormatError) as err:
+        matrix_from_json(_json_doc(cell))
+    assert str(err.value) == f"entry (1,2): {message}"
+
+
 def test_json_loader_rejects():
     with pytest.raises(MatrixFormatError):
         matrix_from_json("[]")
@@ -467,18 +517,45 @@ def test_json_loader_rejects():
         matrix_from_json('{"n": 2}')
     with pytest.raises(MatrixFormatError):
         matrix_from_json('{"n": 2, "entries": [[["0","0"],["1","0"]]]}')
-    with pytest.raises(MatrixFormatError) as err:
-        matrix_from_json(
-            '{"n": 2, "entries": [[["0","0"],["x","0"]], [["1","0"],["0","0"]]]}'
-        )
-    assert "(1,2)" in str(err.value)
     # Hermitian violation is position-specific
     with pytest.raises(MatrixFormatError) as err:
-        matrix_from_json(
-            '{"n": 2, "entries": [[["0","0"],["1","0"]], [["2","0"],["0","0"]]]}'
-        )
-    assert "(1,2)" in str(err.value)
+        matrix_from_json(_json_doc('["2","0"]'))
+    assert str(err.value) == "entry (1,2) is not the conjugate of entry (2,1): Hermitian invariant violated"
     with pytest.raises(MatrixFormatError):
         matrix_from_json("not json")
     with pytest.raises(MatrixFormatError):
         matrix_from_json('{"n": true, "entries": [[["1","0"]]]}')
+
+
+def _negated(text):
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+@st.composite
+def _rational_text(draw):
+    """A rational string, often unreduced or a signed zero; the same value
+    drawn twice may come out as different texts."""
+    literal = st.sampled_from(["2/4", "0/5", "-0", "-3/6"])
+    num, den, k = draw(st.integers(-3, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    sign = "-" if num < 0 or (num == 0 and draw(st.booleans())) else ""
+    made = f"{sign}{abs(num) * k}" + ("" if den * k == 1 and draw(st.booleans()) else f"/{den * k}")
+    return draw(st.one_of(literal, st.just(made)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_json_loader_matches_scalar_construction(data):
+    # the loader scales the rational strings straight to the grid; it must
+    # land on the grid of the matrix built from parsed scalars
+    n = data.draw(st.integers(1, 4))
+    cells = [[None] * n for _ in range(n)]
+    for i in range(n):
+        cells[i][i] = [data.draw(_rational_text()), data.draw(st.sampled_from(["0", "-0", "0/5", "-0/3"]))]
+        for j in range(i + 1, n):
+            re, im = data.draw(_rational_text()), data.draw(_rational_text())
+            cells[i][j] = [re, im]
+            cells[j][i] = [re, _negated(im)]
+    got = matrix_from_json(json.dumps({"n": n, "entries": cells}))
+    expected = HermitianMatrix([[parse_gaussian(cell) for cell in row] for row in cells])
+    assert (got._d, got._scale, got._grid) == (expected._d, expected._scale, expected._grid)
+    assert hash(got) == hash(expected)
