@@ -7,9 +7,9 @@ selection there with pytest, and reports ``killed`` (the selection failed)
 or ``survived`` (it passed).  A survivor is a finding about the tests; it
 is never a reason to drop or edit the mutant.
 
-Run from anywhere; ``NAME ...`` restricts the run to the named mutants:
+Run from anywhere:
 
-    python3 mutants/run.py [NAME ...]
+    python3 mutants/run.py
 
 The exit status is 1 when any mutant survives, its old text does not
 occur exactly once, or its selection does not run (pytest exits neither
@@ -150,23 +150,17 @@ def run(mutant: Mutant, workdir: Path) -> str:
     return {0: "survived", 1: "killed"}.get(code, "error")
 
 
-def main(argv) -> int:
-    known = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in known]
-    if unknown:
-        print(f"error: unknown mutant {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [known[name] for name in argv] or list(MUTANTS)
+def main() -> int:
     bad = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="seprkit-mutant-") as tmp:
             verdict = run(mutant, Path(tmp))
         bad += verdict != "killed"
         print(f"{mutant.name}\t{verdict}\t{time.perf_counter() - start:.1f}s", flush=True)
-    print(f"mutants: {len(chosen) - bad}/{len(chosen)} killed")
+    print(f"mutants: {len(MUTANTS) - bad}/{len(MUTANTS)} killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -527,8 +527,15 @@ def test_json_loader_rejects():
         matrix_from_json('{"n": true, "entries": [[["1","0"]]]}')
 
 
-def _negated(text):
-    return text[1:] if text.startswith("-") else "-" + text
+@st.composite
+def _restated(draw, text, negate=False):
+    """A fresh text for the value of ``text`` (negated on request): its
+    reduced numerator and denominator both multiplied by a drawn k."""
+    value = -Fraction(text) if negate else Fraction(text)
+    k = draw(st.integers(1, 4))
+    num, den = value.numerator * k, value.denominator * k
+    sign = "-" if num < 0 or (num == 0 and draw(st.booleans())) else ""
+    return f"{sign}{abs(num)}" + ("" if den == 1 and draw(st.booleans()) else f"/{den}")
 
 
 @st.composite
@@ -554,7 +561,9 @@ def test_json_loader_matches_scalar_construction(data):
         for j in range(i + 1, n):
             re, im = data.draw(_rational_text()), data.draw(_rational_text())
             cells[i][j] = [re, im]
-            cells[j][i] = [re, _negated(im)]
+            # the mirror cell is its own text of the conjugate value, so
+            # "1/2" may face "2/4" across the diagonal
+            cells[j][i] = [data.draw(_restated(re)), data.draw(_restated(im, negate=True))]
     got = matrix_from_json(json.dumps({"n": n, "entries": cells}))
     expected = HermitianMatrix([[parse_gaussian(cell) for cell in row] for row in cells])
     assert (got._d, got._scale, got._grid) == (expected._d, expected._scale, expected._grid)
