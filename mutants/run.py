@@ -41,7 +41,9 @@ class Mutant:
 
 MATRIX = "src/seprkit/matrix.py"
 SEARCH = "src/seprkit/search.py"
+SEPR = "src/seprkit/sepr.py"
 LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
+TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
     "tests/test_search.py::test_singular_completions_match_rational_solver",
@@ -125,6 +127,35 @@ MUTANTS = (
         "(a * den, y * den, num), (b * den, num, z * den)",
         "(a * den, y * den, -num), (b * den, -num, z * den)",
         COMPLETIONS,
+    ),
+    # the sequence rules the property checks and the census read
+    Mutant(
+        "direct-sum-without-empty-minor",
+        SEPR,
+        "return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)",
+        "return (frozenset(),) + tuple(t.signs for t in seq.terms)",
+        ("tests/test_sepr.py::test_direct_sum_rule_matches_engine",),
+    ),
+    Mutant(
+        "negation-swaps-even-orders",
+        SEPR,
+        "t.negated if k % 2 else t",
+        "t if k % 2 else t.negated",
+        TRANSFORM_RULES,
+    ),
+    Mutant(
+        "inverse-without-swap",
+        SEPR,
+        "    if last is SeprTerm.A_MINUS:\n",
+        "    if False:\n",
+        TRANSFORM_RULES,
+    ),
+    Mutant(
+        "duplicate-last-weakens-term-1",
+        SEPR,
+        "[first] + [classify_signs(t.signs | {0}) for t in rest]",
+        "[classify_signs(t.signs | {0}) for t in seq.terms]",
+        TRANSFORM_RULES,
     ),
 )
 

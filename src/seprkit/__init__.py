@@ -34,11 +34,7 @@ from .sepr import (
     classify_order,
     compute_epr,
     compute_sepr,
-    contains_subsequence,
-    format_sequence,
-    neg_sequence,
     parse_sequence,
-    uepr,
 )
 from .classify import (
     Field,

@@ -135,7 +135,6 @@ def _parse_order_spec(text: str):
 
 def cmd_search(args) -> int:
     field = Field.parse(args.field)
-    pool = parse_pool(args.pool, field)
     if args.census:
         if args.order is None:
             print("error: --census needs --order 2 or 3", file=sys.stderr)
@@ -145,17 +144,14 @@ def cmd_search(args) -> int:
             ("--order-n", args.order_n is not None),
             ("--mode", args.mode is not None),
             ("--subsequence", args.subsequence),
+            ("--pool", args.pool is not None),
+            ("--budget", args.budget is not None),
         ):
             if given:
                 print(f"error: {flag} does not apply to --census", file=sys.stderr)
                 return USAGE_ERROR
-        report = attainability_census(
-            args.order,
-            field,
-            search_budget=args.budget,
-            seed=args.seed,
-            search_pool=pool,
-        )
+        # --seed is accepted and ignored: the census draws no random matrix
+        report = attainability_census(args.order, field)
         for line in report.lines():
             print(line)
         print(report.summary(), file=sys.stderr)
@@ -176,17 +172,17 @@ def cmd_search(args) -> int:
         return USAGE_ERROR
     cfg = SearchConfig(
         n=_parse_order_spec(args.order_n),
-        pool=pool,
+        pool=parse_pool(args.pool or "default", field),
         field=field,
         target=target,
         mode=args.mode or "random",
-        budget=args.budget,
+        budget=10000 if args.budget is None else args.budget,
         seed=args.seed,
         subsequence=args.subsequence,
     )
     hit = find_witness(cfg)
     if hit is None:
-        print(f"not-found\tbudget={args.budget}")
+        print(f"not-found\tbudget={cfg.budget}")
         return VERIFICATION_FAILURE
     print(f"found\t{hit.sepr}\t{hit.position}")
     print(matrix_to_json(hit.matrix))
@@ -260,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=(2, 3), default=None, help="census pattern order")
     p.add_argument("--order-n", default=None, help="matrix order, N or LO:HI")
     _field_arg(p)
-    p.add_argument("--pool", default="default", help="comma-separated entries, or real-default/complex-default")
+    p.add_argument("--pool", default=None, help="comma-separated entries, or default (the default)/real-default/complex-default")
     p.add_argument("--mode", choices=("random", "exhaustive"), default=None, help="random (default) or exhaustive")
-    p.add_argument("--budget", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=int, default=None, help="samples to try (default 10000)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random-mode seed; a census ignores it")
     p.add_argument("--subsequence", action="store_true", help="match as a window instead of the full sequence")
     p.set_defaults(func=cmd_search)
 

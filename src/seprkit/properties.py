@@ -3,7 +3,11 @@
 Each check inspects one matrix and returns a list of violation messages
 (empty means the property held).  The checks encode facts that are
 mathematically guaranteed, so any violation indicates a defect in the
-exact arithmetic, the minor enumeration, or the classification logic:
+exact arithmetic, the minor enumeration, or the classification logic.
+The transform checks take their expected sequences from the rules in
+``sepr`` (``inverse_rule``, ``negation_rule``, ``direct_sum_rule``,
+``duplicate_last_rule``), which read only the parent's sequence, never
+its minor table:
 
 * the last term of a sequence is always A+, A- or N;
 * two consecutive N terms force N forever after;
@@ -39,6 +43,10 @@ from .sepr import (
     classify_signs,
     compute_epr,
     compute_sepr,
+    direct_sum_rule,
+    duplicate_last_rule,
+    inverse_rule,
+    negation_rule,
 )
 
 
@@ -167,11 +175,7 @@ def check_inverse_relation(matrix: HermitianMatrix, seq: SeprSequence) -> List[s
     except SingularMatrixError:
         return [f"last term {last} but matrix not invertible: {_describe(matrix)}"]
     got = compute_sepr(inv)
-    front = SeprSequence(reversed(seq.terms[:-1])) if len(seq) > 1 else None
-    if last is SeprTerm.A_MINUS and front is not None:
-        front = front.negative()
-    expected_terms = (tuple(front.terms) if front else ()) + (last,)
-    expected = SeprSequence(expected_terms)
+    expected = inverse_rule(seq)
     if got != expected:
         return [
             f"inverse sequence {got} != expected {expected} for {_describe(matrix)}"
@@ -181,9 +185,7 @@ def check_inverse_relation(matrix: HermitianMatrix, seq: SeprSequence) -> List[s
 
 def check_negation_rule(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     got = compute_sepr(matrix.negate())
-    expected = SeprSequence(
-        t.negated if (j % 2 == 0) else t for j, t in enumerate(seq.terms)
-    )
+    expected = negation_rule(seq)
     if got != expected:
         return [f"negated matrix gave {got}, expected {expected}: {_describe(matrix)}"]
     return []
@@ -204,20 +206,12 @@ def check_permutation_invariance(
     return bad
 
 
-def _weakened(seq: SeprSequence, keep_first: bool) -> SeprSequence:
-    terms = []
-    for j, t in enumerate(seq.terms):
-        if keep_first and j == 0:
-            terms.append(t)
-        else:
-            terms.append(t.weakened)
-    terms.append(SeprTerm.N)
-    return SeprSequence(terms)
+_ZERO_1 = SeprSequence((SeprTerm.N,))
 
 
 def check_append_zero(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     got = compute_sepr(matrix.direct_sum(HermitianMatrix.zero(1)))
-    expected = _weakened(seq, keep_first=False)
+    expected = direct_sum_rule(seq, _ZERO_1)
     if got != expected:
         return [
             f"zero append gave {got}, expected {expected}: {_describe(matrix)}"
@@ -227,7 +221,7 @@ def check_append_zero(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
 
 def check_append_duplicate(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     got = compute_sepr(matrix.duplicate_last())
-    expected = _weakened(seq, keep_first=True)
+    expected = duplicate_last_rule(seq)
     if got != expected:
         return [
             f"last-row duplication gave {got}, expected {expected}: {_describe(matrix)}"

@@ -1,10 +1,11 @@
 """Search for matrices attaining target sign patterns, randomized
 counterexample hunting, and the attainability census.
 
-Randomness is fully seeded: identical configurations produce identical
-reports.  Random matrices draw the diagonal (real part only) and the upper
-triangle independently and uniformly from the entry pool; the lower
-triangle follows by conjugate symmetry.  Exhaustive mode enumerates the
+Randomness in target search and the hunt is fully seeded: identical
+configurations produce identical reports.  Random matrices draw the
+diagonal (real part only) and the upper triangle independently and
+uniformly from the entry pool; the lower triangle follows by conjugate
+symmetry.  Exhaustive mode enumerates the
 same free entries in odometer order, diagonal candidates being the
 distinct real parts occurring in the pool.
 
@@ -21,6 +22,12 @@ into a GridPool once per search, not once per matrix, and the det = 0
 completions are solved in integers, one per similarity class.  Each grid
 still goes through HermitianMatrix's checks and gets its own sign walk.
 
+The attainability census draws no random matrix: after its stock and
+catalog bases it climbs a fixed ladder of transforms, sweeps,
+duplicate-last constructions, det = 0 completions and symbolic direct sums
+(see attainability_census), so its report depends on nothing but the order
+and the field.
+
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
 """
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from collections import ChainMap
 from itertools import combinations_with_replacement, islice, product
 from math import isqrt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -39,7 +45,7 @@ from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
 from .matrix import HermitianMatrix, SingularMatrixError, _scale
 from .properties import run_suite
-from .sepr import SeprSequence, SeprTerm, compute_sepr
+from .sepr import SeprSequence, SeprTerm, compute_sepr, direct_sum_rule, duplicate_last_rule
 
 DEFAULT_SEED = 1729
 
@@ -56,52 +62,7 @@ COMPLEX_DEFAULT_POOL: Tuple[GaussianRational, ...] = REAL_DEFAULT_POOL + (
 )
 
 
-REAL_WIDE_POOL: Tuple[GaussianRational, ...] = tuple(
-    GaussianRational(v) for v in (-7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7)
-)
-COMPLEX_WIDE_POOL: Tuple[GaussianRational, ...] = REAL_WIDE_POOL + (
-    I,
-    -I,
-    GaussianRational(0, 2),
-    GaussianRational(0, -2),
-    GaussianRational(1, 1),
-    GaussianRational(1, -1),
-)
-
-
-def default_pool(field: Field) -> Tuple[GaussianRational, ...]:
-    if field is Field.REAL_SYMMETRIC:
-        return REAL_DEFAULT_POOL
-    return COMPLEX_DEFAULT_POOL
-
-
-def wide_pool(field: Field) -> Tuple[GaussianRational, ...]:
-    if field is Field.REAL_SYMMETRIC:
-        return REAL_WIDE_POOL
-    return COMPLEX_WIDE_POOL
-
-
 OrderSpec = Union[int, Tuple[int, int]]
-
-
-def _check_search_inputs(budget: int, pool, field: Field) -> Tuple[GaussianRational, ...]:
-    """The entry pool as a tuple of GaussianRationals (ints and Fractions
-    are converted).  Reject a sample budget below 1, an empty pool, an
-    entry that is no exact rational or Gaussian rational, or a non-real
-    entry for a real-symmetric search (ValueError)."""
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    if not pool:
-        raise ValueError("entry pool is empty")
-    entries = []
-    for v in pool:
-        entry = GaussianRational._coerce(v)
-        if entry is None:
-            raise ValueError(f"pool entry {v!r} is not an exact rational or Gaussian rational")
-        if field is Field.REAL_SYMMETRIC and entry.im != 0:
-            raise ValueError(f"real-symmetric search cannot use non-real pool entry {entry}")
-        entries.append(entry)
-    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -116,9 +77,25 @@ class SearchConfig:
     subsequence: bool = False
 
     def __post_init__(self):
+        """Reject an unknown mode, a sample budget below 1, an empty pool, a
+        pool entry that is no exact rational or Gaussian rational, or a
+        non-real entry for a real-symmetric search (ValueError); the pool
+        becomes a tuple of GaussianRationals."""
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        object.__setattr__(self, "pool", _check_search_inputs(self.budget, self.pool, self.field))
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
+        if not self.pool:
+            raise ValueError("entry pool is empty")
+        entries = []
+        for v in self.pool:
+            entry = GaussianRational._coerce(v)
+            if entry is None:
+                raise ValueError(f"pool entry {v!r} is not an exact rational or Gaussian rational")
+            if self.field is Field.REAL_SYMMETRIC and entry.im != 0:
+                raise ValueError(f"real-symmetric search cannot use non-real pool entry {entry}")
+            entries.append(entry)
+        object.__setattr__(self, "pool", tuple(entries))
         if isinstance(self.n, tuple):
             lo, hi = self.n
             if lo < 1 or hi < lo:
@@ -351,8 +328,6 @@ _STOCK: Tuple[Tuple[str, HermitianMatrix], ...] = (
     ("diag(1,-1,-1,0)", HermitianMatrix.diagonal([1, -1, -1, 0])),
 )
 
-MAX_SEARCH_ORDER = 6  # largest matrix order the census's random search draws
-
 
 def _sweep_pool(field: Field) -> Tuple[GaussianRational, ...]:
     if field is Field.REAL_SYMMETRIC:
@@ -437,23 +412,6 @@ def singular_completions() -> Iterator[HermitianMatrix]:
                 yield m
 
 
-def _strengthened(pattern: SeprSequence, keep_first: bool) -> Optional[SeprSequence]:
-    """Reverse of the append-weakening: S -> A keeping superscripts, N
-    fixed.  Returns None when a weakened position holds an A-term, which
-    appending can never produce."""
-    terms = []
-    for j, t in enumerate(pattern.terms):
-        if keep_first and j == 0:
-            terms.append(t)
-        elif t.letter == "S":
-            terms.append(SeprTerm("A" + t.superscript))
-        elif t is SeprTerm.N:
-            terms.append(t)
-        else:
-            return None
-    return SeprSequence(terms)
-
-
 def _census_bases(field: Field) -> List[Tuple[str, HermitianMatrix]]:
     """The stock matrices and the field's catalog witnesses, labelled."""
     stock = [(f"stock:{label}", m) for label, m in _STOCK]
@@ -481,7 +439,7 @@ def _derived_matrices(
 
 
 def _census_ladder(
-    order: int, field: Field, pool, search_budget: int, seed: int, bases, missing: set, budgets: dict
+    order: int, field: Field, bases, missing: set, recorded: dict, budgets: dict
 ) -> Iterator[Tuple[Optional[str], str, HermitianMatrix]]:
     """The census's witness sources after its bases, in preference order,
     as (budget counter or None, source, matrix).  A rung starts only when
@@ -500,76 +458,83 @@ def _census_ladder(
         for m in sweeps[-1].values():
             yield None, f"search:exhaustive-{order}x{order}", m
 
-    # append constructions: the missing pattern, strengthened, as the full
-    # sequence of a sweep matrix (real sweep first)
-    index = ChainMap(*sweeps)
+    # duplicate-last constructions: a sweep sequence whose image under the
+    # rule starts with a missing pattern (real sweep first)
+    index: Dict[SeprSequence, Tuple[str, HermitianMatrix]] = {}
+    for sweep in sweeps:
+        for text, m in sweep.items():
+            index.setdefault(duplicate_last_rule(SeprSequence.parse(text))[:order], (text, m))
     for pattern in sorted(missing, key=str):
-        base = _strengthened(pattern, keep_first=False)
-        if base is not None and str(base) in index:
-            m = index[str(base)].direct_sum(HermitianMatrix.zero(1))
-            yield None, f"construction:append-zero(base={base})", m
-            continue
-        base = _strengthened(pattern, keep_first=True)
-        if base is not None and str(base) in index:
-            yield None, f"construction:duplicate-last(base={base})", index[str(base)].duplicate_last()
+        if pattern in index:
+            base, m = index[pattern]
+            yield None, f"construction:duplicate-last(base={base})", m.duplicate_last()
 
     # det = 0 completions reach trailing-N patterns whose witnesses need
     # one large entry
     for m in singular_completions():
         yield "completions-tried", "construction:det-zero-completion", m
 
-    # pooled random search: every window of every sample and of its
-    # negation counts; the wide pool follows only the field's default pool
-    searches = [("search-samples-used", "random", pool, seed)]
-    if pool == default_pool(field):
-        searches.append(("wide-search-samples-used", "random-wide", wide_pool(field), seed + 1))
-    for counter, tag, entries, search_seed in searches:
-        rng = random.Random(search_seed)
-        scaled = grid_pool(entries)
-        label = f"search:{tag}(orders {order}..{MAX_SEARCH_ORDER}, seed {search_seed})"
-        for _ in range(search_budget):
-            m = random_matrix(rng, rng.randint(order, MAX_SEARCH_ORDER), scaled)
-            yield counter, label, m
-            yield None, f"{label}+negate", m.negate()
+    # direct sums of recorded sequences, predicted by the rule and built
+    # only when the prediction holds a missing window
+    yield from _direct_sums(order, missing, recorded)
 
 
-def attainability_census(
-    order: int,
-    field: Field,
-    search_budget: int = 300,
-    seed: int = DEFAULT_SEED,
-    search_pool=None,
-) -> CensusReport:
+# Longest direct sum the census walks.  A*A*A*, the one pattern no earlier
+# rung reaches, falls at total length 4.  An order-3 census records about
+# 450 sequences, so when no sum supplies a missing pattern the walk predicts
+# about 1,200 pairs up to length 5, 4,900 up to length 6 and some 100,000
+# without a bound: the bound caps that worst case.
+MAX_SUM_ORDER = 5
+
+
+def _direct_sums(
+    order: int, missing: set, recorded: Dict[SeprSequence, HermitianMatrix]
+) -> Iterator[Tuple[str, str, HermitianMatrix]]:
+    """Direct sums a (+) b of the recorded sequences, unordered pairs by
+    increasing total length up to MAX_SUM_ORDER, then by (length, text) of
+    a and b.  A sum's sequence is predicted by direct_sum_rule; its matrix
+    is built only when the prediction has a missing window, and the census
+    grades that matrix by its own sign walk."""
+    by_length: Dict[int, List[SeprSequence]] = {}
+    for s in sorted(recorded, key=str):
+        by_length.setdefault(len(s), []).append(s)
+    for total in range(2, MAX_SUM_ORDER + 1):
+        for na in range(1, total // 2 + 1):
+            left, right = by_length.get(na, []), by_length.get(total - na, [])
+            for i, a in enumerate(left):
+                for b in right[i:] if left is right else right:
+                    predicted = direct_sum_rule(a, b)
+                    if any(w in missing for _, w in predicted.windows(order)):
+                        m = recorded[a].direct_sum(recorded[b])
+                        yield "direct-sums-tried", f"construction:direct-sum({a},{b})", m
+
+
+def attainability_census(order: int, field: Field) -> CensusReport:
     """Try to witness every non-forbidden pattern of the given order.
 
     Every stock matrix and catalog witness is scanned in full.  While
-    patterns are missing, the sources follow in this order: structural
-    transforms of those bases; every matrix of the exhaustive canonical
-    sweep over real matrices, then (Hermitian census) over complex ones;
-    append-zero and duplicate-last constructions on sweep matrices; det = 0
-    completions of real 3x3 matrices, one per similarity class (see
-    singular_completions); seeded random search over the search pool,
-    orders order..6, each sample followed by its negation; and, when the
-    search pool is the field's default, the same search over the wider
-    pool.  Patterns still missing are reported as open, never as impossible.
+    patterns are missing, the sources follow in this order, all of them
+    deterministic: structural transforms of those bases; every matrix of
+    the exhaustive canonical sweep over real matrices, then (Hermitian
+    census) over complex ones; duplicate-last constructions on sweep
+    matrices; det = 0 completions of real 3x3 matrices, one per similarity
+    class (see singular_completions); and direct sums of the sequences
+    seen so far, predicted symbolically (see _direct_sums).  Patterns still
+    missing are reported as open, never as impossible.
     """
     if order not in (2, 3):
         raise ValueError("census supports orders 2 and 3")
-    pool = _check_search_inputs(
-        search_budget, default_pool(field) if search_pool is None else search_pool, field
-    )
     forbidden = forbidden_order2(field) if order == 2 else forbidden_order3(field)
     targets = [p for p in all_patterns(order) if p not in forbidden]
     missing = set(targets)
     found: Dict[SeprSequence, str] = {}
+    recorded: Dict[SeprSequence, HermitianMatrix] = {}
     violations: List[str] = []
-    budgets = {
-        "search-sample-budget": search_budget, "max-search-order": MAX_SEARCH_ORDER,
-        "search-samples-used": 0, "wide-search-samples-used": 0, "completions-tried": 0,
-    }
+    budgets = {"completions-tried": 0, "direct-sums-tried": 0}
 
     def absorb(source: str, matrix: HermitianMatrix):
         s = compute_sepr(matrix)
+        recorded.setdefault(s, matrix)
         for _, w in s.windows(order):
             if w in forbidden:
                 violations.append(f"forbidden pattern {w} appeared in {s} from {source}")
@@ -581,9 +546,7 @@ def attainability_census(
     for label, m in bases:
         absorb(label, m)
     if missing:
-        for counter, source, m in _census_ladder(
-            order, field, pool, search_budget, seed, bases, missing, budgets
-        ):
+        for counter, source, m in _census_ladder(order, field, bases, missing, recorded, budgets):
             if counter is not None:
                 budgets[counter] += 1
             absorb(source, m)

@@ -16,12 +16,33 @@ S-     some zero, the rest negative
 The coarse three-letter variant (A / S / N: all, some-but-not-all, or none
 of the order-k minors nonzero) is the "underlying" sequence.  Throughout,
 "subsequence" means a *contiguous* run of terms, and positions are 1-based.
+
+Each term stands for the set of signs its minors take (``SeprTerm.signs``):
+A* = {+, -}, A+ = {+}, A- = {-}, N = {0}, S* = {0, +, -}, S+ = {0, +},
+S- = {0, -}, and ``classify_signs`` maps a sign set back to its term.  The
+sequence of a matrix built from others therefore follows from theirs, with
+no matrix at hand (signs_0 = {+} is the empty minor):
+
+* direct sum: an order-k principal minor of A (+) B is the product of an
+  order-i minor of A and an order-(k - i) minor of B, and every such pair
+  occurs, so term k has the signs {x y : x in signs_i(A), y in
+  signs_(k-i)(B)};
+* negation: an order-k minor of -B is (-1)^k times that of B, so + and -
+  swap on odd orders;
+* inverse: det(B^-1[a]) = det(B[a']) / det(B) for the complement a' of a,
+  so term k of B^-1 is term n - k of B, swapped when det(B) < 0, and the
+  last term is kept;
+* duplicating the last row and column: order-1 minors are diagonal entries,
+  one repeated; from order 2 on, the minors containing both copies vanish
+  and the others are B's, so every later term gains 0; the top minor is 0.
+
+Bordering with a zero row and column is the direct sum with the sequence N.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .exact import real_sign
 from .matrix import HermitianMatrix
@@ -54,37 +75,37 @@ class SeprTerm(Enum):
     S_PLUS = "S+"
     S_MINUS = "S-"
 
+    # members are singletons compared by identity, so hash them in C: the
+    # census hashes a sequence per matrix it records and per window
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
     @property
-    def letter(self) -> str:
-        return self.value[0]
-
-    @property
-    def superscript(self) -> str:
-        return self.value[1:] if len(self.value) > 1 else ""
-
-    @property
     def underlying(self) -> EprTerm:
-        return EprTerm(self.letter)
+        return EprTerm(self.value[0])
 
     @property
     def negated(self) -> "SeprTerm":
         """Swap + and - superscripts; * and N are fixed."""
-        if self.superscript == "+":
-            return SeprTerm(self.letter + "-")
-        if self.superscript == "-":
-            return SeprTerm(self.letter + "+")
-        return self
+        return classify_signs(-x for x in _SIGNS[self])
 
     @property
-    def weakened(self) -> "SeprTerm":
-        """A -> S keeping the superscript; S and N are fixed."""
-        if self.letter == "A":
-            return SeprTerm("S" + self.superscript)
-        return self
+    def signs(self) -> frozenset:
+        """The signs (1, -1, 0) that this term's minors take."""
+        return _SIGNS[self]
 
+
+_SIGNS = {
+    SeprTerm.A_STAR: frozenset((1, -1)),
+    SeprTerm.A_PLUS: frozenset((1,)),
+    SeprTerm.A_MINUS: frozenset((-1,)),
+    SeprTerm.N: frozenset((0,)),
+    SeprTerm.S_STAR: frozenset((0, 1, -1)),
+    SeprTerm.S_PLUS: frozenset((0, 1)),
+    SeprTerm.S_MINUS: frozenset((0, -1)),
+}
 
 _SEPR_BY_TEXT = {t.value: t for t in SeprTerm}
 _EPR_BY_TEXT = {t.value: t for t in EprTerm}
@@ -259,30 +280,51 @@ def compute_epr(matrix: HermitianMatrix) -> EprSequence:
     return EprSequence(terms)
 
 
-# ---------------------------------------------------------------------------
-# functional surface
-# ---------------------------------------------------------------------------
-
-AnySequence = Union[SeprSequence, EprSequence]
-
-
-def uepr(sequence: SeprSequence) -> EprSequence:
-    return sequence.underlying()
-
-
-def neg_sequence(sequence: SeprSequence) -> SeprSequence:
-    return sequence.negative()
-
-
-def contains_subsequence(sequence: AnySequence, pattern: AnySequence) -> Optional[int]:
-    """Earliest 1-based position of ``pattern`` as a contiguous run, or
-    None if it does not occur."""
-    return sequence.find(pattern)
-
-
 def parse_sequence(text: str) -> SeprSequence:
     return SeprSequence.parse(text)
 
 
-def format_sequence(sequence: AnySequence) -> str:
-    return str(sequence)
+# ---------------------------------------------------------------------------
+# transform rules: a built matrix's sequence from the sequences of its parts
+# ---------------------------------------------------------------------------
+
+
+def _sign_sets(seq: SeprSequence) -> tuple:
+    """signs_0, ..., signs_n of a sequence; the empty minor is 1."""
+    return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)
+
+
+def direct_sum_rule(a: SeprSequence, b: SeprSequence) -> SeprSequence:
+    """The sequence of A (+) B, for A with sequence a and B with b."""
+    sa, sb = _sign_sets(a), _sign_sets(b)
+    n, m = len(a), len(b)
+    return SeprSequence(
+        classify_signs(
+            {x * y for i in range(max(0, k - m), min(k, n) + 1) for x in sa[i] for y in sb[k - i]}
+        )
+        for k in range(1, n + m + 1)
+    )
+
+
+def negation_rule(seq: SeprSequence) -> SeprSequence:
+    """The sequence of -B: + and - swap on odd orders."""
+    return SeprSequence(t.negated if k % 2 else t for k, t in enumerate(seq.terms, start=1))
+
+
+def inverse_rule(seq: SeprSequence) -> SeprSequence:
+    """The sequence of B^-1: the terms before the last reversed, swapped
+    when the last term is A-, then the last term.  A sequence ending in
+    neither A+ nor A- has no inverse (ValueError)."""
+    *front, last = seq.terms
+    if last not in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
+        raise ValueError(f"a sequence ending in {last} belongs to no invertible matrix")
+    if last is SeprTerm.A_MINUS:
+        front = [t.negated for t in front]
+    return SeprSequence(front[::-1] + [last])
+
+
+def duplicate_last_rule(seq: SeprSequence) -> SeprSequence:
+    """The sequence of B with its last row and column duplicated: term 1
+    kept, 0 added to every later term's signs, then N."""
+    first, *rest = seq.terms
+    return SeprSequence([first] + [classify_signs(t.signs | {0}) for t in rest] + [SeprTerm.N])

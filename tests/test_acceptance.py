@@ -184,19 +184,19 @@ def _catalog_window_patterns(order: int, field: Field):
 def test_criterion_6_attainability_census():
     summaries = []
     for field in Field:
-        rep2 = attainability_census(2, field, search_budget=2000)
+        rep2 = attainability_census(2, field)
         assert rep2.total == 45
         assert rep2.witnessed == 45, [str(p) for p in rep2.open_patterns]
         assert rep2.violations == []
 
-        rep3 = attainability_census(3, field, search_budget=2000)
+        rep3 = attainability_census(3, field)
         assert rep3.violations == []
         assert rep3.total == (242 if field is Field.REAL_SYMMETRIC else 251)
         # everything visible in catalog windows must be witnessed
         for pattern in _catalog_window_patterns(3, field):
             assert rep3.source_of(pattern) is not None, str(pattern)
         # budgets are recorded and the open list is explicit
-        assert "search-sample-budget" in rep3.budgets
+        assert "completions-tried" in rep3.budgets
         open_list = [str(p) for p in rep3.open_patterns]
         assert rep3.witnessed + len(open_list) == rep3.total
         summaries.append(

@@ -138,7 +138,7 @@ def test_search_cli(capsys):
 
 def test_search_census_cli(capsys):
     rc = main(
-        ["search", "--census", "--order", "2", "--field", "real", "--budget", "200"]
+        ["search", "--census", "--order", "2", "--field", "real"]
     )
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -146,30 +146,26 @@ def test_search_census_cli(capsys):
     assert all(len(l.split("\t")) == 3 for l in lines)
 
 
-# sha256 of the default census stdout, recorded when the generators still
-# built entry rows; any change to a witness or its source changes it
+# sha256 of the default census stdout; any change to a witness or its
+# source changes it
 CENSUS_STDOUT_SHA256 = {
     ("2", "real"): "d3711f46e134c7bb549337711ded8f22c7abefaca8331acdea347aa39f10a78b",
     ("2", "hermitian"): "5ee613fd30a43c5371c772adc604cc454086cc556ff739c1854f76e265723a12",
-    ("3", "real"): "9e6ac4c4753a3335ecadb8c68e84955ba1fe9c42807856f4678bf629759466f3",
-    ("3", "hermitian"): "52fa488c1e7e072a38c709bbd2d966784c6330fa4023925e0ac467afb7971fc5",
+    ("3", "real"): "b019630c93e5644c8d6599de706ad8ec26c756671dc7c4228ab93b52a9fb6528",
+    ("3", "hermitian"): "a1e96c565c2521008bf7fb91ccbde2aefe20c3e0cae594d15a4b43128181ca1b",
 }
 
 # the stderr summary of each default census: how far down the witness
 # ladder it went, rung by rung
 CENSUS_STDERR = {
     ("2", "real"): "census order 2 over real symmetric: 45/45 patterns witnessed (0 open; budgets: "
-    "completions-tried=0, max-search-order=6, search-sample-budget=10000, search-samples-used=0, "
-    "wide-search-samples-used=0)\n",
+    "completions-tried=0, direct-sums-tried=0)\n",
     ("2", "hermitian"): "census order 2 over hermitian: 45/45 patterns witnessed (0 open; budgets: "
-    "completions-tried=0, max-search-order=6, search-sample-budget=10000, search-samples-used=0, "
-    "wide-search-samples-used=0)\n",
+    "completions-tried=0, direct-sums-tried=0)\n",
     ("3", "real"): "census order 3 over real symmetric: 242/242 patterns witnessed (0 open; budgets: "
-    "completions-tried=460, max-search-order=6, search-sample-budget=10000, search-samples-used=4, "
-    "sweep-real=62, wide-search-samples-used=0)\n",
+    "completions-tried=460, direct-sums-tried=1, sweep-real=62)\n",
     ("3", "hermitian"): "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
-    "completions-tried=460, max-search-order=6, search-sample-budget=10000, search-samples-used=73, "
-    "sweep-complex=42, sweep-real=62, wide-search-samples-used=0)\n",
+    "completions-tried=460, direct-sums-tried=1, sweep-complex=42, sweep-real=62)\n",
 }
 
 
@@ -181,42 +177,13 @@ def test_census_stdout_pinned(order, field, capsys):
     assert captured.err == CENSUS_STDERR[order, field]
 
 
-# small-budget censuses that reach the random and wide searches: (field,
-# budget) -> (sha256 of stdout, stderr)
-SMALL_BUDGET_CENSUS = {
-    ("real", "3"): (
-        "56b77df59a1dfd6a1d230571735651403c294d0c45a5d83a15116a90932b512b",
-        "census order 3 over real symmetric: 241/242 patterns witnessed (1 open; budgets: "
-        "completions-tried=460, max-search-order=6, search-sample-budget=3, search-samples-used=3, "
-        "sweep-real=62, wide-search-samples-used=3)\n",
-    ),
-    ("hermitian", "20"): (
-        "737274f96f0732d8db34d5ab888bf6d9cfbd47fd93d91cc352edef72c096987c",
-        "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
-        "completions-tried=460, max-search-order=6, search-sample-budget=20, search-samples-used=20, "
-        "sweep-complex=42, sweep-real=62, wide-search-samples-used=3)\n",
-    ),
-}
-
-
-@pytest.mark.parametrize("field, budget", SMALL_BUDGET_CENSUS)
-def test_small_budget_census_pinned(field, budget, capsys):
-    assert main(["search", "--census", "--order", "3", "--field", field, "--budget", budget]) == 0
-    captured = capsys.readouterr()
-    sha256, err = SMALL_BUDGET_CENSUS[field, budget]
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
-    assert captured.err == err
-
-
-@pytest.mark.parametrize("field, name", (("real", "real-default"), ("hermitian", "complex-default")))
-def test_census_named_default_pool_runs_the_wide_search(field, name, capsys):
-    # a pool spec naming the field's default pool is the default census
-    census = ["search", "--census", "--order", "3", "--field", field, "--budget", "3"]
+def test_census_ignores_seed(capsys):
+    # the census draws no random matrix; --seed is accepted and changes nothing
+    census = ["search", "--census", "--order", "3", "--field", "real"]
     assert main(census) == 0
     default = capsys.readouterr()
-    assert main(census + ["--pool", name]) == 0
+    assert main(census + ["--seed", "5"]) == 0
     assert capsys.readouterr() == default
-    assert "wide-search-samples-used=3" in default.err
 
 
 def test_properties_cli(capsys):
@@ -237,8 +204,8 @@ def test_usage_errors(capsys):
     assert main(pool_1_0) == 2
     assert "zero denominator in '1/0' (offset 2)" in capsys.readouterr().err
     for budget in ("0", "-1"):
-        census = ["search", "--census", "--order", "2", "--field", "real", "--budget", budget]
-        assert main(census) == 2
+        target = ["search", "--target", "NN", "--order-n", "2", "--field", "real", "--budget", budget]
+        assert main(target) == 2
         assert "error: budget must be positive" in capsys.readouterr().err
     for spec in ("abc", "1:x"):
         assert main(["properties", "--field", "real", "--order-n", spec]) == 2
@@ -254,10 +221,11 @@ def test_usage_errors(capsys):
     for flag, message in (("--id", "unknown witness id 'nope'"), ("--family", "unknown family 'nope'")):
         assert main(["catalog", "verify", flag, "nope"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
-    # the census runs its own ladder: search-only flags are refused, not ignored
+    # the census runs its own ladder, with no random search: search-only
+    # flags are refused, not ignored
     census = ["search", "--census", "--order", "3", "--field", "real"]
     for extra in (["--mode", "exhaustive"], ["--mode", "random"], ["--target", "NN"],
-                  ["--order-n", "3"], ["--subsequence"]):
+                  ["--order-n", "3"], ["--subsequence"], ["--pool", "default"], ["--budget", "10"]):
         assert main(census + extra) == 2
         assert capsys.readouterr() == ("", f"error: {extra[0]} does not apply to --census\n")
     # and the census's --order, or --max-n beside a fixed order, is refused too
@@ -271,14 +239,16 @@ def test_usage_errors(capsys):
 
 
 def test_census_rejects_non_real_pool_for_real_field(capsys):
+    # a census takes no pool at all; a target search checks its entries
     pool = "--pool=i,-i,1,-1,0,2,-2,1+i"
     census = ["search", "--census", "--order", "3", "--field", "real", pool]
+    assert main(census) == 2
+    assert capsys.readouterr() == ("", "error: --pool does not apply to --census\n")
     target = ["search", "--target", "NN", "--order-n", "2", "--field", "real", pool]
-    for argv in (census, target):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "real-symmetric search cannot use non-real pool entry 1i" in captured.err
+    assert main(target) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "real-symmetric search cannot use non-real pool entry 1i" in captured.err
 
 
 def test_matrix_roundtrip_through_cli(tmp_path, capsys):

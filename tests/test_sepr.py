@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
+from seprkit.exact import GaussianRational
 from seprkit.matrix import HermitianMatrix
 from seprkit.sepr import (
     EprSequence,
@@ -16,11 +17,11 @@ from seprkit.sepr import (
     classify_order,
     compute_epr,
     compute_sepr,
-    contains_subsequence,
-    format_sequence,
-    neg_sequence,
+    direct_sum_rule,
+    duplicate_last_rule,
+    inverse_rule,
+    negation_rule,
     parse_sequence,
-    uepr,
 )
 
 sepr_sequences = st.lists(st.sampled_from(list(SeprTerm)), min_size=1, max_size=8).map(
@@ -89,36 +90,37 @@ def test_diagonal_sepr_against_subset_product_oracle():
 
 
 def test_uepr_examples():
-    assert str(uepr(parse_sequence("A+NS-S*"))) == "ANSS"
-    assert str(uepr(parse_sequence("NN"))) == "NN"
-    assert str(uepr(parse_sequence("S*S*S+N"))) == "SSSN"
+    assert str(parse_sequence("A+NS-S*").underlying()) == "ANSS"
+    assert str(parse_sequence("NN").underlying()) == "NN"
+    assert str(parse_sequence("S*S*S+N").underlying()) == "SSSN"
 
 
 def test_neg_examples():
-    assert str(neg_sequence(parse_sequence("S-S*A*A+N"))) == "S+S*A*A-N"
-    assert str(neg_sequence(parse_sequence("NN"))) == "NN"
-    assert str(neg_sequence(parse_sequence("A+A-A*"))) == "A-A+A*"
+    # every term swaps, unlike the sequence of -B (negation_rule)
+    assert str(parse_sequence("S-S*A*A+N").negative()) == "S+S*A*A-N"
+    assert str(parse_sequence("NN").negative()) == "NN"
+    assert str(parse_sequence("A+A-A*").negative()) == "A-A+A*"
 
 
 @given(sepr_sequences)
 def test_neg_involution(s):
-    assert neg_sequence(neg_sequence(s)) == s
+    assert s.negative().negative() == s
 
 
 def test_contains_subsequence():
     s = parse_sequence("S*S*S+N")
-    assert contains_subsequence(s, parse_sequence("S+N")) == 3
-    assert contains_subsequence(parse_sequence("NN"), parse_sequence("A*N")) is None
-    assert contains_subsequence(parse_sequence("A+A*A*A+"), parse_sequence("A*A*")) == 2
+    assert s.find(parse_sequence("S+N")) == 3
+    assert parse_sequence("NN").find(parse_sequence("A*N")) is None
+    assert parse_sequence("A+A*A*A+").find(parse_sequence("A*A*")) == 2
     # a pattern longer than the sequence is simply absent
-    assert contains_subsequence(parse_sequence("NN"), parse_sequence("NNN")) is None
+    assert parse_sequence("NN").find(parse_sequence("NNN")) is None
     # contiguity: A+ ... A- with a gap is not a subsequence
-    assert contains_subsequence(parse_sequence("A+NA-"), parse_sequence("A+A-")) is None
+    assert parse_sequence("A+NA-").find(parse_sequence("A+A-")) is None
 
 
 @given(sepr_sequences)
 def test_parse_format_roundtrip(s):
-    assert parse_sequence(format_sequence(s)) == s
+    assert parse_sequence(str(s)) == s
 
 
 def test_parse_errors():
@@ -152,4 +154,59 @@ def test_underlying_matches_epr_random():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = random_hermitian(rng, n, real=bool(rng.getrandbits(1)))
-        assert uepr(compute_sepr(m)) == compute_epr(m)
+        assert compute_sepr(m).underlying() == compute_epr(m)
+
+
+def _random_block(rng, n, *, real):
+    """A random test matrix of order n: full, or a signed sum of one or two
+    rank-one terms v v*, whose many zero minors exercise the S and N
+    terms."""
+    terms = rng.randrange(3)
+    if terms == 0:
+        return random_hermitian(rng, n, real=real)
+    rows = [[GaussianRational(0)] * n for _ in range(n)]
+    for _ in range(terms):
+        v = [GaussianRational(rng.randint(-2, 2), 0 if real else rng.randint(-2, 2)) for _ in range(n)]
+        sign = rng.choice((1, -1))
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = rows[i][j] + sign * v[i] * v[j].conjugate()
+    return HermitianMatrix(rows)
+
+
+@pytest.mark.parametrize("real", (True, False), ids=("real", "hermitian"))
+def test_direct_sum_rule_matches_engine(real):
+    rng = random.Random(808 + real)
+    for _ in range(600):
+        a = _random_block(rng, rng.randint(1, 4), real=real)
+        b = _random_block(rng, rng.randint(1, 4), real=real)
+        assert direct_sum_rule(compute_sepr(a), compute_sepr(b)) == compute_sepr(a.direct_sum(b))
+
+
+@pytest.mark.parametrize("real", (True, False), ids=("real", "hermitian"))
+def test_transform_rules_match_engine(real):
+    rng = random.Random(809 + real)
+    inverted = set()
+    for _ in range(200):
+        m = _random_block(rng, rng.randint(1, 5), real=real)
+        s = compute_sepr(m)
+        assert negation_rule(s) == compute_sepr(m.negate())
+        assert duplicate_last_rule(s) == compute_sepr(m.duplicate_last())
+        if s.terms[-1] is SeprTerm.N:
+            with pytest.raises(ValueError):
+                inverse_rule(s)
+        else:
+            assert inverse_rule(s) == compute_sepr(m.inverse())
+            inverted.add(s.terms[-1])
+    assert inverted == {SeprTerm.A_PLUS, SeprTerm.A_MINUS}
+
+
+def test_append_zero_is_the_direct_sum_with_n():
+    rng = random.Random(810)
+    reached = {}
+    for _ in range(300):
+        m = _random_block(rng, rng.randint(1, 5), real=bool(rng.getrandbits(1)))
+        reached.setdefault(compute_sepr(m), m)
+    zero = SeprSequence((SeprTerm.N,))
+    for s, m in reached.items():
+        assert direct_sum_rule(s, zero) == compute_sepr(m.direct_sum(HermitianMatrix.zero(1)))
