@@ -43,6 +43,7 @@ MATRIX = "src/seprkit/matrix.py"
 SEARCH = "src/seprkit/search.py"
 SEPR = "src/seprkit/sepr.py"
 LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
+PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
@@ -101,6 +102,56 @@ MUTANTS = (
         "((va * xa - la * ya - dlb * yb) // pa,",
         "((va * xa - la * ya + dlb * yb) // pa,",
         ("tests/test_matrix.py::test_sign_table_matches_oracle[n1-5-gaussian]",),
+    ),
+    # the 2 x 2 pivot of the sign walk at a zero pivot
+    Mutant(
+        "pivot-int-sign",
+        MATRIX,
+        "        table[pivot] = -psign\n        _walk_ints(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)",
+        "        table[pivot] = psign\n        _walk_ints(tblock, [bits[r] for r in keep], pivot, -nrm // prev, psign, table)",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-pair-sign",
+        MATRIX,
+        "        table[pivot] = -psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, div((-nrm[0], -nrm[1]), prev), -psign,",
+        "        table[pivot] = psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, div((-nrm[0], -nrm[1]), prev), psign,",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-bwa-unconjugated",
+        MATRIX,
+        "mul(baw, cj(baw))",
+        "mul(baw, baw)",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-int-single-division",
+        MATRIX,
+        "    square = prev * prev\n",
+        "    square = prev\n",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-pair-single-division",
+        MATRIX,
+        "    square = mul(prev, prev)\n",
+        "    square = prev\n",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-partners-kept",
+        MATRIX,
+        "keep = [r for r in later if r > w or (r < w and not row[r - a])]",
+        "keep = list(later)",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-no-zero-fill",
+        MATRIX,
+        "    sub = zeros\n    while sub:\n",
+        "    sub = 0\n    while sub:\n",
+        PIVOT,
     ),
     # canonical grids: _adopt divides a common factor out of scale and grid
     Mutant(

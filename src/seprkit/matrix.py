@@ -87,29 +87,33 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # the last pivot: a square grid of full rank has determinant sign * last,
 # and on a nonsingular grid augmented with the identity the right half
 # ends as last * grid**-1.
-# The sign walk (_sign_walk) is a depth-first walk over the index sets S,
-# in lexicographic order unless zero pivots reorder it.  A nonsingular S
-# carries the block B of bordered minors det[S+i, S+l] over its later
-# indices, packed as its upper triangle since B is Hermitian.  B's
-# diagonal holds the children's minors det[S+j], and one Bareiss step
-# dividing by det S gives a child's block (exact by Sylvester's identity,
-# for any S).  A singular child S+j has no block, so the walk moves the
-# later indices with a zero diagonal entry in B behind the others: the
-# sets through j are then reached as S+l+...+j below a nonsingular S+l.
-# Once every remaining diagonal entry is zero, each minor S+U below S+j
-# (U holds j and later indices) is det B[U] / (det S)**(|U| - 1), so its
-# sign is sign(det B[U]) * sign(det S)**(|U| - 1).  When a single index l follows
-# j, the child S+j has one descendant, S+j+l, whose minor is num / det S
-# with num the 2 x 2 determinant of B on {j, l}: the walk takes
-# sign(num) * sign(det S) and never divides.  A nonsingular child S+a
-# followed by exactly two positions q and r is a two-level leaf: its block
-# would be N / det S with N = det[S+a] * B - B[., a] B[a, .] on {q, r},
-# so the walk forms only the numerators N_qq, N_rr and N_qr.  The minors
-# S+a+q and S+a+r are N_qq / det S and N_rr / det S, signed by
-# sign(det S); S+a+q+r is (N_qq N_rr - N_rq N_qr) / ((det S)**2 det[S+a]),
-# signed by sign(det[S+a]) alone, since (det S)**2 > 0.  No block is
-# built, nothing is divided and nothing recurses, and a singular S+a+q
-# needs no reordering because only det[S+a] divides.
+# The sign walk (_sign_walk) is a depth-first walk over the index sets S
+# in lexicographic order.  A nonsingular S carries the block B of bordered
+# minors det[S+i, S+l] over its later indices, packed as its upper triangle
+# since B is Hermitian.  B's diagonal holds the children's minors det[S+j],
+# and one Bareiss step dividing by det S gives a child's block (exact by
+# Sylvester's identity, for any S).  A singular child S+a (B[a, a] = 0)
+# with two or more later positions has no block, so the walk takes a 2 x 2
+# pivot instead (Bunch and Kaufman, 1977).  Each partner w of a, a later
+# position with B[a, w] != 0, makes T = S+a+w nonsingular:
+# det T * det S = -B[a, w] B[w, a], so det T has the sign opposite to
+# det S.  T's block over R, the positions after a but w and the partners
+# before it, holds det B[{a, w, r}, {a, w, t}] / (det S)**2, again by
+# Sylvester's identity, and the walk goes on below T: that covers every
+# set through a and w that holds no earlier partner.  Row a of B[{a} + V]
+# is zero when V holds no partner, so each such S+a+V is singular.  When
+# a single index l follows a, the child S+a has one descendant, S+a+l,
+# whose minor is num / det S with num the 2 x 2 determinant of B on
+# {a, l}: the walk takes sign(num) * sign(det S) and never divides.  A
+# nonsingular child S+a followed by exactly two positions q and r is a
+# two-level leaf: its block would be N / det S with
+# N = det[S+a] * B - B[., a] B[a, .] on {q, r}, so the walk forms only the
+# numerators N_qq, N_rr and N_qr.  The minors S+a+q and S+a+r are
+# N_qq / det S and N_rr / det S, signed by sign(det S); S+a+q+r is
+# (N_qq N_rr - N_rq N_qr) / ((det S)**2 det[S+a]), signed by sign(det[S+a])
+# alone, since (det S)**2 > 0.  No block is built, nothing is divided and
+# nothing recurses, and a singular S+a+q needs no pivot because only
+# det[S+a] divides.
 # Each int kernel and walk stays separate from its pair counterpart
 # because it is about twice as fast on real input.
 # ---------------------------------------------------------------------------
@@ -335,29 +339,6 @@ def _sign_walk(grid, d):
     return table
 
 
-def _unpack(block, d):
-    """The full square matrix of a packed Hermitian block."""
-    full = [[None] * len(block) for _ in block]
-    for r, row in enumerate(block):
-        for c, v in enumerate(row, r):
-            full[r][c] = v
-            full[c][r] = (v[0], -v[1]) if d < 0 else v
-    return full
-
-
-def _zero_pivots_last(block, bits, d):
-    """The packed block and its index bits reordered so that the positions
-    with a zero diagonal entry come after the others, or None when every
-    diagonal entry is zero."""
-    zero = (0, 0) if d else 0
-    order = [p for p, row in enumerate(block) if row[0] != zero]
-    if not order:
-        return None
-    order += [p for p, row in enumerate(block) if row[0] == zero]
-    full = _unpack(block, d)
-    return [[full[p][q] for q in order[i:]] for i, p in enumerate(order)], [bits[p] for p in order]
-
-
 def _walk_ints(block, bits, mask, prev, psign, table):
     """The walk below the node ``mask`` (S) for an integer block; position a
     of the block stands for the index of bit bits[a], prev = det S and
@@ -369,11 +350,7 @@ def _walk_ints(block, bits, mask, prev, psign, table):
         s = table[child] = (piv > 0) - (piv < 0)
         if a < last - 1:
             if not s:
-                moved = _zero_pivots_last(block[a:], bits[a:], 0)
-                if moved:
-                    _walk_ints(*moved, mask, prev, psign, table)
-                    return
-                _walk_singular(block, a, bits, child, psign, table, 0)
+                _pivot2_ints(block, a, bits, child, prev, psign, table)
             elif a < last - 2:
                 _walk_ints(_reduce_ints(block, a, prev), bits[a + 1 :], child, piv, s, table)
             else:
@@ -403,11 +380,7 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
         s = table[child] = _sign(piv, d)
         if a < last - 1:
             if not s:
-                moved = _zero_pivots_last(block[a:], bits[a:], d)
-                if moved:
-                    _walk_pairs(*moved, mask, prev, psign, table, d)
-                    return
-                _walk_singular(block, a, bits, child, psign, table, d)
+                _pivot2_pairs(block, a, bits, child, prev, psign, table, d)
             elif a < last - 2:
                 _walk_pairs(_reduce_pairs(block, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
             else:
@@ -433,33 +406,86 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
             table[child | bits[last]] = _sign(num, d) * psign
 
 
-def _walk_singular(block, a, bits, child, psign, table, d):
-    """Signs below a singular child S+j at block position a whose later
-    positions all have zero diagonal entries too, so none can be a pivot.
+def _pivot2_ints(block, a, bits, child, prev, psign, table):
+    """Signs of the sets S+a+V below a zero pivot at block position a of
+    the node S (det S = prev, psign = sign(prev)), by one 2 x 2 pivot on a
+    and each partner w, a later position with B[a, w] != 0; see the
+    comment above the integer kernels."""
+    row = block[a]
+    later = range(a + 1, len(block))
+    square = prev * prev
+    zeros = 0
+    for w in later:
+        baw = row[w - a]
+        if not baw:
+            zeros |= bits[w]
+            continue
+        bww, nrm = block[w][0], baw * baw
+        # R: the later positions but w and the partners before it
+        keep = [r for r in later if r > w or (r < w and not row[r - a])]
+        u = [row[r - a] for r in keep]  # B[a, r]
+        g = [baw * (block[r][w - r] if r < w else block[w][r - w]) for r in keep]  # B[a, w] B[w, r]
+        e = [gr - bww * ur for gr, ur in zip(g, u)]
+        tblock = [
+            [(e[j] * ur + u[j] * gr - nrm * block[r][keep[j] - r]) // square for j in range(i, len(keep))]
+            for i, (r, ur, gr) in enumerate(zip(keep, u, g))
+        ]
+        pivot = child | bits[w]
+        table[pivot] = -psign
+        _walk_ints(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)
+    _zero_fill(child, zeros, table)
 
-    Each minor S+U, with U holding j and later positions, comes from the
-    block B of S: det S+U = det B[U] / (det S)**(|U| - 1).  A zero row in
-    B makes all of them zero.
-    """
-    zero = (0, 0) if d else 0
-    if all(v == zero for v in block[a]):
-        later = sum(bits[a + 1 :])
-        sub = later
-        while sub:
-            table[child | sub] = 0
-            sub = (sub - 1) & later
-        return
-    full = _unpack(block[a:], d)
-    for k in range(1, len(full)):
-        flip = psign**k
-        for rest in combinations(range(1, len(full)), k):
-            idx = (0, *rest)
-            rows = [[full[i][j] for j in idx] for i in idx]
-            value = _det(d, rows)
-            mask = child
-            for t in rest:
-                mask |= bits[a + t]
-            table[mask] = _sign(value, d) * flip
+
+def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
+    """_pivot2_ints for a block over Z[sqrt d], entries as (a, b) pairs.
+    B[r, a] is the conjugate of the stored B[a, r] for d = -1 and equal to
+    it for d = 5; a division multiplies by the conjugate of the divisor
+    and divides by its norm, or divides directly by a real one."""
+
+    def mul(x, y):
+        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def div(x, y):
+        if not y[1]:
+            return x[0] // y[0], x[1] // y[0]
+        nrm = y[0] * y[0] - d * y[1] * y[1]
+        return (x[0] * y[0] - d * x[1] * y[1]) // nrm, (x[1] * y[0] - x[0] * y[1]) // nrm
+
+    cj = (lambda x: (x[0], -x[1])) if d < 0 else (lambda x: x)
+    row = block[a]
+    later = range(a + 1, len(block))
+    square = mul(prev, prev)
+    zeros = 0
+    for w in later:
+        baw = row[w - a]
+        if baw == (0, 0):
+            zeros |= bits[w]
+            continue
+        bww, nrm = block[w][0], mul(baw, cj(baw))
+        keep = [r for r in later if r > w or (r < w and row[r - a] == (0, 0))]
+        u = [row[r - a] for r in keep]  # B[a, r]
+        g = [mul(baw, cj(block[r][w - r]) if r < w else block[w][r - w]) for r in keep]  # B[a, w] B[w, r]
+        e = [(ga - ha, gb - hb) for (ga, gb), (ha, hb) in zip(g, (mul(bww, ur) for ur in u))]
+        tblock = []
+        for i, (r, ur, gr) in enumerate(zip(keep, u, g)):
+            cu, cg = cj(ur), cj(gr)
+            out = []
+            for j in range(i, len(keep)):
+                x, y, z = mul(e[j], cu), mul(u[j], cg), mul(nrm, block[r][keep[j] - r])
+                out.append(div((x[0] + y[0] - z[0], x[1] + y[1] - z[1]), square))
+            tblock.append(out)
+        pivot = child | bits[w]
+        table[pivot] = -psign
+        _walk_pairs(tblock, [bits[r] for r in keep], pivot, div((-nrm[0], -nrm[1]), prev), -psign, table, d)
+    _zero_fill(child, zeros, table)
+
+
+def _zero_fill(child, zeros, table):
+    """Zero signs for child + V, V a nonempty subset of the bits in zeros."""
+    sub = zeros
+    while sub:
+        table[child | sub] = 0
+        sub = (sub - 1) & zeros
 
 
 def grid_rank(rows: Sequence[Sequence]) -> int:

@@ -221,10 +221,6 @@ class SeprSequence(_TermSequence):
         """Strip superscripts termwise."""
         return EprSequence(t.underlying for t in self.terms)
 
-    def negative(self) -> "SeprSequence":
-        """Swap + and - superscripts termwise (an involution)."""
-        return SeprSequence(t.negated for t in self.terms)
-
 
 # ---------------------------------------------------------------------------
 # classification of minors

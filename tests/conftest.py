@@ -1,9 +1,10 @@
 """Shared helpers: independent oracles and small random-matrix generators.
 
 The oracles here deliberately reimplement functionality from scratch
-(permutation-expansion determinants, subset-product minors for diagonal
-matrices) so that library results are checked against arithmetic that
-shares no code with the implementation under test.
+(permutation-expansion and Gaussian-elimination determinants,
+subset-product minors for diagonal matrices) so that library results are
+checked against arithmetic that shares no code with the implementation
+under test.
 """
 
 from __future__ import annotations
@@ -37,6 +38,31 @@ def oracle_det(rows):
             prod = prod * rows[i][j]
         total = total + prod if permutation_sign(perm) > 0 else total - prod
     return total
+
+
+def elimination_det(rows):
+    """Determinant by Gaussian elimination over the entries' field (a second
+    independent oracle, polynomial where oracle_det is factorial): take the
+    first nonzero entry at or below the diagonal as pivot, swap it up, and
+    clear the column below it with exact division.  Scalar arithmetic only,
+    like oracle_det."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    det = 1
+    for c in range(n):
+        p = next((r for r in range(c, n) if work[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            det = -det
+        pivot = work[c][c]
+        det = pivot * det
+        for r in range(c + 1, n):
+            if work[r][c]:
+                f = work[r][c] / pivot
+                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
+    return det
 
 
 def oracle_principal_minor(matrix: HermitianMatrix, subset):

@@ -162,9 +162,7 @@ def test_inverse_defined_witnesses_link_to_base():
 
         expected = SeprSequence(front + [last])
         if last is SeprTerm.A_MINUS:
-            expected = SeprSequence(
-                list(SeprSequence(front).negative().terms) + [last]
-            )
+            expected = SeprSequence([t.negated for t in front] + [last])
         assert s_inv == expected, wid
 
 

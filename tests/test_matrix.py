@@ -7,7 +7,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_det, oracle_minors_by_order, oracle_principal_minor, random_hermitian
+from conftest import (
+    elimination_det,
+    oracle_det,
+    oracle_minors_by_order,
+    oracle_principal_minor,
+    random_hermitian,
+)
 from seprkit.catalog import build_witness
 from seprkit import matrix as matrix_module
 from seprkit.exact import GaussianRational, I, Sqrt5Rational, parse_gaussian, real_sign
@@ -210,22 +216,26 @@ def _negative_singular_prefix(draw, kind, orders, entries):
     return HermitianMatrix(rows)
 
 
-def _oracle_sign_table(m):
-    """The oracle's sign of every principal minor, keyed by index bitmask."""
+def _oracle_sign_table(m, det=oracle_det):
+    """The sign of every principal minor by the determinant oracle ``det``,
+    keyed by index bitmask."""
+    entries = m.entries
     return {
-        sum(1 << i for i in subset): real_sign(oracle_principal_minor(m, subset))
+        sum(1 << i for i in subset): real_sign(det([[entries[i][j] for j in subset] for i in subset]))
         for k in range(1, m.n + 1)
         for subset in combinations(range(m.n), k)
     }
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
-@pytest.mark.parametrize("orders, examples", [((1, 5), 60), ((6, 7), 3)], ids=["n1-5", "n6-7"])
-def test_sign_table_matches_oracle(kind, orders, examples):
+@pytest.mark.parametrize(
+    "orders, examples, det", [((1, 5), 60, oracle_det), ((6, 7), 20, elimination_det)], ids=["n1-5", "n6-7"]
+)
+def test_sign_table_matches_oracle(kind, orders, examples, det):
     # Zero diagonal entries and low-rank draws make singular prefixes, also
-    # below a negative nonsingular pivot.  The oracle's cost grows as n!
-    # (about 2 s per draw at n = 7), so orders 6 and 7 get few draws and
-    # report a failing draw without shrinking it.
+    # below a negative nonsingular pivot.  The permutation oracle's cost
+    # grows as n! (about 2 s per draw at n = 7), so orders 6 and 7 use the
+    # elimination oracle, and a failing draw there is reported unshrunk.
     diagonals = st.one_of(st.just(0), _INTEGRAL["sqrt5" if kind == "sqrt5" else "real"], _DIAGONALS[kind])
     entries = st.one_of(_INTEGRAL[kind], _ENTRIES[kind])
     phases = [p for p in Phase if p is not Phase.shrink or orders[1] <= 5]
@@ -233,22 +243,111 @@ def test_sign_table_matches_oracle(kind, orders, examples):
     @settings(max_examples=examples, deadline=None, phases=phases)
     @given(m=st.one_of(_hermitian(kind, diagonals, orders, entries), _negative_singular_prefix(kind, orders, entries)))
     def check(m):
-        assert m._mask_signs() == _oracle_sign_table(m)
+        assert m._mask_signs() == _oracle_sign_table(m, det)
 
     check()
 
 
 def test_sign_table_below_negative_singular_prefix():
-    # det[1] = -1 and det[1, j] = 0 for j = 2, 3, 4, while the reduced
-    # block of {1} has nonzero entries off its diagonal: every minor on
-    # {1, 2, ...} comes from that block divided by (det[1])**(|U| - 1),
-    # and the odd powers flip the sign.
+    # det[1] = -1 and det[1, j] = 0 for j = 2, 3, 4, so the block B of
+    # S = {1} has a zero diagonal, and position 2 has the partners 3 and 4
+    # (B[2, 3] = -1, B[2, 4] = -2).  The walk takes a 2 x 2 pivot on each:
+    # det[1, 2, w] = -|B[2, w]|**2 / det[1] has the sign opposite to
+    # det[1], and {1, 2, 3, 4} comes from the first pivot's block, whose
+    # entries are divided by (det[1])**2.
     m = HermitianMatrix([[-1, 1, 1, 1], [1, -1, 0, 1], [1, 0, -1, -1], [1, 1, -1, -1]])
     assert m._mask_signs() == _oracle_sign_table(m)
     assert m.minor_signs_by_order() == [[-1, -1, -1, -1], [0, 0, 0, 1, 0, 0], [1, 1, 0, 1], [0]]
 
 
 _I, _R5 = GaussianRational(0, 1), Sqrt5Rational(0, 1)
+
+
+def test_elimination_oracle_matches_permutation_oracle():
+    # The two oracles share nothing but the scalar classes.  Square grids
+    # drawn as products through a smaller inner dimension are often
+    # singular, and no grid need be Hermitian.
+    rng = random.Random(2718)
+    units = {"real": 0, "gaussian": _I, "sqrt5": _R5}
+    for kind, unit in units.items():
+        for _ in range(40):
+            n, inner = rng.randint(1, 5), rng.randint(1, 5)
+
+            def entry():
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 2)) + rng.randint(-2, 2) * unit
+
+            left = [[entry() for _ in range(inner)] for _ in range(n)]
+            right = [[entry() for _ in range(n)] for _ in range(inner)]
+            rows = [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] for row in left]
+            assert elimination_det(rows) == oracle_det(rows), (kind, rows)
+
+
+@st.composite
+def _hollow(draw, kind):
+    """A Hermitian matrix of order 3 to 6 with a zero diagonal and small,
+    often zero, entries off it."""
+    n = draw(st.integers(3, 6))
+    entries = st.one_of(st.just(GaussianRational(0)), _INTEGRAL[kind])
+    rows = [[GaussianRational(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entries)
+            rows[j][i] = rows[i][j].conjugate() if kind == "gaussian" else rows[i][j]
+    return HermitianMatrix(rows)
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sign_table_of_hollow_matrices(kind, data):
+    # Every diagonal entry is a zero pivot of the root, so the walk takes a
+    # 2 x 2 pivot with each partner, and the pivots' reduced blocks often
+    # have zero diagonal entries again.
+    m = data.draw(_hollow(kind))
+    assert m._mask_signs() == _oracle_sign_table(m, elimination_det)
+
+
+# Each case has a zero pivot at position a of a node S with two or more
+# later positions.  Its facts are signs of minors, 1-based: det[S+a+r] = 0
+# for a non-partner r (B[a, r] = 0), and det[S+a+w] = -|B[a, w]|**2 / det S
+# for a partner w.
+_PIVOT_CASES = {
+    # S = {1}, det S = -2, a = 2: non-partner 3 between a and its partners
+    # 4 and 5, whose minors are positive.
+    "negative-det": (
+        [[-2, 0, 2, 1, -1], [0, 0, 0, 2, 2], [2, 0, 0, 0, 0], [1, 2, 0, 2, 1], [-1, 2, 0, 1, 0]],
+        {(1,): -1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 1, (1, 2, 5): 1},
+    ),
+    # S = {}, a = 1 with partners 4 and 5.  The first pivot, T = {1, 4}
+    # with det T = -1, has a zero pivot at 2 in its block again, with
+    # non-partner 3 and partner 5.
+    "nested": (
+        [[0, 0, 0, -1, 1], [0, 0, 0, 2, 0], [0, 0, -2, -1, 0], [-1, 2, -1, 0, -1], [1, 0, 0, -1, -1]],
+        {(1,): 0, (1, 2): 0, (1, 3): 0, (1, 4): -1, (1, 5): -1, (1, 2, 4): 0, (1, 2, 3, 4): 0, (1, 2, 4, 5): 1},
+    ),
+    # S = {1}, det S = 2, a = 2: row 2 is twice row 1, so B's row 2 is zero
+    # and every set through {1, 2} is singular.
+    "zero-row": (
+        [[2, 4, 2, 2], [4, 8, 4, 4], [2, 4, 3, 1], [2, 4, 1, -1]],
+        {(1,): 1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 0, (1, 2, 3, 4): 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_PIVOT_CASES))
+def test_two_by_two_pivot_matches_oracle(case, kind):
+    # The congruence D B D* with D = diag(1, 1 + u, 1 + 2u, ...), u = i or
+    # sqrt 5, keeps the sign of every principal minor and the zero pattern
+    # of every block, and makes each B[a, w] non-real or irrational.
+    rows, facts = _PIVOT_CASES[case]
+    unit = {"real": 0, "gaussian": _I, "sqrt5": _R5}[kind]
+    scale = [1 + k * unit for k in range(len(rows))]
+    conj = (lambda v: v.conjugate()) if kind == "gaussian" else (lambda v: v)
+    m = HermitianMatrix([[scale[i] * v * conj(scale[j]) for j, v in enumerate(row)] for i, row in enumerate(rows)])
+    expected = _oracle_sign_table(m, elimination_det)
+    assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
+    assert m._mask_signs() == expected
 
 
 @pytest.mark.parametrize(

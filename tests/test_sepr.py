@@ -95,18 +95,6 @@ def test_uepr_examples():
     assert str(parse_sequence("S*S*S+N").underlying()) == "SSSN"
 
 
-def test_neg_examples():
-    # every term swaps, unlike the sequence of -B (negation_rule)
-    assert str(parse_sequence("S-S*A*A+N").negative()) == "S+S*A*A-N"
-    assert str(parse_sequence("NN").negative()) == "NN"
-    assert str(parse_sequence("A+A-A*").negative()) == "A-A+A*"
-
-
-@given(sepr_sequences)
-def test_neg_involution(s):
-    assert s.negative().negative() == s
-
-
 def test_contains_subsequence():
     s = parse_sequence("S*S*S+N")
     assert s.find(parse_sequence("S+N")) == 3
