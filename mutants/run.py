@@ -44,6 +44,7 @@ SEARCH = "src/seprkit/search.py"
 SEPR = "src/seprkit/sepr.py"
 LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
+DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
@@ -101,7 +102,7 @@ MUTANTS = (
         MATRIX,
         "((va * xa - la * ya - dlb * yb) // pa,",
         "((va * xa - la * ya + dlb * yb) // pa,",
-        ("tests/test_matrix.py::test_sign_table_matches_oracle[n1-5-gaussian]",),
+        LEAF,
     ),
     # the 2 x 2 pivot of the sign walk at a zero pivot
     Mutant(
@@ -114,15 +115,15 @@ MUTANTS = (
     Mutant(
         "pivot-pair-sign",
         MATRIX,
-        "        table[pivot] = -psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, div((-nrm[0], -nrm[1]), prev), -psign,",
-        "        table[pivot] = psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, div((-nrm[0], -nrm[1]), prev), psign,",
+        "        table[pivot] = -psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, -psign, table, d)",
+        "        table[pivot] = psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, psign, table, d)",
         PIVOT,
     ),
     Mutant(
         "pivot-bwa-unconjugated",
         MATRIX,
-        "mul(baw, cj(baw))",
-        "mul(baw, baw)",
+        "wc = -wb if d < 0 else wb",
+        "wc = wb",
         PIVOT,
     ),
     Mutant(
@@ -135,8 +136,8 @@ MUTANTS = (
     Mutant(
         "pivot-pair-single-division",
         MATRIX,
-        "    square = mul(prev, prev)\n",
-        "    square = prev\n",
+        "    sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2\n",
+        "    sa, sb = pa, pb\n",
         PIVOT,
     ),
     Mutant(
@@ -152,6 +153,31 @@ MUTANTS = (
         "    sub = zeros\n    while sub:\n",
         "    sub = 0\n    while sub:\n",
         PIVOT,
+    ),
+    # the shared elimination prefix of the rank-drop check
+    Mutant(
+        "deletions-branch-after-column",
+        MATRIX,
+        "        out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))\n"
+        "        state = _eliminate(d, rows, range(j, j + 1), *state)\n",
+        "        state = _eliminate(d, rows, range(j, j + 1), *state)\n"
+        "        out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))\n",
+        DELETIONS,
+    ),
+    Mutant(
+        "deletions-branch-uncopied",
+        MATRIX,
+        "out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))",
+        "out.append(_eliminate(d, rows, range(j + 1, width), *state))",
+        DELETIONS,
+    ),
+    # the division by the previous pivot in the pair elimination
+    Mutant(
+        "eliminate-pairs-pb-swapped",
+        MATRIX,
+        "            if pb:\n                for j in later:\n",
+        "            if not pb:\n                for j in later:\n",
+        ("tests/test_matrix.py::test_sqrt5_witness_inverse",),
     ),
     # canonical grids: _adopt divides a common factor out of scale and grid
     Mutant(

@@ -86,7 +86,11 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # reads them.  The kernel returns the rank, the sign of its row swaps and
 # the last pivot: a square grid of full rank has determinant sign * last,
 # and on a nonsingular grid augmented with the identity the right half
-# ends as last * grid**-1.
+# ends as last * grid**-1.  The kernel also takes a column range and a
+# start state (rank, sign, last pivot), so one elimination can advance a
+# column at a time and be copied: _column_deletions gives every deletion
+# of one column from a grid from a single elimination, whose columns
+# before the deleted one are shared by all later deletions.
 # The sign walk (_sign_walk) is a depth-first walk over the index sets S
 # in lexicographic order.  A nonsingular S carries the block B of bordered
 # minors det[S+i, S+l] over its later indices, packed as its upper triangle
@@ -115,7 +119,9 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # nothing recurses, and a singular S+a+q needs no pivot because only
 # det[S+a] divides.
 # Each int kernel and walk stays separate from its pair counterpart
-# because it is about twice as fast on real input.
+# because it is about twice as fast on real input.  The pair kernels write
+# their Z[sqrt d] products and divisions out inline, with no helper call
+# per entry.
 # ---------------------------------------------------------------------------
 
 
@@ -167,12 +173,14 @@ def _entrywise(grid, d, f):
     return tuple(tuple((f(a), f(b)) for a, b in row) for row in grid)
 
 
-def _eliminate_ints(rows):
+def _eliminate_ints(rows, cols=None, rank=0, sign=1, prev=1):
     """Fraction-free Gauss-Jordan elimination of an integer grid; mutates
-    ``rows``.  Returns (rank, swap sign, last pivot)."""
+    ``rows``.  Returns (rank, swap sign, last pivot).  It takes the pivot
+    columns in ``cols`` (default: all) from the state (rank, sign, prev),
+    which another call may have left; every update still runs to the
+    grid's last column."""
     width = len(rows[0]) if rows else 0
-    rank, sign, prev = 0, 1, 1
-    for c in range(width):
+    for c in range(width) if cols is None else cols:
         if rank == len(rows):
             break
         if rows[rank][c] == 0:
@@ -197,16 +205,15 @@ def _eliminate_ints(rows):
     return rank, sign, prev
 
 
-def _eliminate_pairs(rows, d):
+def _eliminate_pairs(rows, d, cols=None, rank=0, sign=1, prev=(1, 0)):
     """_eliminate_ints over Z[sqrt d], entries as (a, b) int pairs; the last
     pivot is a pair too.  Dividing by the previous pivot multiplies by its
     conjugate and divides by its norm; a real one divides directly.  A
     pivot need not be real even for d = -1: after a row swap, or in a grid
     that is not Hermitian."""
     width = len(rows[0]) if rows else 0
-    rank, sign = 0, 1
-    pa, pb = 1, 0  # previous pivot
-    for c in range(width):
+    pa, pb = prev
+    for c in range(width) if cols is None else cols:
         if rank == len(rows):
             break
         if rows[rank][c] == (0, 0):
@@ -222,30 +229,60 @@ def _eliminate_pairs(rows, d):
         dvb = d * vb
         nrm = pa * pa - d * pb * pb
         dpb = d * pb
+        later = range(c + 1, width)
         for i, row in enumerate(rows):
             if i == rank:
                 continue
             la, lb = row[c]
             dlb = d * lb
-            for j in range(c + 1, width):
-                ta, tb = row[j]
-                ba, bb = base[j]
-                na = va * ta + dvb * tb - la * ba - dlb * bb
-                nb = va * tb + vb * ta - la * bb - lb * ba
-                if pb:
+            if pb:
+                for j in later:
+                    ta, tb = row[j]
+                    ba, bb = base[j]
+                    na = va * ta + dvb * tb - la * ba - dlb * bb
+                    nb = va * tb + vb * ta - la * bb - lb * ba
                     row[j] = ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
-                else:
-                    row[j] = (na // pa, nb // pa)
+            else:
+                for j in later:
+                    ta, tb = row[j]
+                    ba, bb = base[j]
+                    row[j] = (
+                        (va * ta + dvb * tb - la * ba - dlb * bb) // pa,
+                        (va * tb + vb * ta - la * bb - lb * ba) // pa,
+                    )
             row[c] = (0, 0)
         pa, pb = va, vb
         rank += 1
     return rank, sign, (pa, pb)
 
 
-def _eliminate(d, rows):
-    """(rank, swap sign, last pivot) of a grid in _scale's form; mutates
-    ``rows``."""
-    return _eliminate_ints(rows) if d == 0 else _eliminate_pairs(rows, d)
+def _eliminate(d, rows, cols=None, *state):
+    """(rank, swap sign, last pivot) of a grid in _scale's form, from the
+    pivot columns ``cols`` and the start state (rank, sign, last pivot) as
+    in _eliminate_ints; mutates ``rows``."""
+    return _eliminate_ints(rows, cols, *state) if d == 0 else _eliminate_pairs(rows, d, cols, *state)
+
+
+def _column_deletions(d, rows):
+    """For each column j of a grid in _scale's form, in order, the (rank,
+    swap sign, last pivot) that _eliminate returns on the grid without
+    column j; mutates ``rows``.
+
+    One elimination of the whole grid goes column by column.  Before it
+    takes column j, it copies the columns after j and finishes the copy
+    from the state reached.  An update of a column reads only that column
+    and the pivot column, so up to column j the grid without column j
+    meets the same pivots, swaps and divisions, and from there on its
+    elimination reads only the columns after j.  Each copy thus repeats
+    _eliminate on its deletion, and the columns before j are eliminated
+    once for all later deletions."""
+    width = len(rows[0])
+    state = (0, 1, 1 if d == 0 else (1, 0))
+    out = []
+    for j in range(width):
+        out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))
+        state = _eliminate(d, rows, range(j, j + 1), *state)
+    return out
 
 
 def _det(d, rows):
@@ -441,42 +478,52 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
     B[r, a] is the conjugate of the stored B[a, r] for d = -1 and equal to
     it for d = 5; a division multiplies by the conjugate of the divisor
     and divides by its norm, or divides directly by a real one."""
-
-    def mul(x, y):
-        return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def div(x, y):
-        if not y[1]:
-            return x[0] // y[0], x[1] // y[0]
-        nrm = y[0] * y[0] - d * y[1] * y[1]
-        return (x[0] * y[0] - d * x[1] * y[1]) // nrm, (x[1] * y[0] - x[0] * y[1]) // nrm
-
-    cj = (lambda x: (x[0], -x[1])) if d < 0 else (lambda x: x)
     row = block[a]
     later = range(a + 1, len(block))
-    square = mul(prev, prev)
+    pa, pb = prev
+    sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2
+    snrm, pnrm = sa * sa - d * sb * sb, pa * pa - d * pb * pb
     zeros = 0
     for w in later:
-        baw = row[w - a]
-        if baw == (0, 0):
+        wa, wb = row[w - a]  # B[a, w]
+        if not (wa or wb):
             zeros |= bits[w]
             continue
-        bww, nrm = block[w][0], mul(baw, cj(baw))
+        wc = -wb if d < 0 else wb  # B[w, a] = (wa, wc)
+        ma, mb = wa * wa + d * wb * wc, wa * wc + wb * wa  # B[a, w] B[w, a]
+        xa, xb = block[w][0]  # B[w, w]
         keep = [r for r in later if r > w or (r < w and row[r - a] == (0, 0))]
         u = [row[r - a] for r in keep]  # B[a, r]
-        g = [mul(baw, cj(block[r][w - r]) if r < w else block[w][r - w]) for r in keep]  # B[a, w] B[w, r]
-        e = [(ga - ha, gb - hb) for (ga, gb), (ha, hb) in zip(g, (mul(bww, ur) for ur in u))]
+        g, e = [], []
+        for r, (ua, ub) in zip(keep, u):
+            ya, yb = block[r][w - r] if r < w else block[w][r - w]
+            if r < w and d < 0:
+                yb = -yb  # B[w, r] is the conjugate of the stored B[r, w]
+            ga, gb = wa * ya + d * wb * yb, wa * yb + wb * ya  # B[a, w] B[w, r]
+            g.append((ga, gb))
+            e.append((ga - xa * ua - d * xb * ub, gb - xa * ub - xb * ua))
         tblock = []
-        for i, (r, ur, gr) in enumerate(zip(keep, u, g)):
-            cu, cg = cj(ur), cj(gr)
+        for i, (r, (ua, ub), (ga, gb)) in enumerate(zip(keep, u, g)):
+            if d < 0:
+                ub, gb = -ub, -gb  # conjugates of B[a, r] and of g[r]
+            brow = block[r]
             out = []
-            for j in range(i, len(keep)):
-                x, y, z = mul(e[j], cu), mul(u[j], cg), mul(nrm, block[r][keep[j] - r])
-                out.append(div((x[0] + y[0] - z[0], x[1] + y[1] - z[1]), square))
+            for (ea, eb), (ta, tb), t in zip(e[i:], u[i:], keep[i:]):
+                ba, bb = brow[t - r]  # B[r, t]
+                na = ea * ua + d * eb * ub + ta * ga + d * tb * gb - ma * ba - d * mb * bb
+                nb = ea * ub + eb * ua + ta * gb + tb * ga - ma * bb - mb * ba
+                if sb:
+                    out.append(((na * sa - d * nb * sb) // snrm, (nb * sa - na * sb) // snrm))
+                else:
+                    out.append((na // sa, nb // sa))
             tblock.append(out)
+        if pb:
+            tprev = ((d * mb * pb - ma * pa) // pnrm, (ma * pb - mb * pa) // pnrm)
+        else:
+            tprev = (-ma // pa, -mb // pa)
         pivot = child | bits[w]
         table[pivot] = -psign
-        _walk_pairs(tblock, [bits[r] for r in keep], pivot, div((-nrm[0], -nrm[1]), prev), -psign, table, d)
+        _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, -psign, table, d)
     _zero_fill(child, zeros, table)
 
 
@@ -548,14 +595,17 @@ class HermitianMatrix:
             if g != 1:
                 scale //= g
                 grid = _entrywise(grid, d, lambda v: v // g)
-        for i, row in enumerate(grid):
-            for j in range(i, n):
-                v, w = row[j], grid[j][i]
-                if v != (w if d != -1 else (w[0], -w[1])):
-                    raise MatrixFormatError(
-                        f"entry ({i + 1},{j + 1}) is not the conjugate of entry "
-                        f"({j + 1},{i + 1}): Hermitian invariant violated"
-                    )
+        # a real or Q(sqrt 5) grid is Hermitian when it equals its transpose;
+        # the loop locates the first bad entry, or checks a Gaussian grid
+        if d == -1 or tuple(zip(*grid)) != grid:
+            for i, row in enumerate(grid):
+                for j in range(i, n):
+                    v, w = row[j], grid[j][i]
+                    if v != (w if d != -1 else (w[0], -w[1])):
+                        raise MatrixFormatError(
+                            f"entry ({i + 1},{j + 1}) is not the conjugate of entry "
+                            f"({j + 1},{i + 1}): Hermitian invariant violated"
+                        )
         state = {"n": n, "_d": d, "_scale": scale, "_grid": grid, "_rank": None, "_minor_cache": None}
         for name, value in state.items():
             object.__setattr__(self, name, value)
@@ -720,8 +770,9 @@ class HermitianMatrix:
         p = tuple(perm)
         if sorted(p) != list(range(1, self.n + 1)):
             raise ValueError(f"invalid permutation of 1..{self.n}: {perm!r}")
-        rows = [self._grid[k - 1] for k in p]
-        return self._of(self._d, self._scale, tuple(tuple(row[k - 1] for k in p) for row in rows))
+        q = [k - 1 for k in p]
+        rows = [self._grid[k] for k in q]
+        return self._of(self._d, self._scale, tuple(tuple(map(row.__getitem__, q)) for row in rows))
 
     def duplicate_last(self) -> "HermitianMatrix":
         """Border the matrix with a copy of its last column (and the

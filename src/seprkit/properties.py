@@ -35,7 +35,7 @@ import random
 from typing import Dict, List, Tuple
 
 from .classify import Field, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
-from .matrix import HermitianMatrix, SingularMatrixError, _eliminate, matrix_to_json
+from .matrix import HermitianMatrix, SingularMatrixError, _column_deletions, matrix_to_json
 from .sepr import (
     EprTerm,
     SeprSequence,
@@ -114,13 +114,9 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
     bad = []
     d, grid = matrix._d, matrix._grid
     for i in range(n):
-        for j in range(n):
-            sub = [
-                [row[c] for c in range(n) if c != j]
-                for q, row in enumerate(grid)
-                if q != i
-            ]
-            if _eliminate(d, sub)[0] < r - 2:
+        rows = [list(row) for q, row in enumerate(grid) if q != i]
+        for j, (rank, _, _) in enumerate(_column_deletions(d, rows)):
+            if rank < r - 2:
                 bad.append(
                     f"deleting row {i + 1}, column {j + 1} dropped rank below "
                     f"{r - 2} for {_describe(matrix)}"

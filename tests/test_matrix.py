@@ -440,6 +440,44 @@ def test_rank_drop_on_deletion_random():
                 assert grid_rank(deleted) >= r - 2
 
 
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+def test_deletion_branches_match_scratch_elimination(kind):
+    # _column_deletions eliminates the columns before j once for every
+    # deletion of a later column; each branch must repeat _eliminate on the
+    # grid without column j: the same rank, swap sign and last pivot.
+    # Low-rank draws, zero rows and columns and small entries make skipped
+    # columns and row swaps common, and Gaussian swaps non-real pivots.
+    rng = random.Random(1977)
+    unit = {"real": 0, "gaussian": _I, "sqrt5": _R5}[kind]
+    conj = (lambda v: v.conjugate()) if kind == "gaussian" else (lambda v: v)
+
+    def entry():
+        return rng.randint(-2, 2) + rng.randint(-2, 2) * unit
+
+    for _ in range(150):
+        n, style = rng.randint(2, 7), rng.choice(("dense", "low-rank", "zero-column"))
+        if style == "low-rank":
+            vs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
+            rows = _product(list(zip(*vs)), [[conj(v) for v in row] for row in vs])
+        else:
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = entry() if kind == "sqrt5" else rng.randint(-2, 2)
+                for j in range(i + 1, n):
+                    rows[i][j] = entry()
+                    rows[j][i] = conj(rows[i][j])
+            if style == "zero-column":
+                k = rng.randrange(n)
+                for j in range(n):
+                    rows[k][j] = rows[j][k] = 0
+        m = HermitianMatrix(rows)
+        d, grid = m._d, m._grid
+        for i in range(n):
+            shared = [list(row) for q, row in enumerate(grid) if q != i]
+            expected = [matrix_module._eliminate(d, [row[:j] + row[j + 1 :] for row in shared]) for j in range(n)]
+            assert matrix_module._column_deletions(d, shared) == expected, (style, grid, i)
+
+
 def test_same_sign_at_rank_random():
     rng = random.Random(31337)
     for _ in range(40):

@@ -3,7 +3,8 @@ import random
 from conftest import random_hermitian
 from seprkit.catalog import build_witness, witness_ids
 from seprkit.classify import Field
-from seprkit.matrix import HermitianMatrix
+from seprkit import properties
+from seprkit.matrix import HermitianMatrix, matrix_to_json
 from seprkit.properties import (
     SUITE_CHECKS,
     check_append_duplicate,
@@ -64,6 +65,19 @@ def test_individual_checks_pass_on_catalog():
         assert check_rank_drop_on_deletion(m) == []
         assert check_inheritance(m, s) == []
         assert check_permutation_invariance(m, s, rng, samples=2) == []
+
+
+def test_rank_drop_lists_every_deletion_in_order(monkeypatch):
+    # Negative control: with every branch of the shared elimination
+    # reporting rank 0, each of the n**2 deletions of a rank-4 matrix is a
+    # violation, listed row by row with its located message.
+    m = HermitianMatrix.diagonal([1, -1, 2, 3])
+    monkeypatch.setattr(properties, "_column_deletions", lambda d, rows: [(0, 1, 1)] * len(rows[0]))
+    assert check_rank_drop_on_deletion(m) == [
+        f"deleting row {i}, column {j} dropped rank below 2 for {matrix_to_json(m)}"
+        for i in range(1, 5)
+        for j in range(1, 5)
+    ]
 
 
 def test_run_suite_counts():
