@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -770,9 +771,10 @@ class HermitianMatrix:
         p = tuple(perm)
         if sorted(p) != list(range(1, self.n + 1)):
             raise ValueError(f"invalid permutation of 1..{self.n}: {perm!r}")
-        q = [k - 1 for k in p]
-        rows = [self._grid[k] for k in q]
-        return self._of(self._d, self._scale, tuple(tuple(map(row.__getitem__, q)) for row in rows))
+        if self.n == 1:  # the identity; itemgetter of one index returns no tuple
+            return self._of(self._d, self._scale, self._grid)
+        pick = itemgetter(*(k - 1 for k in p))
+        return self._of(self._d, self._scale, tuple(map(pick, pick(self._grid))))
 
     def duplicate_last(self) -> "HermitianMatrix":
         """Border the matrix with a copy of its last column (and the
