@@ -88,10 +88,10 @@ def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
 # the last pivot: a square grid of full rank has determinant sign * last,
 # and on a nonsingular grid augmented with the identity the right half
 # ends as last * grid**-1.  The kernel also takes a column range and a
-# start state (rank, sign, last pivot), so one elimination can advance a
-# column at a time and be copied: _column_deletions gives every deletion
-# of one column from a grid from a single elimination, whose columns
-# before the deleted one are shared by all later deletions.
+# start state (rank, sign, last pivot), so an elimination can advance a
+# column at a time and be copied part way: _column_deletions serves every
+# deletion of a single column from a grid from one elimination, sharing
+# the columns before each deleted one.
 # The sign walk (_sign_walk) is a depth-first walk over the index sets S
 # in lexicographic order.  A nonsingular S carries the block B of bordered
 # minors det[S+i, S+l] over its later indices, packed as its upper triangle
