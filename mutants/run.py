@@ -39,6 +39,7 @@ class Mutant:
     tests: tuple  # pytest node ids, relative to the repository root
 
 
+CLASSIFY = "src/seprkit/classify.py"
 MATRIX = "src/seprkit/matrix.py"
 SEARCH = "src/seprkit/search.py"
 SEPR = "src/seprkit/sepr.py"
@@ -64,8 +65,8 @@ MUTANTS = (
     Mutant(
         "leaf-pair-sign",
         MATRIX,
-        "table[child | q | r] = _sign(det, d) * s",
-        "table[child | q | r] = _sign(det, d) * psign",
+        "if d < 0 and not det[1] else _sign(det, d)) * s",
+        "if d < 0 and not det[1] else _sign(det, d)) * psign",
         LEAF,
     ),
     Mutant(
@@ -78,8 +79,8 @@ MUTANTS = (
     Mutant(
         "leaf-pair-child-sign",
         MATRIX,
-        "table[child | q] = _sign(nqq, d) * psign",
-        "table[child | q] = _sign(nqq, d) * s",
+        "if d < 0 and not nqq[1] else _sign(nqq, d)) * psign",
+        "if d < 0 and not nqq[1] else _sign(nqq, d)) * s",
         LEAF,
     ),
     Mutant(
@@ -95,6 +96,14 @@ MUTANTS = (
         "mb = -nb if d < 0 else nb",
         "mb = nb",
         LEAF,
+    ),
+    # the inline sign of a Z[i] minor keeps the non-real check
+    Mutant(
+        "walk-pairs-real-part-only",
+        MATRIX,
+        "(piv[0] > 0) - (piv[0] < 0) if d < 0 and not piv[1] else _sign(piv, d)",
+        "(piv[0] > 0) - (piv[0] < 0) if d < 0 else _sign(piv, d)",
+        ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",),
     ),
     # the Bareiss step of the pair walk
     Mutant(
@@ -204,6 +213,21 @@ MUTANTS = (
         "(a * den, y * den, num), (b * den, num, z * den)",
         "(a * den, y * den, -num), (b * den, -num, z * den)",
         COMPLETIONS,
+    ),
+    # the order-3 rule families built from their rules
+    Mutant(
+        "order2-window-one-side",
+        CLASSIFY,
+        "for terms in ((a, b, x), (x, a, b))",
+        "for terms in ((a, b, x),)",
+        ("tests/test_classify.py::test_order3_hermitian_matches_fixture",),
+    ),
+    Mutant(
+        "underlying-epr-letter",
+        CLASSIFY,
+        "if t.underlying is c]",
+        "if t.underlying is (EprTerm.A if c is EprTerm.S else c)]",
+        ("tests/test_classify.py::test_underlying_family_consistent_with_epr_set",),
     ),
     # the sequence rules the property checks and the census read
     Mutant(

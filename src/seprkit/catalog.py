@@ -12,9 +12,8 @@ Record ids look like ``VierSix.2``: family name, dot, 1-based position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import GaussianRational, I, Sqrt5Rational
 from .matrix import HermitianMatrix
@@ -365,8 +364,7 @@ _FAMILIES: Dict[str, tuple] = {
 }
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     id: str
     family: str
     params: tuple
@@ -434,9 +432,9 @@ def verify_witness(witness_id: str) -> Tuple[SeprSequence, bool]:
     return computed, computed == rec.claimed
 
 
-@dataclass
 class CatalogReport:
-    rows: List[Tuple[str, str, str, bool]]  # (id, claimed, computed, ok)
+    def __init__(self, rows: List[Tuple[str, str, str, bool]]):
+        self.rows = rows  # (id, claimed, computed, ok)
 
     @property
     def passed(self) -> int:

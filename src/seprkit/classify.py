@@ -31,11 +31,10 @@ the first in the order listed above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import FrozenSet, List, Optional, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Union
 
 from .sepr import EprSequence, EprTerm, SeprSequence, SeprTerm
 
@@ -69,14 +68,19 @@ RULE_INITIAL_PAIR = "initial-pair"
 RULE_REAL_SNA = "real-SNA-window"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
     forbidden: bool
     rule: Optional[str] = None
 
-    def __post_init__(self):
+
+class Verdict(_VerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.forbidden and not self.rule:
             raise ValueError("a forbidden verdict must name its rule")
+        return self
 
 
 def _seq(text: str) -> SeprSequence:
@@ -141,16 +145,15 @@ _BRACKET_S_SET = frozenset(
     SeprSequence((u, y, v)) for (u, v) in _BRACKET_S_OUTER for y in _BRACKET_S_MIDDLE
 )
 _ORDER2_WINDOW_SET = frozenset(
-    s
-    for terms in product(SeprTerm, repeat=3)
-    for s in (SeprSequence(terms),)
-    if any(w in _ORDER2_FORBIDDEN for _, w in s.windows(2))
+    SeprSequence(terms)
+    for a, b in _ORDER2_FORBIDDEN
+    for x in SeprTerm
+    for terms in ((a, b, x), (x, a, b))
 )
 _UNDERLYING_EPR_SET = frozenset(
-    s
-    for terms in product(SeprTerm, repeat=3)
-    for s in (SeprSequence(terms),)
-    if s.underlying() in _EPR_FORBIDDEN_HERMITIAN
+    SeprSequence(terms)
+    for coarse in _EPR_FORBIDDEN_HERMITIAN
+    for terms in product(*([t for t in SeprTerm if t.underlying is c] for c in coarse))
 )
 
 RULE_FAMILIES = (
@@ -209,8 +212,7 @@ def classify_sequence(pattern: SeprSequence, field: Field) -> Verdict:
     return Verdict(False)
 
 
-@dataclass(frozen=True)
-class ForbiddenHit:
+class ForbiddenHit(NamedTuple):
     """One offending window of a full sign sequence."""
 
     position: int  # 1-based start of the window

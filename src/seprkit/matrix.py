@@ -410,12 +410,13 @@ def _walk_ints(block, bits, mask, prev, psign, table):
 
 
 def _walk_pairs(block, bits, mask, prev, psign, table, d):
-    """_walk_ints for a block over Z[sqrt d]."""
+    """_walk_ints for a block over Z[sqrt d].  A real Z[i] minor is signed
+    inline; _sign takes a non-real one (raising) and every Z[sqrt 5] one."""
     last = len(block) - 1
     for a, row in enumerate(block):
         piv = row[0]
         child = mask | bits[a]
-        s = table[child] = _sign(piv, d)
+        s = table[child] = (piv[0] > 0) - (piv[0] < 0) if d < 0 and not piv[1] else _sign(piv, d)
         if a < last - 1:
             if not s:
                 _pivot2_pairs(block, a, bits, child, prev, psign, table, d)
@@ -434,14 +435,14 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
                     nqq[0] * nrr[1] + nqq[1] * nrr[0] - na * nb - mb * na,
                 )
                 q, r = bits[a + 1], bits[last]
-                table[child | q] = _sign(nqq, d) * psign
-                table[child | r] = _sign(nrr, d) * psign
-                table[child | q | r] = _sign(det, d) * s
+                table[child | q] = ((nqq[0] > 0) - (nqq[0] < 0) if d < 0 and not nqq[1] else _sign(nqq, d)) * psign
+                table[child | r] = ((nrr[0] > 0) - (nrr[0] < 0) if d < 0 and not nrr[1] else _sign(nrr, d)) * psign
+                table[child | q | r] = ((det[0] > 0) - (det[0] < 0) if d < 0 and not det[1] else _sign(det, d)) * s
         elif a == last - 1:
             (va, vb), (xa, xb), (la, lb) = piv, block[last][0], row[1]
             lc = -lb if d < 0 else lb  # entry (last, a) is (la, lc)
             num = (va * xa + d * vb * xb - la * la - d * lc * lb, va * xb + vb * xa - la * lb - lc * la)
-            table[child | bits[last]] = _sign(num, d) * psign
+            table[child | bits[last]] = ((num[0] > 0) - (num[0] < 0) if d < 0 and not num[1] else _sign(num, d)) * psign
 
 
 def _pivot2_ints(block, a, bits, child, prev, psign, table):

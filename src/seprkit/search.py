@@ -35,7 +35,6 @@ never as impossibility.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations_with_replacement, islice, product
 from math import isqrt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -65,8 +64,7 @@ COMPLEX_DEFAULT_POOL: Tuple[GaussianRational, ...] = REAL_DEFAULT_POOL + (
 OrderSpec = Union[int, Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
     n: OrderSpec
     pool: Tuple[GaussianRational, ...]
     field: Field
@@ -76,11 +74,16 @@ class SearchConfig:
     seed: int = DEFAULT_SEED
     subsequence: bool = False
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         """Reject an unknown mode, a sample budget below 1, an empty pool, a
         pool entry that is no exact rational or Gaussian rational, or a
         non-real entry for a real-symmetric search (ValueError); the pool
         becomes a tuple of GaussianRationals."""
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown search mode {self.mode!r}")
         if self.budget < 1:
@@ -95,7 +98,6 @@ class SearchConfig:
             if self.field is Field.REAL_SYMMETRIC and entry.im != 0:
                 raise ValueError(f"real-symmetric search cannot use non-real pool entry {entry}")
             entries.append(entry)
-        object.__setattr__(self, "pool", tuple(entries))
         if isinstance(self.n, tuple):
             lo, hi = self.n
             if lo < 1 or hi < lo:
@@ -104,6 +106,7 @@ class SearchConfig:
                 raise ValueError("exhaustive mode needs a fixed order")
         elif self.n < 1:
             raise ValueError("order must be at least 1")
+        return self._replace(pool=tuple(entries))
 
 
 class GridPool(NamedTuple):
@@ -184,8 +187,7 @@ def _iter_config(cfg: SearchConfig) -> Iterator[HermitianMatrix]:
         yield random_matrix(rng, n, pool)
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     matrix: HermitianMatrix
     sepr: SeprSequence
     position: int  # 1-based window start
@@ -213,14 +215,13 @@ def find_witness(cfg: SearchConfig) -> Optional[SearchHit]:
     return None
 
 
-@dataclass
 class HuntReport:
-    field: Field
-    mode: str
-    seed: int
-    samples: int = 0
-    check_counts: Dict[str, int] = dataclass_field(default_factory=dict)
-    violations: List[str] = dataclass_field(default_factory=list)
+    def __init__(
+        self, field: Field, mode: str, seed: int, samples: int = 0, check_counts=None, violations=None
+    ):
+        self.field, self.mode, self.seed, self.samples = field, mode, seed, samples
+        self.check_counts: Dict[str, int] = {} if check_counts is None else check_counts
+        self.violations: List[str] = [] if violations is None else violations
 
     @property
     def clean(self) -> bool:
@@ -268,8 +269,7 @@ def hunt_counterexamples(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CensusRow:
+class CensusRow(NamedTuple):
     pattern: SeprSequence
     status: str  # "witnessed" or "open"
     source: str
@@ -278,13 +278,12 @@ class CensusRow:
         return f"{self.pattern}\t{self.status}\t{self.source}"
 
 
-@dataclass
 class CensusReport:
-    order: int
-    field: Field
-    rows: List[CensusRow]
-    budgets: Dict[str, int]
-    violations: List[str]
+    def __init__(
+        self, order: int, field: Field, rows: List[CensusRow], budgets: Dict[str, int], violations: List[str]
+    ):
+        self.order, self.field, self.rows = order, field, rows
+        self.budgets, self.violations = budgets, violations
 
     @property
     def witnessed(self) -> int:

@@ -373,6 +373,21 @@ def test_two_level_leaf_matches_oracle(rows):
     assert m._mask_signs() == _oracle_sign_table(m)
 
 
+@pytest.mark.parametrize(
+    "diagonal",
+    [[(1, 1)], [(2, 0), (1, 1)], [(1, 0), (2, 1), (3, 0)], [(1, 0), (2, 0), (3, 1)], [(1, 0), (2, 0), (3, 0), (-1, 2)]],
+    ids=["pivot", "leaf", "two-level-leaf-q", "two-level-leaf-r", "reduced-block"],
+)
+def test_sign_walk_rejects_non_real_minor(diagonal):
+    # A grid with a non-real diagonal entry is not Hermitian, so some
+    # principal minor the Z[i] walk signs has a nonzero imaginary part: the
+    # 1 x 1 minor itself, or the leaf or two-level-leaf numerator it enters.
+    n = len(diagonal)
+    grid = [[diagonal[i] if i == j else (1, 0) for j in range(n)] for i in range(n)]
+    with pytest.raises(RuntimeError, match="came out non-real"):
+        matrix_module._sign_walk(grid, -1)
+
+
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
