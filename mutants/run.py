@@ -41,12 +41,14 @@ class Mutant:
 
 CLASSIFY = "src/seprkit/classify.py"
 MATRIX = "src/seprkit/matrix.py"
+PROPERTIES = "src/seprkit/properties.py"
 SEARCH = "src/seprkit/search.py"
 SEPR = "src/seprkit/sepr.py"
 LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
+INHERITANCE = ("tests/test_properties.py::test_inheritance_lists_every_escape_in_walk_order",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
     "tests/test_search.py::test_singular_completions_match_rational_solver",
@@ -54,6 +56,28 @@ COMPLETIONS = (
 )
 
 MUTANTS = (
+    # the packed sign fields of the inheritance check
+    Mutant(
+        "inheritance-no-own-sign",
+        PROPERTIES,
+        "fields = 1 << (sign_by_mask[mask] + 1 + 3 * (mask.bit_count() - 1))",
+        "fields = 0",
+        INHERITANCE,
+    ),
+    Mutant(
+        "inheritance-skips-lowest-submask",
+        PROPERTIES,
+        "        rest = mask\n",
+        "        rest = mask & (mask - 1)\n",
+        INHERITANCE,
+    ),
+    Mutant(
+        "inheritance-fields-one-order-up",
+        PROPERTIES,
+        "+ 3 * (mask.bit_count() - 1))",
+        "+ 3 * mask.bit_count())",
+        INHERITANCE,
+    ),
     # the two-level leaf of the sign walk
     Mutant(
         "leaf-int-sign",

@@ -4,11 +4,16 @@ Exit status: 0 on success, 1 on verification failure (catalog mismatch,
 forbidden windows, property violations, search miss), 2 on usage or parse
 errors.  Machine-readable output is tab-separated on stdout; diagnostics
 go to stderr.
+
+``main(argv)`` may be called many times in one process: the argparse tree
+is built on the first call (nothing at import) and reused by every later
+call, since parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .catalog import verify_all
@@ -221,7 +226,10 @@ def cmd_properties(args) -> int:
     return 0 if report.clean else VERIFICATION_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every later
+    one; callers share it, so they must not add to or change it."""
     parser = argparse.ArgumentParser(
         prog="seprkit",
         description="Exact sign patterns of principal minors of Hermitian matrices.",

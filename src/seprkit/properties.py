@@ -133,31 +133,58 @@ _INHERIT_ALLOWED = {
 }
 
 
+# A set of minor signs packs into a 3-bit field: bit s + 1 is set when a
+# minor of sign s (-1, 0 or 1) is present.  Every nonempty field names one term.
+_FIELD_TERM = (None,) + tuple(
+    classify_signs(s for s in (-1, 0, 1) if field >> (s + 1) & 1) for field in range(1, 8)
+)
+
+# The sign bits a term's images must not show.  Each allowed set above holds
+# every term whose signs lie inside its union, so a nonempty field lands in
+# the allowed set exactly when it shares no bit with these.
+_INHERIT_BAD = {
+    term: 7 ^ sum(1 << (s + 1) for s in frozenset().union(*(t.signs for t in allowed)))
+    for term, allowed in _INHERIT_ALLOWED.items()
+}
+
+
 def check_inheritance(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    """Every principal submatrix's terms stay inside the allowed images."""
+    """Every principal submatrix's terms stay inside the allowed images.
+
+    Each mask gets one packed int holding a 3-bit sign field per order k
+    (bits 3(k-1) to 3k-1) for the order-k principal minors inside the
+    mask: its own minor's sign bit OR the ints of its one-smaller
+    submasks, filled in increasing mask order.
+    """
     n = matrix.n
     if n < 2:
         return []
     sign_by_mask = matrix._mask_signs()
+    full = (1 << n) - 1
+    packed = [0] * full
+    for mask in range(1, full):
+        fields = 1 << (sign_by_mask[mask] + 1 + 3 * (mask.bit_count() - 1))
+        rest = mask
+        while rest:
+            low = rest & -rest
+            fields |= packed[mask ^ low]
+            rest ^= low
+        packed[mask] = fields
+    terms = seq.terms
+    bad_bits = 0
+    for j, term in enumerate(terms):
+        bad_bits |= _INHERIT_BAD.get(term, 0) << 3 * j
     bad = []
     for mask in sign_by_mask:
-        m = mask.bit_count()
-        if m == n:
+        if mask == full or not packed[mask] & bad_bits:
             continue
-        per_order: List[set] = [set() for _ in range(m)]
-        sub = mask
-        while sub:
-            per_order[sub.bit_count() - 1].add(sign_by_mask[sub])
-            sub = (sub - 1) & mask
-        for j in range(m):
-            allowed = _INHERIT_ALLOWED.get(seq.terms[j])
-            if allowed is None:
-                continue
-            got = classify_signs(per_order[j])
-            if got not in allowed:
+        fields = packed[mask]
+        for j in range(mask.bit_count()):
+            field = fields >> 3 * j & 7
+            if field & _INHERIT_BAD.get(terms[j], 0):
                 bad.append(
-                    f"order-{j + 1} term {seq.terms[j]} of {_describe(matrix)} "
-                    f"became {got} in principal submatrix mask {mask:#x}"
+                    f"order-{j + 1} term {terms[j]} of {_describe(matrix)} "
+                    f"became {_FIELD_TERM[field]} in principal submatrix mask {mask:#x}"
                 )
     return bad
 

@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from seprkit.cli import main
+from seprkit.cli import build_parser, main
 from seprkit.exact import GaussianRational, ScalarParseError, parse_pool_token
 from seprkit.matrix import HermitianMatrix, matrix_to_json
 
@@ -269,3 +270,50 @@ def test_matrix_roundtrip_through_cli(tmp_path, capsys):
     path.write_text(matrix_line)
     assert main(["compute", str(path)]) == 0
     assert "sepr: A+A+" in capsys.readouterr().out
+
+
+def test_parser_built_once_per_process(diag_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["compute", diag_file]) == 0
+    first = len(built)
+    assert built.count("seprkit") == 1
+    assert main(["classify", "NA+A*", "--field", "real"]) == 0
+    assert len(built) == first
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_match_fresh_parsers(diag_file, capsys):
+    # Every call through the shared parser prints and returns what the same
+    # argv does with a parser built just for it, usage errors and --help
+    # included, whatever ran before it.
+    script = [
+        (["compute", diag_file], 0),
+        (["properties", "--field", "real", "--samples", "x"], 2),
+        (["--help"], 0),
+        (["properties", "--field", "real", "--samples", "0"], 2),
+        (["catalog", "verify", "--id", "Nope.1"], 2),
+        (["compute", diag_file], 0),
+    ]
+
+    def run(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    capsys.readouterr()
+    build_parser.cache_clear()
+    shared = [run(argv) for argv, _ in script]
+    fresh = []
+    for argv, _ in script:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [rc for rc, _, _ in shared] == [rc for _, rc in script]
+    assert shared == fresh
