@@ -253,6 +253,22 @@ MUTANTS = (
         "if t.underlying is (EprTerm.A if c is EprTerm.S else c)]",
         ("tests/test_classify.py::test_underlying_family_consistent_with_epr_set",),
     ),
+    # the census builds a base's transform only when its predicted
+    # sequence holds a missing window
+    Mutant(
+        "census-transform-skip-inverted",
+        SEARCH,
+        "if any(w in missing for w in windows):",
+        "if not any(w in missing for w in windows):",
+        ("tests/test_cli.py::test_census_stdout_pinned",),
+    ),
+    Mutant(
+        "census-inverse-of-unnegated",
+        SEARCH,
+        "inverse_rule(s),",
+        "inverse_rule(seq),",
+        ("tests/test_search.py::test_census_transforms_match_their_rules",),
+    ),
     # the sequence rules the property checks and the census read
     Mutant(
         "direct-sum-without-empty-minor",

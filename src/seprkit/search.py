@@ -24,9 +24,12 @@ still goes through HermitianMatrix's checks and gets its own sign walk.
 
 The attainability census draws no random matrix: after its stock and
 catalog bases it climbs a fixed ladder of transforms, sweeps,
-duplicate-last constructions, det = 0 completions and symbolic direct sums
-(see attainability_census), so its report depends on nothing but the order
-and the field.
+duplicate-last constructions, det = 0 completions and direct sums (see
+attainability_census), so its report depends on nothing but the order
+and the field.  Transforms and direct sums are predicted by the rules of
+seprkit.sepr first, and a matrix is built and walked only when its
+prediction holds a pattern still missing; every witness the census
+reports is a matrix it built and walked.
 
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
@@ -35,16 +38,25 @@ never as impossibility.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations_with_replacement, islice, product
 from math import isqrt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .catalog import build_witness, get_record, witness_ids
 from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
 from .matrix import HermitianMatrix, SingularMatrixError, _scale
 from .properties import run_suite
-from .sepr import SeprSequence, SeprTerm, compute_sepr, direct_sum_rule, duplicate_last_rule
+from .sepr import (
+    SeprSequence,
+    SeprTerm,
+    compute_sepr,
+    direct_sum_rule,
+    duplicate_last_rule,
+    inverse_rule,
+    negation_rule,
+)
 
 DEFAULT_SEED = 1729
 
@@ -421,30 +433,76 @@ def _census_bases(field: Field) -> List[Tuple[str, HermitianMatrix]]:
     ]
 
 
+_APPENDED_ZERO = SeprSequence.parse("N")  # the sequence of the 1x1 zero matrix
+
+
 def _derived_matrices(
     label: str, matrix: HermitianMatrix
-) -> Iterator[Tuple[str, HermitianMatrix]]:
-    negated = matrix.negate()
-    yield f"transform:negate({label})", negated
-    for tag, m in (("", matrix), ("negate:", negated)):
-        yield f"transform:append-zero({tag}{label})", m.direct_sum(HermitianMatrix.zero(1))
-        yield f"transform:duplicate-last({tag}{label})", m.duplicate_last()
-        last = compute_sepr(m).terms[-1]
-        if last in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
-            try:
-                yield f"transform:inverse({tag}{label})", m.inverse()
-            except SingularMatrixError:  # pragma: no cover - last term says nonsingular
-                pass
+) -> Iterator[Tuple[str, SeprSequence, Callable[[], HermitianMatrix]]]:
+    """The structural transforms of a base as (source, predicted sequence,
+    build): its negation, then append-zero, duplicate-last and, for a
+    sequence ending in A+ or A-, inverse of the base and of its negation.
+    Each sequence follows from the base's walked sequence by the rules of
+    seprkit.sepr; build() makes the matrix, negating the base at most once."""
+    seq = compute_sepr(matrix)
+    negated = cache(matrix.negate)
+    yield f"transform:negate({label})", negation_rule(seq), negated
+    for tag, s, operand in (("", seq, lambda: matrix), ("negate:", negation_rule(seq), negated)):
+        yield (
+            f"transform:append-zero({tag}{label})",
+            direct_sum_rule(s, _APPENDED_ZERO),
+            lambda operand=operand: operand().direct_sum(HermitianMatrix.zero(1)),
+        )
+        yield (
+            f"transform:duplicate-last({tag}{label})",
+            duplicate_last_rule(s),
+            lambda operand=operand: operand().duplicate_last(),
+        )
+        if s.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
+            yield (
+                f"transform:inverse({tag}{label})",
+                inverse_rule(s),
+                lambda operand=operand: operand().inverse(),
+            )
 
 
 def _census_ladder(
-    order: int, field: Field, bases, missing: set, recorded: dict, budgets: dict
+    order: int,
+    field: Field,
+    bases,
+    forbidden: frozenset,
+    missing: set,
+    recorded: dict,
+    budgets: dict,
+    violations: list,
 ) -> Iterator[Tuple[Optional[str], str, HermitianMatrix]]:
     """The census's witness sources after its bases, in preference order,
     as (budget counter or None, source, matrix).  A rung starts only when
-    the census pulls past the rung before it."""
-    for label, m in bases:
-        yield from ((None, source, dm) for source, dm in _derived_matrices(label, m))
+    the census pulls past the rung before it.
+
+    The first rung predicts each structural transform of each base (see
+    _derived_matrices) and builds its matrix only when the prediction
+    holds a missing window: a transform whose windows are all witnessed
+    already can witness nothing new.  A forbidden window in a prediction,
+    and an inverse the engine refuses though the sequence ends in A+ or
+    A-, are violations naming the transform."""
+    for label, base in bases:
+        for source, predicted, build in _derived_matrices(label, base):
+            windows = [w for _, w in predicted.windows(order)]
+            violations.extend(
+                f"forbidden pattern {w} predicted in {predicted} for {source}"
+                for w in windows
+                if w in forbidden
+            )
+            if any(w in missing for w in windows):
+                try:
+                    m = build()
+                except SingularMatrixError:
+                    violations.append(
+                        f"last term {predicted.terms[-1]} but matrix not invertible: {source}"
+                    )
+                    continue
+                yield None, source, m
 
     # exhaustive small-matrix sweeps; real matrices also count for Hermitian
     sweep_rungs = [("sweep-real", Field.REAL_SYMMETRIC)]
@@ -480,9 +538,10 @@ def _census_ladder(
 
 # Longest direct sum the census walks.  A*A*A*, the one pattern no earlier
 # rung reaches, falls at total length 4.  An order-3 census records about
-# 450 sequences, so when no sum supplies a missing pattern the walk predicts
-# about 1,200 pairs up to length 5, 4,900 up to length 6 and some 100,000
-# without a bound: the bound caps that worst case.
+# 250 sequences (those of the matrices it built), so when no sum supplies a
+# missing pattern the walk predicts about 540 pairs up to length 5, 3,100 up
+# to length 6 and some 33,000 without a bound: the bound caps that worst
+# case.
 MAX_SUM_ORDER = 5
 
 
@@ -513,13 +572,15 @@ def attainability_census(order: int, field: Field) -> CensusReport:
 
     Every stock matrix and catalog witness is scanned in full.  While
     patterns are missing, the sources follow in this order, all of them
-    deterministic: structural transforms of those bases; every matrix of
-    the exhaustive canonical sweep over real matrices, then (Hermitian
-    census) over complex ones; duplicate-last constructions on sweep
-    matrices; det = 0 completions of real 3x3 matrices, one per similarity
-    class (see singular_completions); and direct sums of the sequences
-    seen so far, predicted symbolically (see _direct_sums).  Patterns still
-    missing are reported as open, never as impossible.
+    deterministic: structural transforms of those bases, each predicted
+    by its rule and built only when the prediction holds a missing window
+    (see _census_ladder); every matrix of the exhaustive canonical sweep
+    over real matrices, then (Hermitian census) over complex ones;
+    duplicate-last constructions on sweep matrices; det = 0 completions of
+    real 3x3 matrices, one per similarity class (see singular_completions);
+    and direct sums of the sequences of the bases and of the matrices the
+    census built, predicted symbolically (see _direct_sums).  Patterns still missing are
+    reported as open, never as impossible.
     """
     if order not in (2, 3):
         raise ValueError("census supports orders 2 and 3")
@@ -545,7 +606,9 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     for label, m in bases:
         absorb(label, m)
     if missing:
-        for counter, source, m in _census_ladder(order, field, bases, missing, recorded, budgets):
+        for counter, source, m in _census_ladder(
+            order, field, bases, forbidden, missing, recorded, budgets, violations
+        ):
             if counter is not None:
                 budgets[counter] += 1
             absorb(source, m)

@@ -8,8 +8,9 @@ import pytest
 from conftest import oracle_det
 from seprkit import search
 from seprkit.classify import Field, forbidden_order2, forbidden_order3
+from seprkit.cli import main
 from seprkit.exact import GaussianRational, I
-from seprkit.matrix import HermitianMatrix
+from seprkit.matrix import HermitianMatrix, SingularMatrixError
 from seprkit.search import (
     COMPLEX_DEFAULT_POOL,
     REAL_DEFAULT_POOL,
@@ -22,6 +23,8 @@ from seprkit.search import (
     hunt_counterexamples,
     random_matrix,
     singular_completions,
+    _census_bases,
+    _derived_matrices,
     _sweep_pool,
 )
 from seprkit.sepr import compute_sepr, parse_sequence
@@ -331,3 +334,40 @@ def test_census_targets_exclude_forbidden():
     assert patterns.isdisjoint(forbidden_order2(Field.HERMITIAN))
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert {r.pattern for r in rep.rows}.isdisjoint(forbidden_order3(Field.REAL_SYMMETRIC))
+
+
+def test_census_transforms_match_their_rules():
+    # the census builds a transform only when its predicted sequence holds
+    # a missing window; every prediction, built or not, must be the
+    # sequence of the matrix it stands for
+    checked = 0
+    for field in Field:
+        for label, base in _census_bases(field):
+            for source, predicted, build in _derived_matrices(label, base):
+                assert compute_sepr(build()) == predicted, source
+                checked += 1
+    assert checked == 1082
+
+
+def test_census_reports_a_failed_inverse(monkeypatch, capsys):
+    # an inverse the engine refuses although the sequence ends in A+ or A-
+    # is an engine inconsistency, reported with its source, never skipped
+    bases = _census_bases(Field.HERMITIAN)  # some catalog witnesses are inverses
+    monkeypatch.setattr(search, "_census_bases", lambda field: bases)
+
+    def refuse(self):
+        raise SingularMatrixError("matrix is singular")
+
+    monkeypatch.setattr(HermitianMatrix, "inverse", refuse)
+    assert main(["search", "--census", "--order", "3", "--field", "hermitian"]) == 1
+    err = capsys.readouterr().err
+    assert "violation: last term A+ but matrix not invertible: transform:inverse(" in err
+
+
+def test_census_scans_predictions_for_forbidden_windows(monkeypatch):
+    # a prediction is checked for forbidden windows even when its matrix
+    # is never built
+    bad = min(forbidden_order3(Field.REAL_SYMMETRIC), key=str)
+    monkeypatch.setattr(search, "negation_rule", lambda seq: bad)
+    rep = attainability_census(3, Field.REAL_SYMMETRIC)
+    assert f"forbidden pattern {bad} predicted in {bad} for transform:negate(stock:O1)" in rep.violations
