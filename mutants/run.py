@@ -40,6 +40,7 @@ class Mutant:
 
 
 CLASSIFY = "src/seprkit/classify.py"
+CONFTEST = "tests/conftest.py"
 MATRIX = "src/seprkit/matrix.py"
 PROPERTIES = "src/seprkit/properties.py"
 SEARCH = "src/seprkit/search.py"
@@ -128,6 +129,14 @@ MUTANTS = (
         "(piv[0] > 0) - (piv[0] < 0) if d < 0 and not piv[1] else _sign(piv, d)",
         "(piv[0] > 0) - (piv[0] < 0) if d < 0 else _sign(piv, d)",
         ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",),
+    ),
+    # the certified sign of a Z[sqrt 5] minor
+    Mutant(
+        "sign-sqrt5-flipped",
+        MATRIX,
+        "        return Sqrt5Rational(*value).sign()\n",
+        "        return -Sqrt5Rational(*value).sign()\n",
+        LEAF,
     ),
     # the Bareiss step of the pair walk
     Mutant(
@@ -222,6 +231,29 @@ MUTANTS = (
             "tests/test_matrix.py::test_equal_matrices_have_equal_grids",
             "tests/test_matrix.py::test_json_loader_matches_scalar_construction",
         ),
+    ),
+    # the test oracles' own Q(sqrt d) field: a broken oracle must fail the
+    # fixed-case oracle tests
+    Mutant(
+        "oracle-field-product-term-flipped",
+        CONFTEST,
+        "self.a * y.a + self.d * self.b * y.b",
+        "self.a * y.a - self.d * self.b * y.b",
+        PIVOT,
+    ),
+    Mutant(
+        "oracle-field-division-unconjugated",
+        CONFTEST,
+        "return self * type(self)(y.a / norm, -y.b / norm)",
+        "return self * type(self)(y.a / norm, y.b / norm)",
+        PIVOT,
+    ),
+    Mutant(
+        "oracle-field-sign-by-rational-part",
+        CONFTEST,
+        "lead = self.a if self.a * self.a > self.d * self.b * self.b else self.b",
+        "lead = self.a or self.b",
+        LEAF,
     ),
     # the det-zero completions' similarity-class reduction
     Mutant(

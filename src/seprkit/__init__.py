@@ -14,12 +14,10 @@ from .exact import (
     Sqrt5Rational,
     format_rational,
     parse_rational,
-    real_sign,
     sign_of_real,
 )
 from .matrix import (
     HermitianMatrix,
-    IndexSet,
     MatrixFormatError,
     SingularMatrixError,
     load_matrix,
@@ -31,7 +29,6 @@ from .sepr import (
     EprTerm,
     SeprSequence,
     SeprTerm,
-    classify_order,
     compute_epr,
     compute_sepr,
     parse_sequence,

@@ -419,12 +419,6 @@ def build_witness(witness_id: str) -> HermitianMatrix:
     return base.inverse() if _FAMILIES[rec.family][1] else base
 
 
-def witness_base(witness_id: str) -> Optional[HermitianMatrix]:
-    """For inverse-defined witnesses, the base matrix being inverted."""
-    rec = get_record(witness_id)
-    return _base_matrix(rec) if _FAMILIES[rec.family][1] else None
-
-
 def verify_witness(witness_id: str) -> Tuple[SeprSequence, bool]:
     """Recompute the witness's sign sequence and compare with the claim."""
     rec = get_record(witness_id)

@@ -18,8 +18,8 @@ import sys
 
 from .catalog import verify_all
 from .classify import Field, classify_sequence, epr_forbidden_order3, forbidden_order2, forbidden_order3, scan_for_forbidden
-from .exact import ScalarParseError, parse_pool_token
-from .matrix import MatrixFormatError, load_matrix, matrix_to_json
+from .exact import parse_pool_token
+from .matrix import load_matrix, matrix_to_json
 from .search import (
     COMPLEX_DEFAULT_POOL,
     DEFAULT_SEED,
@@ -29,7 +29,7 @@ from .search import (
     find_witness,
     hunt_counterexamples,
 )
-from .sepr import SequenceParseError, compute_epr, compute_sepr, parse_sequence
+from .sepr import compute_epr, compute_sepr, parse_sequence
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SequenceParseError, ScalarParseError, MatrixFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

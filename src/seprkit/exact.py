@@ -1,8 +1,11 @@
 """Exact scalars: rationals, Gaussian rationals, and one quadratic extension.
 
-Every sign decision in this package bottoms out here.  All three scalar
-kinds are immutable values with structural equality, so they can be shared
-freely (including across threads) and used as dict keys.
+The scalar types are values, not a field: the package takes every sign
+from scaled integer grids (see ``seprkit.matrix``), so a scalar is only
+built, parsed, formatted, compared, hashed, negated and conjugated, and
+a Q(sqrt 5) value also gives its certified sign.  They do no field
+arithmetic.  Both are immutable with structural equality, so they can be
+shared freely (including across threads) and used as dict keys.
 
 ``Rational`` is an alias for :class:`fractions.Fraction`, which already
 guarantees the invariants we need: arbitrary-precision integers, positive
@@ -10,9 +13,10 @@ denominator, and storage in lowest terms.
 
 Scalar text has one grammar, ``['-'] digits ['/' digits]``, read by
 :func:`parse_ratio` into an unreduced ``(numerator, denominator)`` pair.
-:func:`parse_rational`, :func:`parse_gaussian` and :func:`parse_pool_token`
-build exact scalars from those pairs; the matrix JSON loader takes them
-straight to a scaled integer grid without building scalars at all.
+:func:`parse_rational` and :func:`parse_pool_token` build exact scalars
+from those pairs, and :func:`parse_gaussian_ratios` reads a serialized
+[re, im] pair; the matrix JSON loader takes its pairs straight to a
+scaled integer grid without building scalars at all.
 """
 
 from __future__ import annotations
@@ -120,71 +124,13 @@ class GaussianRational:
             return GaussianRational(value)
         return None
 
-    # -- field operations ---------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        nrm = other.re * other.re + other.im * other.im
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / nrm,
-            (self.im * other.re - self.re * other.im) / nrm,
-        )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
     # -- predicates and hashing ---------------------------------------
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -225,13 +171,6 @@ def parse_gaussian_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
     return parse_ratio(pair[0]), parse_ratio(pair[1])
 
 
-def parse_gaussian(pair) -> GaussianRational:
-    """Parse the serialized form of a Gaussian rational (see
-    :func:`parse_gaussian_ratios`)."""
-    re, im = parse_gaussian_ratios(pair)
-    return GaussianRational(Fraction(*re), Fraction(*im))
-
-
 def format_gaussian(z: GaussianRational) -> list:
     return [format_rational(z.re), format_rational(z.im)]
 
@@ -264,58 +203,6 @@ class Sqrt5Rational:
         if isinstance(value, GaussianRational) and value.im == 0:
             return Sqrt5Rational(value.re)
         return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt5Rational(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt5Rational(self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Sqrt5Rational(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        nrm = other.a * other.a - 5 * other.b * other.b
-        if nrm == 0:
-            if other.a == 0 and other.b == 0:
-                raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-            raise ArithmeticError("a**2 = 5*b**2 with b != 0 is impossible")
-        # multiply by the algebraic conjugate a - b*sqrt(5)
-        return Sqrt5Rational(
-            (self.a * other.a - 5 * self.b * other.b) / nrm,
-            (self.b * other.a - self.a * other.b) / nrm,
-        )
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __neg__(self):
         return Sqrt5Rational(-self.a, -self.b)
@@ -364,19 +251,3 @@ class Sqrt5Rational:
             return tail if self.b > 0 else f"-{tail}"
         sep = "+" if self.b > 0 else "-"
         return f"{format_rational(self.a)}{sep}{tail}"
-
-
-def real_sign(value) -> int:
-    """Sign of an exactly-represented real value.
-
-    Accepts ints, Fractions, Sqrt5Rationals, and real GaussianRationals.
-    """
-    if isinstance(value, (int, Fraction)):
-        return sign_of_real(value)
-    if isinstance(value, Sqrt5Rational):
-        return value.sign()
-    if isinstance(value, GaussianRational):
-        if value.im != 0:
-            raise ValueError(f"{value} is not real")
-        return sign_of_real(value.re)
-    raise TypeError(f"cannot take the sign of {type(value).__name__}")

@@ -13,13 +13,10 @@ result's grid directly, and exact entries are built only on request.
 The heavy operation is enumerating all 2**n - 1 principal minors.
 Fraction-free elimination stays exact over those rings.  One
 Gauss-Jordan kernel per form returns the rank, the sign of its row swaps
-and the last pivot, which give every determinant, rank and inverse.  The
-cached minor table holds only signs and comes from one depth-first walk
-over the index sets that eliminates each nonsingular prefix once; exact
-minor values are built on request.
-
-Index sets follow the mathematical convention: 1-based, strictly
-increasing.
+and the last pivot, which give every rank and inverse.  The cached minor
+table holds only signs and comes from one depth-first walk over the index
+sets that eliminates each nonsingular prefix once; no minor value is ever
+built.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exact import (
     GaussianRational,
@@ -40,34 +37,13 @@ from .exact import (
     ScalarParseError,
 )
 
-IndexSet = tuple  # 1-based, strictly increasing indices
-
 
 class MatrixFormatError(ValueError):
     """A matrix document or entry grid is malformed (position-specific)."""
 
 
-class IndexSetError(ValueError):
-    """An index set is not a strictly increasing subset of 1..n."""
-
-
 class SingularMatrixError(ValueError):
     """Inverse requested for a matrix with zero determinant."""
-
-
-def as_index_set(alpha: Iterable[int], n: int) -> IndexSet:
-    """Validate and normalize an index set against order ``n``."""
-    idx = tuple(alpha)
-    if not idx:
-        raise IndexSetError("index set is empty")
-    for i, v in enumerate(idx):
-        if not isinstance(v, int):
-            raise IndexSetError(f"index {v!r} is not an integer")
-        if v < 1 or v > n:
-            raise IndexSetError(f"index {v} out of range 1..{n}")
-        if i > 0 and idx[i - 1] >= v:
-            raise IndexSetError(f"indices not strictly increasing at position {i + 1}")
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +262,6 @@ def _column_deletions(d, rows):
     return out
 
 
-def _det(d, rows):
-    """Determinant of a square grid in _scale's form; mutates ``rows``."""
-    rank, sign, last = _eliminate(d, rows)
-    if d == 0:
-        return sign * last if rank == len(rows) else 0
-    return (sign * last[0], sign * last[1]) if rank == len(rows) else (0, 0)
-
-
 def _reduce_ints(block, a, prev):
     """One Bareiss step on a packed Hermitian block, whose row r holds the
     entries (r, r), (r, r + 1), ...: pivot on position a, divide by
@@ -340,23 +308,18 @@ def _reduce_pairs(block, a, prev, d):
     return out
 
 
-def _gaussian_real(value) -> int:
-    """The real part of a Z[i] pair that stands for a principal minor."""
-    a, b = value
-    if b:
-        raise RuntimeError(
-            "principal minor of a Hermitian matrix came out non-real; "
-            "internal invariant violated"
-        )
-    return a
-
-
 def _sign(value, d) -> int:
-    """Sign of a scaled principal minor in _scale's form."""
+    """Sign of a scaled principal minor in _scale's form; a Z[i] minor must
+    be real."""
     if d == 5:
         return Sqrt5Rational(*value).sign()
     if d:
-        value = _gaussian_real(value)
+        value, imag = value
+        if imag:
+            raise RuntimeError(
+                "principal minor of a Hermitian matrix came out non-real; "
+                "internal invariant violated"
+            )
     return (value > 0) - (value < 0)
 
 
@@ -537,12 +500,6 @@ def _zero_fill(child, zeros, table):
         sub = (sub - 1) & zeros
 
 
-def grid_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of an arbitrary (not necessarily Hermitian) grid of scalars."""
-    d, _, grid = _scale(rows)
-    return _eliminate(d, [list(r) for r in grid])[0]
-
-
 # ---------------------------------------------------------------------------
 # the matrix type
 # ---------------------------------------------------------------------------
@@ -659,39 +616,7 @@ class HermitianMatrix:
     def is_real(self) -> bool:
         return self._d != -1
 
-    def _minor_of_subset(self, subset) -> Fraction | Sqrt5Rational:
-        """Exact principal minor for a 0-based index tuple."""
-        d, grid = self._d, self._grid
-        value = _det(d, [[grid[i][j] for j in subset] for i in subset])
-        denom = self._scale ** len(subset)
-        if d == 5:
-            return Sqrt5Rational(Fraction(value[0], denom), Fraction(value[1], denom))
-        return Fraction(_gaussian_real(value) if d else value, denom)
-
     # -- principal minors ---------------------------------------------------
-
-    def principal_submatrix(self, alpha: Iterable[int]) -> "HermitianMatrix":
-        idx = as_index_set(alpha, self.n)
-        grid = self._grid
-        return self._of(self._d, self._scale, tuple(tuple(grid[i - 1][j - 1] for j in idx) for i in idx))
-
-    def determinant(self) -> Fraction | Sqrt5Rational:
-        """Exact determinant.  Hermitian determinants are real; the zero
-        imaginary part is asserted and discarded."""
-        return self._minor_of_subset(tuple(range(self.n)))
-
-    def all_principal_minors(self, k: int):
-        """All order-``k`` principal minors, in lexicographic subset order.
-
-        Returns a list of ``(index_set, value)`` pairs, one per k-subset.
-        """
-        if not isinstance(k, int) or k < 1 or k > self.n:
-            raise ValueError(f"minor order {k!r} out of range 1..{self.n}")
-        out = []
-        for subset in combinations(range(self.n), k):
-            idx = tuple(i + 1 for i in subset)
-            out.append((idx, self._minor_of_subset(subset)))
-        return out
 
     def _mask_signs(self):
         """Signs of all 2**n - 1 principal minors keyed by index bitmask

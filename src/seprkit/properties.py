@@ -35,7 +35,7 @@ import random
 from typing import Dict, List, Tuple
 
 from .classify import Field, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
-from .matrix import HermitianMatrix, SingularMatrixError, _column_deletions, matrix_to_json
+from .matrix import HermitianMatrix, MatrixFormatError, SingularMatrixError, _column_deletions, matrix_to_json
 from .sepr import (
     EprTerm,
     SeprSequence,
@@ -51,7 +51,12 @@ from .sepr import (
 
 
 def _describe(matrix: HermitianMatrix) -> str:
-    return matrix_to_json(matrix)
+    """The matrix's JSON document, or its repr when an irrational Q(sqrt 5)
+    entry has no JSON form."""
+    try:
+        return matrix_to_json(matrix)
+    except MatrixFormatError:
+        return repr(matrix)
 
 
 def check_last_term(seq: SeprSequence) -> List[str]:

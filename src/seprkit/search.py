@@ -309,12 +309,6 @@ class CensusReport:
     def open_patterns(self) -> List[SeprSequence]:
         return [r.pattern for r in self.rows if r.status == "open"]
 
-    def source_of(self, pattern: SeprSequence) -> Optional[str]:
-        for r in self.rows:
-            if r.pattern == pattern:
-                return r.source if r.status == "witnessed" else None
-        return None
-
     def lines(self):
         for r in self.rows:
             yield r.line()

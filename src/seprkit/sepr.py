@@ -44,7 +44,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Optional
 
-from .exact import real_sign
 from .matrix import HermitianMatrix
 
 
@@ -244,14 +243,6 @@ def classify_signs(signs) -> SeprTerm:
     if has_pos and has_neg:
         return SeprTerm.S_STAR
     return SeprTerm.S_PLUS if has_pos else SeprTerm.S_MINUS
-
-
-def classify_order(minors) -> SeprTerm:
-    """Classify one order's principal minors, given their exact values."""
-    values = list(minors)
-    if not values:
-        raise ValueError("cannot classify an empty collection of minors")
-    return classify_signs(real_sign(v) for v in values)
 
 
 def compute_sepr(matrix: HermitianMatrix) -> SeprSequence:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import Gauss, Root5, lift, lower, sign
 from seprkit.exact import (
     GaussianRational,
     I,
@@ -11,22 +12,25 @@ from seprkit.exact import (
     Sqrt5Rational,
     format_gaussian,
     format_rational,
-    parse_gaussian,
+    parse_gaussian_ratios,
     parse_rational,
-    real_sign,
     sign_of_real,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+# the test oracles' own field (tests/conftest.py); seprkit's scalars are
+# values without arithmetic
+field_gaussians = st.builds(Gauss, rationals, rationals)
 
 
 def test_basic_products():
-    one_plus_i = GaussianRational(1, 1)
-    one_minus_i = GaussianRational(1, -1)
-    assert one_plus_i * one_minus_i == GaussianRational(2)
-    assert I * -I == GaussianRational(1)
-    assert GaussianRational(Fraction(1, 2)) + GaussianRational(Fraction(1, 3)) == GaussianRational(Fraction(5, 6))
+    one_plus_i = Gauss(1, 1)
+    one_minus_i = Gauss(1, -1)
+    assert one_plus_i * one_minus_i == 2
+    assert Gauss(0, 1) * -Gauss(0, 1) == 1
+    assert Gauss(Fraction(1, 2)) + Fraction(1, 3) == Gauss(Fraction(5, 6))
+    assert lower(lift(I)) == I and lower(Gauss(0, 1) - 1) == GaussianRational(-1, 1)
 
 
 def test_conjugate_examples():
@@ -43,10 +47,10 @@ def test_sign_of_real():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        GaussianRational(1) / GaussianRational(0)
+        Gauss(1) / Gauss(0)
 
 
-@given(gaussians, gaussians)
+@given(field_gaussians, field_gaussians)
 def test_exact_division_roundtrip(a, b):
     if not b:
         return
@@ -58,11 +62,11 @@ def test_conjugate_involution(a):
     assert a.conjugate().conjugate() == a
 
 
-@given(gaussians)
+@given(field_gaussians)
 def test_norm_is_nonnegative_real(a):
-    n = a * a.conjugate()
-    assert n.im == 0
-    assert n.re >= 0
+    n = a * a.conj()
+    assert n.b == 0
+    assert n.a >= 0
 
 
 @given(rationals)
@@ -91,21 +95,23 @@ def test_rational_grammar_rejects(bad, offset):
 
 def test_gaussian_pair_serialization():
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
-    assert parse_gaussian(format_gaussian(z)) == z
+    assert parse_gaussian_ratios(format_gaussian(z)) == ((1, 2), (-3, 4))
     with pytest.raises(ScalarParseError):
-        parse_gaussian(["1"])
+        parse_gaussian_ratios(["1"])
     with pytest.raises(ScalarParseError):
-        parse_gaussian(["1", "x"])
+        parse_gaussian_ratios(["1", "x"])
 
 
 def test_sqrt5_arithmetic():
-    r = Sqrt5Rational(2, 1)  # 2 + sqrt(5)
-    s = Sqrt5Rational(2, -1)  # 2 - sqrt(5)
-    assert r * s == Sqrt5Rational(-1)  # 4 - 5
+    r = Root5(2, 1)  # 2 + sqrt(5)
+    s = Root5(2, -1)  # 2 - sqrt(5)
+    assert r * s == -1  # 4 - 5
     assert (r * r) / r == r
-    assert r + s == Sqrt5Rational(4)
-    assert -r == Sqrt5Rational(-2, -1)
-    assert r.conjugate() == r  # real value: complex conjugation fixes it
+    assert r + s == 4
+    assert r.conj() == r  # real value: complex conjugation fixes it
+    assert -Sqrt5Rational(2, 1) == Sqrt5Rational(-2, -1)
+    assert Sqrt5Rational(2, 1).conjugate() == Sqrt5Rational(2, 1)
+    assert lower(lift(Sqrt5Rational(2, 1))) == Sqrt5Rational(2, 1)
 
 
 def test_sqrt5_signs_certified():
@@ -118,8 +124,17 @@ def test_sqrt5_signs_certified():
 
 
 def test_real_sign_dispatch():
-    assert real_sign(Fraction(-1, 7)) == -1
-    assert real_sign(GaussianRational(3)) == 1
-    assert real_sign(Sqrt5Rational(0, 1)) == 1
+    # the oracles' sign (tests/conftest.py) takes every real value kind
+    assert sign(Fraction(-1, 7)) == -1
+    assert sign(GaussianRational(3)) == 1
+    assert sign(Sqrt5Rational(0, 1)) == 1
     with pytest.raises(ValueError):
-        real_sign(I)
+        sign(I)
+
+
+@given(rationals, rationals)
+def test_sqrt5_sign_matches_oracle_field(a, b):
+    # two independent sign decisions for a + b*sqrt(5)
+    assert Sqrt5Rational(a, b).sign() == Root5(a, b).sign()
+    with pytest.raises(ValueError):
+        Gauss(a, b or 1).sign()  # a non-real value has no sign

@@ -2,27 +2,33 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    Gauss,
+    Root5,
     elimination_det,
+    lift,
+    lower,
+    matrix_of,
     oracle_det,
-    oracle_minors_by_order,
     oracle_principal_minor,
+    oracle_signs_by_order,
+    product,
     random_hermitian,
+    sign,
 )
 from seprkit.catalog import build_witness
 from seprkit import matrix as matrix_module
-from seprkit.exact import GaussianRational, I, Sqrt5Rational, parse_gaussian, real_sign
+from seprkit.exact import GaussianRational, I, Sqrt5Rational, parse_rational
 from seprkit.matrix import (
     HermitianMatrix,
-    IndexSetError,
     MatrixFormatError,
     SingularMatrixError,
-    grid_rank,
     load_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -53,44 +59,23 @@ def test_construction_rejects_non_hermitian():
         HermitianMatrix([[0, 1], [1, 0], [0, 0]])
 
 
-def test_principal_submatrix_examples():
-    d = HermitianMatrix.diagonal([1, -1, -1, 0])
-    assert d.principal_submatrix((1, 4)) == HermitianMatrix.diagonal([1, 0])
-    assert F_VIER_ONE.principal_submatrix((3, 4)) == HermitianMatrix([[1, 2], [2, 1]])
-    assert d.principal_submatrix((1, 2, 3, 4)) == d
-
-
-def test_principal_submatrix_rejects_bad_sets():
-    d = HermitianMatrix.diagonal([1, 2])
-    for bad in ((), (0,), (3,), (2, 1), (1, 1)):
-        with pytest.raises(IndexSetError):
-            d.principal_submatrix(bad)
-
-
 def test_determinant_examples():
+    # exact determinants are the oracle's; the engine gives their signs
     m = HermitianMatrix([[GaussianRational(0), I], [-I, GaussianRational(0)]])
-    assert m.determinant() == Fraction(-1)
-    assert HermitianMatrix.zero(3).determinant() == 0
-    det = F_VIER_ONE.determinant()
-    assert det == oracle_principal_minor(F_VIER_ONE, (0, 1, 2, 3))
-    assert det > 0  # matches the positive final term of its sign sequence
+    assert oracle_principal_minor(m, (0, 1)) == -1
+    assert m.minor_signs_by_order()[-1] == [-1]
+    assert HermitianMatrix.zero(3).minor_signs_by_order()[-1] == [0]
+    assert oracle_principal_minor(F_VIER_ONE, (0, 1, 2, 3)) == 57
+    assert F_VIER_ONE.minor_signs_by_order()[-1] == [1]
 
 
 def test_all_principal_minors_examples():
     d = HermitianMatrix.diagonal([1, -1, -1, 0])
-    k1 = d.all_principal_minors(1)
-    assert [v for _, v in k1] == [1, -1, -1, 0]
-    # diagonal triple-product oracle
-    vals = [Fraction(1), Fraction(-1), Fraction(-1), Fraction(0)]
-    expected = [vals[a] * vals[b] * vals[c] for a, b, c in combinations(range(4), 3)]
-    assert [v for _, v in d.all_principal_minors(3)] == expected
-    assert len(d.all_principal_minors(2)) == 6
-    assert [idx for idx, _ in d.all_principal_minors(2)] == [
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-    ]
-    for bad in (0, 5, -1):
-        with pytest.raises(ValueError):
-            d.all_principal_minors(bad)
+    signs = d.minor_signs_by_order()
+    # diagonal subset-product oracle, in lexicographic subset order
+    vals = [1, -1, -1, 0]
+    for k in range(1, 5):
+        assert signs[k - 1] == [prod(vals[i] for i in subset) for subset in combinations(range(4), k)]
 
 
 def test_minors_match_oracle_random():
@@ -98,8 +83,7 @@ def test_minors_match_oracle_random():
     for _ in range(25):
         n = rng.randint(1, 4)
         m = random_hermitian(rng, n, real=bool(rng.getrandbits(1)))
-        got = [[v for _, v in m.all_principal_minors(k)] for k in range(1, n + 1)]
-        assert got == oracle_minors_by_order(m)
+        assert m.minor_signs_by_order() == oracle_signs_by_order(m)
 
 
 def test_fractional_entries_minors_match_oracle():
@@ -116,38 +100,29 @@ def test_fractional_entries_minors_match_oracle():
                 rows[i][j] = v
                 rows[j][i] = v.conjugate()
         m = HermitianMatrix(rows)
-        assert [v for _, v in m.all_principal_minors(3)] == [
-            oracle_principal_minor(m, (0, 1, 2))
-        ]
-        assert m.determinant() == oracle_principal_minor(m, (0, 1, 2))
+        assert m.minor_signs_by_order() == oracle_signs_by_order(m)
 
 
 # Entries of the three scalar kinds the integer engines cover: real
-# rationals (d = 0), Gaussian rationals (d = -1) and Q(sqrt 5) (d = 5).
-# Small numerators make zero pivots, and so row swaps, common.
+# rationals (d = 0), Gaussian rationals (d = -1) and Q(sqrt 5) (d = 5),
+# drawn in the oracles' field.  Small numerators make zero pivots, and so
+# row swaps, common.
 _RATIONALS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
-_REAL = st.builds(GaussianRational, _RATIONALS)
+_REAL = st.builds(Gauss, _RATIONALS)
 _ENTRIES = {
     "real": _REAL,
-    "gaussian": st.builds(GaussianRational, _RATIONALS, _RATIONALS),
-    "sqrt5": st.builds(Sqrt5Rational, _RATIONALS, _RATIONALS),
+    "gaussian": st.builds(Gauss, _RATIONALS, _RATIONALS),
+    "sqrt5": st.builds(Root5, _RATIONALS, _RATIONALS),
 }
 _DIAGONALS = {"real": _REAL, "gaussian": _REAL, "sqrt5": _ENTRIES["sqrt5"]}
 # Integral entries cancel far more often: det[S + j] = 0 below a
 # nonsingular, often negative, det S.
 _SMALL = st.integers(-2, 2)
 _INTEGRAL = {
-    "real": st.builds(GaussianRational, _SMALL),
-    "gaussian": st.builds(GaussianRational, _SMALL, _SMALL),
-    "sqrt5": st.builds(Sqrt5Rational, _SMALL, _SMALL),
+    "real": st.builds(Gauss, _SMALL),
+    "gaussian": st.builds(Gauss, _SMALL, _SMALL),
+    "sqrt5": st.builds(Root5, _SMALL, _SMALL),
 }
-
-
-def _product(left, right):
-    return [
-        [sum((a * b for a, b in zip(row, col)), GaussianRational(0)) for col in zip(*right)]
-        for row in left
-    ]
 
 
 @st.composite
@@ -161,7 +136,7 @@ def _hermitian(draw, kind, diagonals=None, orders=(1, 5), entries=None):
     n = draw(st.integers(*orders))
     if n > 1 and draw(st.booleans()):
         vs = [[draw(entries) for _ in range(n)] for _ in range(draw(st.integers(1, n - 1)))]
-        return HermitianMatrix(_product(list(zip(*vs)), [[v.conjugate() for v in row] for row in vs]))
+        return matrix_of(product(list(zip(*vs)), [[v.conj() for v in row] for row in vs]))
     if diagonals is None:
         diagonals = _DIAGONALS[kind]
     rows = [[None] * n for _ in range(n)]
@@ -169,8 +144,8 @@ def _hermitian(draw, kind, diagonals=None, orders=(1, 5), entries=None):
         rows[i][i] = draw(diagonals)
         for j in range(i + 1, n):
             rows[i][j] = draw(entries)
-            rows[j][i] = rows[i][j].conjugate()
-    return HermitianMatrix(rows)
+            rows[j][i] = rows[i][j].conj()
+    return matrix_of(rows)
 
 
 @st.composite
@@ -180,7 +155,7 @@ def _grid(draw, kind):
     n_rows, inner, n_cols = (draw(st.integers(1, 4)) for _ in range(3))
     left = [[draw(_ENTRIES[kind]) for _ in range(inner)] for _ in range(n_rows)]
     right = [[draw(_ENTRIES[kind]) for _ in range(n_cols)] for _ in range(inner)]
-    return _product(left, right)
+    return product(left, right)
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -188,13 +163,8 @@ def _grid(draw, kind):
 @given(data=st.data())
 def test_minor_engine_matches_oracle(kind, data):
     m = data.draw(_hermitian(kind))
-    expected = oracle_minors_by_order(m)
-    got = [[v for _, v in m.all_principal_minors(k)] for k in range(1, m.n + 1)]
-    assert got == expected
-    value_type = Sqrt5Rational if kind == "sqrt5" else Fraction
-    assert all(type(v) is value_type for row in got for v in row)
-    assert m.determinant() == expected[-1][0]
-    assert m.minor_signs_by_order() == [[real_sign(v) for v in row] for row in expected]
+    expected = oracle_signs_by_order(m)
+    assert m.minor_signs_by_order() == expected
     assert m.rank() == max((k for k, row in enumerate(expected, 1) if any(row)), default=0)
 
 
@@ -205,23 +175,23 @@ def _negative_singular_prefix(draw, kind, orders, entries):
     below a negative pivot that still have at least two later indices."""
     m = draw(_hermitian(kind, None, (max(orders[0], 4), orders[1]), entries))
     n = m.n
-    rows = [list(row) for row in m.entries]
+    rows = lift(m.entries)
     i = draw(st.integers(0, n - 4))
     u = draw(st.integers(1, 3))
     rows[i][i] = -u
     later = range(i + 1, n) if draw(st.booleans()) else [draw(st.integers(i + 1, n - 3))]
     for j in later:
         v = draw(entries.filter(lambda x: x != 0))
-        rows[i][j], rows[j][i], rows[j][j] = v, v.conjugate(), -(v * v.conjugate()) / u
-    return HermitianMatrix(rows)
+        rows[i][j], rows[j][i], rows[j][j] = v, v.conj(), -(v * v.conj()) / u
+    return matrix_of(rows)
 
 
 def _oracle_sign_table(m, det=oracle_det):
     """The sign of every principal minor by the determinant oracle ``det``,
     keyed by index bitmask."""
-    entries = m.entries
+    entries = lift(m.entries)
     return {
-        sum(1 << i for i in subset): real_sign(det([[entries[i][j] for j in subset] for i in subset]))
+        sum(1 << i for i in subset): sign(det([[entries[i][j] for j in subset] for i in subset]))
         for k in range(1, m.n + 1)
         for subset in combinations(range(m.n), k)
     }
@@ -260,11 +230,11 @@ def test_sign_table_below_negative_singular_prefix():
     assert m.minor_signs_by_order() == [[-1, -1, -1, -1], [0, 0, 0, 1, 0, 0], [1, 1, 0, 1], [0]]
 
 
-_I, _R5 = GaussianRational(0, 1), Sqrt5Rational(0, 1)
+_I, _R5 = Gauss(0, 1), Root5(0, 1)
 
 
 def test_elimination_oracle_matches_permutation_oracle():
-    # The two oracles share nothing but the scalar classes.  Square grids
+    # The two oracles share nothing but their field.  Square grids
     # drawn as products through a smaller inner dimension are often
     # singular, and no grid need be Hermitian.
     rng = random.Random(2718)
@@ -287,13 +257,13 @@ def _hollow(draw, kind):
     """A Hermitian matrix of order 3 to 6 with a zero diagonal and small,
     often zero, entries off it."""
     n = draw(st.integers(3, 6))
-    entries = st.one_of(st.just(GaussianRational(0)), _INTEGRAL[kind])
-    rows = [[GaussianRational(0)] * n for _ in range(n)]
+    entries = st.one_of(st.just(Gauss(0)), _INTEGRAL[kind])
+    rows = [[Gauss(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = draw(entries)
-            rows[j][i] = rows[i][j].conjugate() if kind == "gaussian" else rows[i][j]
-    return HermitianMatrix(rows)
+            rows[j][i] = rows[i][j].conj()
+    return matrix_of(rows)
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -341,10 +311,9 @@ def test_two_by_two_pivot_matches_oracle(case, kind):
     # sqrt 5, keeps the sign of every principal minor and the zero pattern
     # of every block, and makes each B[a, w] non-real or irrational.
     rows, facts = _PIVOT_CASES[case]
-    unit = {"real": 0, "gaussian": _I, "sqrt5": _R5}[kind]
+    unit = {"real": Gauss(0), "gaussian": _I, "sqrt5": _R5}[kind]
     scale = [1 + k * unit for k in range(len(rows))]
-    conj = (lambda v: v.conjugate()) if kind == "gaussian" else (lambda v: v)
-    m = HermitianMatrix([[scale[i] * v * conj(scale[j]) for j, v in enumerate(row)] for i, row in enumerate(rows)])
+    m = matrix_of([[scale[i] * v * scale[j].conj() for j, v in enumerate(row)] for i, row in enumerate(rows)])
     expected = _oracle_sign_table(m, elimination_det)
     assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
     assert m._mask_signs() == expected
@@ -369,7 +338,7 @@ def test_two_level_leaf_matches_oracle(rows):
     # both; in each "opposite" one it differs at both, and det[2, 3] = 0
     # makes S+2+3 singular.  Gaussian and Q(sqrt 5) entries make B[q, a]
     # and N[q, r] non-real or irrational.
-    m = HermitianMatrix(rows)
+    m = matrix_of(rows)
     assert m._mask_signs() == _oracle_sign_table(m)
 
 
@@ -392,6 +361,8 @@ def test_sign_walk_rejects_non_real_minor(diagonal):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_grid_rank_matches_oracle(kind, data):
+    # the elimination kernel on a rectangular grid that need not be
+    # Hermitian, as the rank-drop check's deletions give it
     grid = data.draw(_grid(kind))
     n_rows, n_cols = len(grid), len(grid[0])
     largest = 0
@@ -402,7 +373,8 @@ def test_grid_rank_matches_oracle(kind, data):
             for cols in combinations(range(n_cols), k)
         ):
             largest = k
-    assert grid_rank(grid) == largest
+    d, _, scaled = matrix_module._scale(lower(grid))
+    assert matrix_module._eliminate(d, [list(row) for row in scaled])[0] == largest
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -412,7 +384,7 @@ def test_inverse_matches_oracle(kind, data):
     # frequent zero diagonal entries force row swaps, and for Gaussian
     # entries the swapped-in pivot is then non-real
     m = data.draw(_hermitian(kind, st.one_of(st.just(0), _DIAGONALS[kind])))
-    if oracle_det(m.entries) == 0:
+    if oracle_det(lift(m.entries)) == 0:
         with pytest.raises(SingularMatrixError):
             m.inverse()
         return
@@ -420,8 +392,8 @@ def test_inverse_matches_oracle(kind, data):
     value_type = Sqrt5Rational if kind == "sqrt5" else GaussianRational
     assert all(type(v) is value_type for row in inv.entries for v in row)
     identity = [[int(i == j) for j in range(m.n)] for i in range(m.n)]
-    assert _product(m.entries, inv.entries) == identity
-    assert _product(inv.entries, m.entries) == identity
+    assert product(lift(m.entries), lift(inv.entries)) == identity
+    assert product(lift(inv.entries), lift(m.entries)) == identity
 
 
 def test_rank_examples():
@@ -435,11 +407,8 @@ def test_rank_is_principal_random():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = random_hermitian(rng, n, real=bool(rng.getrandbits(1)))
-        largest = 0
-        for k in range(1, n + 1):
-            if any(v != 0 for _, v in m.all_principal_minors(k)):
-                largest = k
-        assert m.rank() == largest
+        expected = oracle_signs_by_order(m, elimination_det)
+        assert m.rank() == max((k for k, row in enumerate(expected, 1) if any(row)), default=0)
 
 
 def test_rank_drop_on_deletion_random():
@@ -447,12 +416,11 @@ def test_rank_drop_on_deletion_random():
     for _ in range(25):
         n = rng.randint(2, 5)
         m = random_hermitian(rng, n, real=bool(rng.getrandbits(1)))
-        r = m.rank()
-        entries = m.entries
+        r, d, grid = m.rank(), m._d, m._grid
         for i in range(n):
             for j in range(n):
-                deleted = [row[:j] + row[j + 1 :] for row in entries[:i] + entries[i + 1 :]]
-                assert grid_rank(deleted) >= r - 2
+                deleted = [list(row[:j] + row[j + 1 :]) for row in grid[:i] + grid[i + 1 :]]
+                assert matrix_module._eliminate(d, deleted)[0] >= r - 2
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -463,8 +431,7 @@ def test_deletion_branches_match_scratch_elimination(kind):
     # Low-rank draws, zero rows and columns and small entries make skipped
     # columns and row swaps common, and Gaussian swaps non-real pivots.
     rng = random.Random(1977)
-    unit = {"real": 0, "gaussian": _I, "sqrt5": _R5}[kind]
-    conj = (lambda v: v.conjugate()) if kind == "gaussian" else (lambda v: v)
+    unit = {"real": Gauss(0), "gaussian": _I, "sqrt5": _R5}[kind]
 
     def entry():
         return rng.randint(-2, 2) + rng.randint(-2, 2) * unit
@@ -473,19 +440,19 @@ def test_deletion_branches_match_scratch_elimination(kind):
         n, style = rng.randint(2, 7), rng.choice(("dense", "low-rank", "zero-column"))
         if style == "low-rank":
             vs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
-            rows = _product(list(zip(*vs)), [[conj(v) for v in row] for row in vs])
+            rows = product(list(zip(*vs)), [[v.conj() for v in row] for row in vs])
         else:
             rows = [[0] * n for _ in range(n)]
             for i in range(n):
                 rows[i][i] = entry() if kind == "sqrt5" else rng.randint(-2, 2)
                 for j in range(i + 1, n):
                     rows[i][j] = entry()
-                    rows[j][i] = conj(rows[i][j])
+                    rows[j][i] = rows[i][j].conj()
             if style == "zero-column":
                 k = rng.randrange(n)
                 for j in range(n):
                     rows[k][j] = rows[j][k] = 0
-        m = HermitianMatrix(rows)
+        m = matrix_of(rows)
         d, grid = m._d, m._grid
         for i in range(n):
             shared = [list(row) for q, row in enumerate(grid) if q != i]
@@ -501,7 +468,7 @@ def test_same_sign_at_rank_random():
         r = m.rank()
         if r == 0:
             continue
-        signs = {(v > 0) - (v < 0) for _, v in m.all_principal_minors(r) if v != 0}
+        signs = {s for s in oracle_signs_by_order(m, elimination_det)[r - 1] if s}
         assert len(signs) == 1
 
 
@@ -510,17 +477,8 @@ def test_inverse_examples():
     assert ident.inverse() == ident
     assert HermitianMatrix.diagonal([2]).inverse() == HermitianMatrix.diagonal([Fraction(1, 2)])
     inv = FIVE_ONE_BASE.inverse()
-    prod_rows = [
-        [
-            sum(
-                (FIVE_ONE_BASE.entries[i][k] * inv.entries[k][j] for k in range(5)),
-                GaussianRational(0),
-            )
-            for j in range(5)
-        ]
-        for i in range(5)
-    ]
-    assert HermitianMatrix(prod_rows) == HermitianMatrix.identity(5)
+    prod_rows = product(lift(FIVE_ONE_BASE.entries), lift(inv.entries))
+    assert matrix_of(prod_rows) == HermitianMatrix.identity(5)
     with pytest.raises(SingularMatrixError):
         HermitianMatrix.zero(2).inverse()
 
@@ -535,15 +493,15 @@ def test_sqrt5_witness_inverse():
         ["2/361+34/361*sqrt(5)", "148/361-11/361*sqrt(5)", "-8/19-3/19*sqrt(5)", "63/361-12/361*sqrt(5)"],
     ]
     assert all(isinstance(v, Sqrt5Rational) for row in inv.entries for v in row)
-    assert _product(m.entries, inv.entries) == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert product(lift(m.entries), lift(inv.entries)) == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 def test_determinant_permutation_invariant():
     rng = random.Random(2024)
     m = random_hermitian(rng, 4, real=False)
-    d = m.determinant()
+    d = oracle_det(lift(m.entries))
     for perm in permutations(range(1, 5)):
-        assert m.permute(perm).determinant() == d
+        assert oracle_det(lift(m.permute(perm).entries)) == d
 
 
 def test_transforms():
@@ -575,15 +533,13 @@ def test_duplicate_last_complex_stays_hermitian():
 @given(data=st.data())
 def test_grid_transforms_match_entry_rebuilds(kind, data):
     # Each transform builds its result's grid directly; it must equal, hash
-    # included, the matrix built from the transformed exact entries.  A
-    # Gaussian submatrix can come out real, and a sum with a real matrix
-    # lifts its grid to pairs.
+    # included, the matrix built from the transformed exact entries.  A sum
+    # with a real matrix lifts its grid to pairs.
     entries = st.one_of(_INTEGRAL[kind], _ENTRIES[kind])
     m = data.draw(_hermitian(kind, None, (1, 5), entries))
     other = data.draw(_hermitian(kind, None, (1, 3), entries))
     n, rows = m.n, [list(row) for row in m.entries]
     perm = data.draw(st.permutations(range(1, n + 1)))
-    subset = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
     cases = [
         (m.negate(), [[-v for v in row] for row in rows]),
         (m.permute(perm), [[rows[i - 1][j - 1] for j in perm] for i in perm]),
@@ -593,7 +549,6 @@ def test_grid_transforms_match_entry_rebuilds(kind, data):
             m.direct_sum(other),
             [row + [0] * other.n for row in rows] + [[0] * n + list(row) for row in other.entries],
         ),
-        (m.principal_submatrix(subset), [[rows[i - 1][j - 1] for j in subset] for i in subset]),
     ]
     for got, expected_rows in cases:
         expected = HermitianMatrix(expected_rows)
@@ -605,7 +560,6 @@ def test_grid_transforms_match_entry_rebuilds(kind, data):
 def test_equal_matrices_have_equal_grids():
     # a transform that drops denominators divides them out of the scale
     assert HermitianMatrix.diagonal([2, 4]).inverse() == HermitianMatrix.diagonal([Fraction(1, 2), Fraction(1, 4)])
-    assert HermitianMatrix([[Fraction(1, 2), 1], [1, 0]]).principal_submatrix((2,)) == HermitianMatrix([[0]])
     # a matrix typed Q(sqrt 5) stays so even when every entry is rational
     assert HermitianMatrix([[Sqrt5Rational(Fraction(1, 2)), 2], [2, 0]]) != HermitianMatrix(
         [[Fraction(1, 2), 2], [2, 0]]
@@ -717,6 +671,6 @@ def test_json_loader_matches_scalar_construction(data):
             # "1/2" may face "2/4" across the diagonal
             cells[j][i] = [data.draw(_restated(re)), data.draw(_restated(im, negate=True))]
     got = matrix_from_json(json.dumps({"n": n, "entries": cells}))
-    expected = HermitianMatrix([[parse_gaussian(cell) for cell in row] for row in cells])
+    expected = HermitianMatrix([[GaussianRational(*map(parse_rational, cell)) for cell in row] for row in cells])
     assert (got._d, got._scale, got._grid) == (expected._d, expected._scale, expected._grid)
     assert hash(got) == hash(expected)

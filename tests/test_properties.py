@@ -20,7 +20,7 @@ from seprkit.properties import (
     check_same_sign_at_rank,
     run_suite,
 )
-from seprkit.sepr import compute_sepr, parse_sequence
+from seprkit.sepr import SeprSequence, compute_sepr, parse_sequence
 
 
 def test_transform_oracles_on_known_matrices():
@@ -34,6 +34,15 @@ def test_transform_oracles_on_known_matrices():
     i2 = HermitianMatrix.identity(2)
     assert str(compute_sepr(i2.duplicate_last())) == "A+S+N"
     assert check_append_duplicate(i2, compute_sepr(i2)) == []
+
+
+def test_violation_on_sqrt5_matrix_names_it():
+    # an irrational Q(sqrt 5) entry has no JSON form, so a violation names
+    # the matrix by its repr instead of failing to describe it
+    m = build_witness("VierFour.9")
+    (message,) = check_append_duplicate(m, SeprSequence.parse("A+A+A+A+"))
+    assert message.startswith("last-row duplication gave S*S*S*S+N, expected A+S+S+S+N: ")
+    assert message.endswith(repr(m))
 
 
 def test_negation_rule_example():
