@@ -285,14 +285,28 @@ MUTANTS = (
         "if t.underlying is (EprTerm.A if c is EprTerm.S else c)]",
         ("tests/test_classify.py::test_underlying_family_consistent_with_epr_set",),
     ),
-    # the census builds a base's transform only when its predicted
-    # sequence holds a missing window
+    # the census builds a rule-predicted construction only when its
+    # predicted sequence holds a missing window
     Mutant(
         "census-transform-skip-inverted",
         SEARCH,
         "if any(w in missing for w in windows):",
         "if not any(w in missing for w in windows):",
         ("tests/test_cli.py::test_census_stdout_pinned",),
+    ),
+    # every rule-predicted census construction passes one gate, which
+    # scans its prediction for forbidden windows
+    Mutant(
+        "census-gate-no-forbidden-scan",
+        SEARCH,
+        "        violations.extend(\n"
+        '            f"forbidden pattern {w} predicted in {predicted} for {source}" for w in windows if w in forbidden\n'
+        "        )\n",
+        "",
+        (
+            "tests/test_search.py::test_census_scans_predictions_for_forbidden_windows",
+            "tests/test_search.py::test_census_scans_direct_sum_predictions",
+        ),
     ),
     Mutant(
         "census-inverse-of-unnegated",

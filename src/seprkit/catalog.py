@@ -13,6 +13,7 @@ Record ids look like ``VierSix.2``: family name, dot, 1-based position.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import GaussianRational, I, Sqrt5Rational
@@ -412,8 +413,11 @@ def _base_matrix(rec: WitnessRecord) -> HermitianMatrix:
     return HermitianMatrix(_FAMILIES[rec.family][0](*rec.params))
 
 
+@cache
 def build_witness(witness_id: str) -> HermitianMatrix:
-    """Construct the exact witness matrix for a catalog id."""
+    """Construct the exact witness matrix for a catalog id, once per
+    process: matrices are immutable and cache their sign table, so every
+    caller shares one build and one sign walk per witness."""
     rec = get_record(witness_id)
     base = _base_matrix(rec)
     return base.inverse() if _FAMILIES[rec.family][1] else base

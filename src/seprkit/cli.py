@@ -41,7 +41,13 @@ def parse_pool(spec: str, field: Field):
         return COMPLEX_DEFAULT_POOL
     if spec == "default":
         return REAL_DEFAULT_POOL if field is Field.REAL_SYMMETRIC else COMPLEX_DEFAULT_POOL
-    return tuple(parse_pool_token(t) for t in spec.split(",") if t.strip())
+    try:
+        pool = tuple(parse_pool_token(t) for t in spec.split(",") if t.strip())
+    except ValueError as exc:
+        raise ValueError(f"--pool: {exc}") from None
+    if not pool:
+        raise ValueError("--pool: entry pool is empty")
+    return pool
 
 
 def _field_arg(parser, required=True, default=None):
@@ -105,9 +111,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action != "verify":
-        print(f"error: unknown catalog action {args.action!r}", file=sys.stderr)
-        return USAGE_ERROR
     try:
         report = verify_all(family=args.family, witness_id=args.id)
     except KeyError as exc:
@@ -125,8 +128,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _parse_order_spec(text: str):
-    """``--order-n`` value: N, or LO:HI for a range of orders."""
+def _parse_order_spec(text: str, mode: str):
+    """``--order-n`` value: N, or LO:HI for a range of orders (N:N is N),
+    which exhaustive mode refuses."""
     try:
         orders = tuple(int(part) for part in text.split(":", 1))
     except ValueError:
@@ -135,7 +139,11 @@ def _parse_order_spec(text: str):
         raise ValueError(f"--order-n: expected orders ≥ 1, got {text!r}")
     if orders[0] > orders[-1]:
         raise ValueError(f"--order-n: expected LO ≤ HI, got {text!r}")
-    return orders if len(orders) == 2 else orders[0]
+    if orders[0] == orders[-1]:
+        return orders[0]
+    if mode == "exhaustive":
+        raise ValueError(f"--order-n: exhaustive mode needs a fixed order, got {text!r}")
+    return orders
 
 
 def cmd_search(args) -> int:
@@ -175,12 +183,13 @@ def cmd_search(args) -> int:
     if args.order_n is None:
         print("error: search needs --order-n", file=sys.stderr)
         return USAGE_ERROR
+    mode = args.mode or "random"
     cfg = SearchConfig(
-        n=_parse_order_spec(args.order_n),
+        n=_parse_order_spec(args.order_n, mode),
         pool=parse_pool(args.pool or "default", field),
         field=field,
         target=target,
-        mode=args.mode or "random",
+        mode=mode,
         budget=10000 if args.budget is None else args.budget,
         seed=args.seed,
         subsequence=args.subsequence,
@@ -204,13 +213,13 @@ def cmd_properties(args) -> int:
         return USAGE_ERROR
     field = Field.parse(args.field)
     pool = parse_pool(args.pool, field)
-    if args.mode == "exhaustive":
-        if args.order_n is None:
-            print("error: exhaustive mode needs --order-n", file=sys.stderr)
-            return USAGE_ERROR
-        n = _parse_order_spec(args.order_n)
+    if args.order_n is not None:
+        n = _parse_order_spec(args.order_n, args.mode)
+    elif args.mode == "exhaustive":
+        print("error: exhaustive mode needs --order-n", file=sys.stderr)
+        return USAGE_ERROR
     else:
-        n = (1, args.max_n or 6) if args.order_n is None else _parse_order_spec(args.order_n)
+        n = (1, args.max_n or 6)
     cfg = SearchConfig(
         n=n,
         pool=pool,

@@ -26,10 +26,11 @@ The attainability census draws no random matrix: after its stock and
 catalog bases it climbs a fixed ladder of transforms, sweeps,
 duplicate-last constructions, det = 0 completions and direct sums (see
 attainability_census), so its report depends on nothing but the order
-and the field.  Transforms and direct sums are predicted by the rules of
-seprkit.sepr first, and a matrix is built and walked only when its
-prediction holds a pattern still missing; every witness the census
-reports is a matrix it built and walked.
+and the field.  Transforms, duplicate-last constructions and direct sums
+are predicted by the rules of seprkit.sepr and pass one gate: each
+prediction is scanned for forbidden windows, and a matrix is built and
+walked only when its prediction holds a pattern still missing.  Every
+witness the census reports is a matrix it built and walked.
 
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
@@ -38,7 +39,7 @@ never as impossibility.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement, islice, product
 from math import isqrt
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -460,76 +461,6 @@ def _derived_matrices(
             )
 
 
-def _census_ladder(
-    order: int,
-    field: Field,
-    bases,
-    forbidden: frozenset,
-    missing: set,
-    recorded: dict,
-    budgets: dict,
-    violations: list,
-) -> Iterator[Tuple[Optional[str], str, HermitianMatrix]]:
-    """The census's witness sources after its bases, in preference order,
-    as (budget counter or None, source, matrix).  A rung starts only when
-    the census pulls past the rung before it.
-
-    The first rung predicts each structural transform of each base (see
-    _derived_matrices) and builds its matrix only when the prediction
-    holds a missing window: a transform whose windows are all witnessed
-    already can witness nothing new.  A forbidden window in a prediction,
-    and an inverse the engine refuses though the sequence ends in A+ or
-    A-, are violations naming the transform."""
-    for label, base in bases:
-        for source, predicted, build in _derived_matrices(label, base):
-            windows = [w for _, w in predicted.windows(order)]
-            violations.extend(
-                f"forbidden pattern {w} predicted in {predicted} for {source}"
-                for w in windows
-                if w in forbidden
-            )
-            if any(w in missing for w in windows):
-                try:
-                    m = build()
-                except SingularMatrixError:
-                    violations.append(
-                        f"last term {predicted.terms[-1]} but matrix not invertible: {source}"
-                    )
-                    continue
-                yield None, source, m
-
-    # exhaustive small-matrix sweeps; real matrices also count for Hermitian
-    sweep_rungs = [("sweep-real", Field.REAL_SYMMETRIC)]
-    if field is Field.HERMITIAN:
-        sweep_rungs.append(("sweep-complex", Field.HERMITIAN))
-    sweeps = []
-    for size, sweep_field in sweep_rungs:
-        sweeps.append(full_sequence_sweep(order, sweep_field))
-        budgets[size] = len(sweeps[-1])
-        for m in sweeps[-1].values():
-            yield None, f"search:exhaustive-{order}x{order}", m
-
-    # duplicate-last constructions: a sweep sequence whose image under the
-    # rule starts with a missing pattern (real sweep first)
-    index: Dict[SeprSequence, Tuple[str, HermitianMatrix]] = {}
-    for sweep in sweeps:
-        for text, m in sweep.items():
-            index.setdefault(duplicate_last_rule(SeprSequence.parse(text))[:order], (text, m))
-    for pattern in sorted(missing, key=str):
-        if pattern in index:
-            base, m = index[pattern]
-            yield None, f"construction:duplicate-last(base={base})", m.duplicate_last()
-
-    # det = 0 completions reach trailing-N patterns whose witnesses need
-    # one large entry
-    for m in singular_completions():
-        yield "completions-tried", "construction:det-zero-completion", m
-
-    # direct sums of recorded sequences, predicted by the rule and built
-    # only when the prediction holds a missing window
-    yield from _direct_sums(order, missing, recorded)
-
-
 # Longest direct sum the census walks.  A*A*A*, the one pattern no earlier
 # rung reaches, falls at total length 4.  An order-3 census records about
 # 250 sequences (those of the matrices it built), so when no sum supplies a
@@ -540,13 +471,12 @@ MAX_SUM_ORDER = 5
 
 
 def _direct_sums(
-    order: int, missing: set, recorded: Dict[SeprSequence, HermitianMatrix]
-) -> Iterator[Tuple[str, str, HermitianMatrix]]:
-    """Direct sums a (+) b of the recorded sequences, unordered pairs by
-    increasing total length up to MAX_SUM_ORDER, then by (length, text) of
-    a and b.  A sum's sequence is predicted by direct_sum_rule; its matrix
-    is built only when the prediction has a missing window, and the census
-    grades that matrix by its own sign walk."""
+    recorded: Dict[SeprSequence, HermitianMatrix]
+) -> Iterator[Tuple[str, SeprSequence, Callable[[], HermitianMatrix]]]:
+    """Direct sums a (+) b of the recorded sequences as (source, predicted
+    sequence, build): unordered pairs by increasing total length up to
+    MAX_SUM_ORDER, then by (length, text) of a and b.  Each sequence is
+    predicted by direct_sum_rule; build() sums the recorded matrices."""
     by_length: Dict[int, List[SeprSequence]] = {}
     for s in sorted(recorded, key=str):
         by_length.setdefault(len(s), []).append(s)
@@ -555,26 +485,29 @@ def _direct_sums(
             left, right = by_length.get(na, []), by_length.get(total - na, [])
             for i, a in enumerate(left):
                 for b in right[i:] if left is right else right:
-                    predicted = direct_sum_rule(a, b)
-                    if any(w in missing for _, w in predicted.windows(order)):
-                        m = recorded[a].direct_sum(recorded[b])
-                        yield "direct-sums-tried", f"construction:direct-sum({a},{b})", m
+                    source = f"construction:direct-sum({a},{b})"
+                    yield source, direct_sum_rule(a, b), partial(recorded[a].direct_sum, recorded[b])
 
 
 def attainability_census(order: int, field: Field) -> CensusReport:
     """Try to witness every non-forbidden pattern of the given order.
 
     Every stock matrix and catalog witness is scanned in full.  While
-    patterns are missing, the sources follow in this order, all of them
-    deterministic: structural transforms of those bases, each predicted
-    by its rule and built only when the prediction holds a missing window
-    (see _census_ladder); every matrix of the exhaustive canonical sweep
-    over real matrices, then (Hermitian census) over complex ones;
-    duplicate-last constructions on sweep matrices; det = 0 completions of
-    real 3x3 matrices, one per similarity class (see singular_completions);
-    and direct sums of the sequences of the bases and of the matrices the
-    census built, predicted symbolically (see _direct_sums).  Patterns still missing are
-    reported as open, never as impossible.
+    patterns are missing, and only until none is, these rungs follow:
+    (1) structural transforms of the bases (see _derived_matrices); (2)
+    every matrix of the exhaustive canonical sweep over real matrices,
+    then (Hermitian census) over complex ones; (3) duplicate-last
+    constructions on sweep matrices whose prediction starts with a
+    missing pattern; (4) det = 0 completions (see singular_completions);
+    (5) direct sums of the sequences recorded so far (see _direct_sums).
+
+    absorb() grades a walked matrix by its own sign walk.  Rungs 1, 3 and
+    5 predict each sequence by a rule of seprkit.sepr and pass one gate,
+    offer(): a forbidden window in the prediction is a violation naming
+    the source, the matrix is built only when the prediction holds a
+    missing window, an inverse the engine refuses although the sequence
+    ends in A+ or A- is a violation, and a built matrix is absorbed.
+    Patterns still missing are reported open, never impossible.
     """
     if order not in (2, 3):
         raise ValueError("census supports orders 2 and 3")
@@ -596,21 +529,65 @@ def attainability_census(order: int, field: Field) -> CensusReport:
                 missing.discard(w)
                 found[w] = source
 
+    def offer(source: str, predicted: SeprSequence, build: Callable[[], HermitianMatrix], counter=None):
+        windows = [w for _, w in predicted.windows(order)]
+        violations.extend(
+            f"forbidden pattern {w} predicted in {predicted} for {source}" for w in windows if w in forbidden
+        )
+        if any(w in missing for w in windows):
+            try:
+                matrix = build()
+            except SingularMatrixError:
+                violations.append(f"last term {predicted.terms[-1]} but matrix not invertible: {source}")
+                return
+            if counter is not None:
+                budgets[counter] += 1
+            absorb(source, matrix)
+
     bases = _census_bases(field)
     for label, m in bases:
         absorb(label, m)
-    if missing:
-        for counter, source, m in _census_ladder(
-            order, field, bases, forbidden, missing, recorded, budgets, violations
-        ):
-            if counter is not None:
-                budgets[counter] += 1
-            absorb(source, m)
+    for construction in (t for label, base in bases for t in _derived_matrices(label, base)):
+        if not missing:
+            break
+        offer(*construction)
+
+    sweeps = []  # real matrices also count for a Hermitian census
+    sweep_rungs = [("sweep-real", Field.REAL_SYMMETRIC), ("sweep-complex", Field.HERMITIAN)]
+    for size, sweep_field in sweep_rungs if field is Field.HERMITIAN else sweep_rungs[:1]:
+        if not missing:
+            break
+        sweeps.append(full_sequence_sweep(order, sweep_field))
+        budgets[size] = len(sweeps[-1])
+        for m in sweeps[-1].values():
             if not missing:
                 break
+            absorb(f"search:exhaustive-{order}x{order}", m)
 
-    rows = [
-        CensusRow(p, "witnessed", found[p]) if p in found else CensusRow(p, "open", "-")
-        for p in targets
-    ]
+    # a sweep matrix's duplicate-last construction, indexed by the pattern
+    # its predicted sequence starts with (real sweep first)
+    index = {}
+    for sweep in sweeps:
+        for text, m in sweep.items():
+            predicted = duplicate_last_rule(compute_sepr(m))
+            source = f"construction:duplicate-last(base={text})"
+            index.setdefault(predicted[:order], (source, predicted, m.duplicate_last))
+    for pattern in sorted(missing, key=str):
+        if not missing:
+            break
+        if pattern in index:
+            offer(*index[pattern])
+
+    for m in singular_completions():
+        if not missing:
+            break
+        budgets["completions-tried"] += 1
+        absorb("construction:det-zero-completion", m)
+
+    for construction in _direct_sums(recorded):
+        if not missing:
+            break
+        offer(*construction, "direct-sums-tried")
+
+    rows = [CensusRow(p, "witnessed", found[p]) if p in found else CensusRow(p, "open", "-") for p in targets]
     return CensusReport(order=order, field=field, rows=rows, budgets=budgets, violations=violations)

@@ -252,6 +252,58 @@ def test_census_rejects_non_real_pool_for_real_field(capsys):
     assert "real-symmetric search cannot use non-real pool entry 1i" in captured.err
 
 
+def test_pool_errors_name_the_flag(capsys):
+    search = ["search", "--target", "NN", "--order-n", "2", "--field", "real"]
+    properties = ["properties", "--field", "real", "--samples", "2"]
+    for pool, message in (
+        ("x", "malformed rational 'x' (offset 0)"),
+        ("1/0", "zero denominator in '1/0' (offset 2)"),
+        (",", "entry pool is empty"),
+    ):
+        for argv in (search, properties):
+            assert main(argv + ["--pool", pool]) == 2
+            assert capsys.readouterr() == ("", f"error: --pool: {message}\n")
+
+
+def test_order_n_range_of_one_order_is_that_order(capsys):
+    # N:N is the fixed order N, so exhaustive mode takes it and random
+    # mode draws the same samples
+    for command in (
+        ["search", "--target", "A+A+", "--field", "real", "--pool", "0,1", "--mode", "exhaustive"],
+        ["properties", "--field", "real", "--pool", "0,1", "--mode", "exhaustive", "--samples", "5"],
+        ["properties", "--field", "hermitian", "--samples", "5", "--seed", "3"],
+    ):
+        assert main(command + ["--order-n", "2"]) in (0, 1)
+        fixed = capsys.readouterr()
+        assert main(command + ["--order-n", "2:2"]) in (0, 1)
+        assert capsys.readouterr() == fixed
+    # a real range names the flag
+    for command in (
+        ["search", "--target", "A+A+", "--field", "real", "--mode", "exhaustive"],
+        ["properties", "--field", "real", "--mode", "exhaustive"],
+    ):
+        assert main(command + ["--order-n", "2:3"]) == 2
+        assert capsys.readouterr() == ("", "error: --order-n: exhaustive mode needs a fixed order, got '2:3'\n")
+
+
+def test_each_witness_is_built_once_per_process(monkeypatch, capsys):
+    # catalog verify and both censuses share one build per witness
+    from seprkit import catalog
+
+    built = []
+    base_matrix = catalog._base_matrix
+    monkeypatch.setattr(catalog, "_base_matrix", lambda rec: built.append(rec.id) or base_matrix(rec))
+    catalog.build_witness.cache_clear()
+    for argv in (
+        ["catalog", "verify"],
+        ["search", "--census", "--order", "2", "--field", "hermitian"],
+        ["search", "--census", "--order", "3", "--field", "hermitian"],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == len(set(built)) == 75
+
+
 def test_matrix_roundtrip_through_cli(tmp_path, capsys):
     # search output is valid input for compute
     rc = main(

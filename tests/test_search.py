@@ -371,3 +371,16 @@ def test_census_scans_predictions_for_forbidden_windows(monkeypatch):
     monkeypatch.setattr(search, "negation_rule", lambda seq: bad)
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert f"forbidden pattern {bad} predicted in {bad} for transform:negate(stock:O1)" in rep.violations
+
+
+def test_census_scans_direct_sum_predictions(monkeypatch):
+    # direct sums pass the same gate as the transforms: a forbidden
+    # window in a sum's prediction is a violation naming the sum
+    bad = min(forbidden_order3(Field.REAL_SYMMETRIC), key=str)
+    rule = search.direct_sum_rule
+    # the append-zero transforms pass the module's own N and keep the rule
+    monkeypatch.setattr(search, "direct_sum_rule", lambda a, b: rule(a, b) if b is search._APPENDED_ZERO else bad)
+    rep = attainability_census(3, Field.REAL_SYMMETRIC)
+    assert any(
+        v.startswith(f"forbidden pattern {bad} predicted in {bad} for construction:direct-sum(") for v in rep.violations
+    )
