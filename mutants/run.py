@@ -47,6 +47,7 @@ SEARCH = "src/seprkit/search.py"
 SEPR = "src/seprkit/sepr.py"
 LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
+LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 INHERITANCE = ("tests/test_properties.py::test_inheritance_lists_every_escape_in_walk_order",)
@@ -142,9 +143,18 @@ MUTANTS = (
     Mutant(
         "reduce-pairs-flipped-sign",
         MATRIX,
-        "((va * xa - la * ya - dlb * yb) // pa,",
-        "((va * xa - la * ya + dlb * yb) // pa,",
+        "((va * xa - la * ya - lb * yb) // pa,",
+        "((va * xa - la * ya + lb * yb) // pa,",
         LEAF,
+    ),
+    # the cached index triples of a Bareiss step on a flat block: (a, r)
+    # and (a, t) swapped conjugates the wrong factor of a Z[i] product
+    Mutant(
+        "step-pair-factors-swapped",
+        MATRIX,
+        "(start[r] + t - r, row + r, row + t)",
+        "(start[r] + t - r, row + t, row + r)",
+        LARGE_BLOCKS,
     ),
     # the 2 x 2 pivot of the sign walk at a zero pivot
     Mutant(
@@ -185,7 +195,7 @@ MUTANTS = (
     Mutant(
         "pivot-partners-kept",
         MATRIX,
-        "keep = [r for r in later if r > w or (r < w and not row[r - a])]",
+        "keep = [r for r in later if r > w or (r < w and not block[at + r])]",
         "keep = list(later)",
         PIVOT,
     ),

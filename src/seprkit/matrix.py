@@ -70,10 +70,14 @@ class SingularMatrixError(ValueError):
 # the columns before each deleted one.
 # The sign walk (_sign_walk) is a depth-first walk over the index sets S
 # in lexicographic order.  A nonsingular S carries the block B of bordered
-# minors det[S+i, S+l] over its later indices, packed as its upper triangle
-# since B is Hermitian.  B's diagonal holds the children's minors det[S+j],
-# and one Bareiss step dividing by det S gives a child's block (exact by
-# Sylvester's identity, for any S).  A singular child S+a (B[a, a] = 0)
+# minors det[S+i, S+l] over its later indices.  B is Hermitian, so one flat
+# list holds its upper triangle row after row: row r of an m-position block
+# starts at _layout(m)[r].  B's diagonal holds the children's minors
+# det[S+j], and one Bareiss step dividing by det S gives a child's block
+# (exact by Sylvester's identity, for any S).  That step is one
+# comprehension over _step(m, a), the cached index triples of (r, t),
+# (a, r) and (a, t) for each entry (r, t) of the child's block, so a step
+# pays no per-row setup, slicing or zip.  A singular child S+a (B[a, a] = 0)
 # with two or more later positions has no block, so the walk takes a 2 x 2
 # pivot instead (Bunch and Kaufman, 1977).  Each partner w of a, a later
 # position with B[a, w] != 0, makes T = S+a+w nonsingular:
@@ -262,50 +266,52 @@ def _column_deletions(d, rows):
     return out
 
 
-def _reduce_ints(block, a, prev):
-    """One Bareiss step on a packed Hermitian block, whose row r holds the
-    entries (r, r), (r, r + 1), ...: pivot on position a, divide by
-    ``prev``, and return the packed block of the positions after a.  Entry
-    (r, a) is read as the stored (a, r), since the block is symmetric."""
-    row = block[a]
-    piv = row[0]
-    return [
-        [(piv * x - lead * y) // prev for x, y in zip(block[r], row[r - a :])]
-        for r, lead in enumerate(row[1:], a + 1)
-    ]
+@lru_cache(maxsize=None)
+def _layout(m):
+    """Where each row of a packed m-position block starts: entry (r, t),
+    r <= t, sits at _layout(m)[r] + t - r."""
+    return tuple(r * m - r * (r - 1) // 2 for r in range(m))
 
 
-def _reduce_pairs(block, a, prev, d):
-    """_reduce_ints over Z[sqrt d], entries as (a, b) pairs.  Entry (r, a)
-    is the conjugate of the stored (a, r) for d = -1 and equal to it for
-    d = 5.  Pivot and ``prev`` are real for d = -1 (principal minors); a
-    non-real one (d = 5) takes the general product, and the division
-    multiplies by the conjugate of ``prev`` and divides by its norm."""
-    row = block[a]
-    va, vb = row[0]
+@lru_cache(maxsize=None)
+def _step(m, a):
+    """The index triples of a Bareiss step on position a of a packed
+    m-position block: for each entry (r, t), a < r <= t, in the packed
+    order of the reduced block, the indices of (r, t), (a, r) and (a, t)."""
+    start = _layout(m)
+    row = start[a] - a
+    return tuple((start[r] + t - r, row + r, row + t) for r in range(a + 1, m) for t in range(r, m))
+
+
+def _reduce_ints(block, m, a, prev):
+    """One Bareiss step on a packed Hermitian m-position block: pivot on
+    position a, divide by ``prev``, and return the packed block of the
+    positions after a.  Entry (r, a) is read as the stored (a, r)."""
+    piv = block[_layout(m)[a]]
+    return [(piv * block[i] - block[j] * block[k]) // prev for i, j, k in _step(m, a)]
+
+
+def _reduce_pairs(block, m, a, prev, d):
+    """_reduce_ints over Z[sqrt d], entries as (a, b) pairs.  For d = -1,
+    entry (r, a) is the conjugate of the stored (a, r), and pivot and
+    ``prev`` are real (principal minors).  For d = 5 it is the stored
+    entry, a pivot may be irrational, and the division multiplies by the
+    conjugate of ``prev`` and divides by its norm."""
+    va, vb = block[_layout(m)[a]]
     pa, pb = prev
-    general = vb or pb
+    if d < 0:
+        return [
+            ((va * xa - la * ya - lb * yb) // pa, (va * xb - la * yb + lb * ya) // pa)
+            for i, j, k in _step(m, a)
+            for xa, xb in [block[i]] for la, lb in [block[j]] for ya, yb in [block[k]]
+        ]
     dvb, dpb, nrm = d * vb, d * pb, pa * pa - d * pb * pb
-    out = []
-    for r, (la, lb) in enumerate(row[1:], a + 1):
-        if d < 0:
-            lb = -lb
-        dlb = d * lb
-        pairs = zip(block[r], row[r - a :])
-        if general:
-            nums = (
-                (va * xa + dvb * xb - la * ya - dlb * yb, va * xb + vb * xa - la * yb - lb * ya)
-                for (xa, xb), (ya, yb) in pairs
-            )
-            out.append([((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm) for na, nb in nums])
-        else:
-            out.append(
-                [
-                    ((va * xa - la * ya - dlb * yb) // pa, (va * xb - la * yb - lb * ya) // pa)
-                    for (xa, xb), (ya, yb) in pairs
-                ]
-            )
-    return out
+    return [
+        ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
+        for i, j, k in _step(m, a)
+        for xa, xb in [block[i]] for la, lb in [block[j]] for ya, yb in [block[k]]
+        for na, nb in [(va * xa + dvb * xb - la * ya - d * lb * yb, va * xb + vb * xa - la * yb - lb * ya)]
+    ]
 
 
 def _sign(value, d) -> int:
@@ -328,10 +334,9 @@ def _sign_walk(grid, d):
     _scale's form, keyed by index bitmask.
 
     See the comment above the integer kernels; the walk starts at the
-    empty set, whose block is the grid and whose determinant is 1.
-    """
+    empty set, whose block is the grid and whose determinant is 1."""
     table = {}
-    block = [list(row[i:]) for i, row in enumerate(grid)]
+    block = [v for i, row in enumerate(grid) for v in row[i:]]
     bits = [1 << i for i in range(len(grid))]
     if d == 0:
         _walk_ints(block, bits, 0, 1, 1, table)
@@ -341,53 +346,51 @@ def _sign_walk(grid, d):
 
 
 def _walk_ints(block, bits, mask, prev, psign, table):
-    """The walk below the node ``mask`` (S) for an integer block; position a
-    of the block stands for the index of bit bits[a], prev = det S and
-    psign = sign(prev)."""
-    last = len(block) - 1
-    for a, row in enumerate(block):
-        piv = row[0]
+    """The walk below the node ``mask`` (S) for a packed integer block;
+    position a of the block stands for the index of bit bits[a], prev =
+    det S and psign = sign(prev)."""
+    m = len(bits)
+    for a, i in enumerate(_layout(m)):
+        piv = block[i]
         child = mask | bits[a]
         s = table[child] = (piv > 0) - (piv < 0)
-        if a < last - 1:
+        if a < m - 2:
             if not s:
                 _pivot2_ints(block, a, bits, child, prev, psign, table)
-            elif a < last - 2:
-                _walk_ints(_reduce_ints(block, a, prev), bits[a + 1 :], child, piv, s, table)
+            elif a < m - 3:
+                _walk_ints(_reduce_ints(block, m, a, prev), bits[a + 1 :], child, piv, s, table)
             else:
                 # a two-level leaf on the last two positions q and r
-                (bqq, bqr), (brr,) = block[a + 1], block[last]
-                bq, br = row[1], row[2]
+                _, bq, br, bqq, bqr, brr = block[-6:]
                 nqq = piv * bqq - bq * bq
                 nrr = piv * brr - br * br
                 nqr = piv * bqr - bq * br
                 det = nqq * nrr - nqr * nqr
-                q, r = bits[a + 1], bits[last]
+                q, r = bits[-2], bits[-1]
                 table[child | q] = ((nqq > 0) - (nqq < 0)) * psign
                 table[child | r] = ((nrr > 0) - (nrr < 0)) * psign
                 table[child | q | r] = ((det > 0) - (det < 0)) * s
-        elif a == last - 1:
+        elif a == m - 2:
             # a leaf: its one minor is num / prev, so take sign(num) * psign
-            num = piv * block[last][0] - row[1] * row[1]
-            table[child | bits[last]] = ((num > 0) - (num < 0)) * psign
+            num = piv * block[-1] - block[-2] * block[-2]
+            table[child | bits[-1]] = ((num > 0) - (num < 0)) * psign
 
 
 def _walk_pairs(block, bits, mask, prev, psign, table, d):
     """_walk_ints for a block over Z[sqrt d].  A real Z[i] minor is signed
     inline; _sign takes a non-real one (raising) and every Z[sqrt 5] one."""
-    last = len(block) - 1
-    for a, row in enumerate(block):
-        piv = row[0]
+    m = len(bits)
+    for a, i in enumerate(_layout(m)):
+        piv = block[i]
         child = mask | bits[a]
         s = table[child] = (piv[0] > 0) - (piv[0] < 0) if d < 0 and not piv[1] else _sign(piv, d)
-        if a < last - 1:
+        if a < m - 2:
             if not s:
                 _pivot2_pairs(block, a, bits, child, prev, psign, table, d)
-            elif a < last - 2:
-                _walk_pairs(_reduce_pairs(block, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
+            elif a < m - 3:
+                _walk_pairs(_reduce_pairs(block, m, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
             else:
-                (va, vb), (qa, qb), (ra, rb) = row
-                ((xa, xb), (ya, yb)), ((za, zb),) = block[a + 1], block[last]
+                (va, vb), (qa, qb), (ra, rb), (xa, xb), (ya, yb), (za, zb) = block[-6:]
                 qc, rc = (-qb, -rb) if d < 0 else (qb, rb)  # B[q, a] = (qa, qc), B[r, a] = (ra, rc)
                 nqq = (va * xa + d * (vb * xb - qc * qb) - qa * qa, va * xb + vb * xa - qa * qb - qc * qa)
                 nrr = (va * za + d * (vb * zb - rc * rb) - ra * ra, va * zb + vb * za - ra * rb - rc * ra)
@@ -397,40 +400,41 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
                     nqq[0] * nrr[0] + d * nqq[1] * nrr[1] - na * na - d * mb * nb,
                     nqq[0] * nrr[1] + nqq[1] * nrr[0] - na * nb - mb * na,
                 )
-                q, r = bits[a + 1], bits[last]
+                q, r = bits[-2], bits[-1]
                 table[child | q] = ((nqq[0] > 0) - (nqq[0] < 0) if d < 0 and not nqq[1] else _sign(nqq, d)) * psign
                 table[child | r] = ((nrr[0] > 0) - (nrr[0] < 0) if d < 0 and not nrr[1] else _sign(nrr, d)) * psign
                 table[child | q | r] = ((det[0] > 0) - (det[0] < 0) if d < 0 and not det[1] else _sign(det, d)) * s
-        elif a == last - 1:
-            (va, vb), (xa, xb), (la, lb) = piv, block[last][0], row[1]
+        elif a == m - 2:
+            (va, vb), (la, lb), (xa, xb) = block[-3:]
             lc = -lb if d < 0 else lb  # entry (last, a) is (la, lc)
             num = (va * xa + d * vb * xb - la * la - d * lc * lb, va * xb + vb * xa - la * lb - lc * la)
-            table[child | bits[last]] = ((num[0] > 0) - (num[0] < 0) if d < 0 and not num[1] else _sign(num, d)) * psign
+            table[child | bits[-1]] = ((num[0] > 0) - (num[0] < 0) if d < 0 and not num[1] else _sign(num, d)) * psign
 
 
 def _pivot2_ints(block, a, bits, child, prev, psign, table):
-    """Signs of the sets S+a+V below a zero pivot at block position a of
-    the node S (det S = prev, psign = sign(prev)), by one 2 x 2 pivot on a
-    and each partner w, a later position with B[a, w] != 0; see the
-    comment above the integer kernels."""
-    row = block[a]
-    later = range(a + 1, len(block))
+    """Signs of the sets S+a+V below a zero pivot at position a of the
+    packed block of the node S (det S = prev, psign = sign(prev)), by one
+    2 x 2 pivot on a and each partner w, a later position with
+    B[a, w] != 0; see the comment above the integer kernels."""
+    start = _layout(len(bits))
+    at = start[a] - a  # B[a, t] is block[at + t]
+    later = range(a + 1, len(bits))
     square = prev * prev
     zeros = 0
     for w in later:
-        baw = row[w - a]
+        baw = block[at + w]
         if not baw:
             zeros |= bits[w]
             continue
-        bww, nrm = block[w][0], baw * baw
+        bww, nrm = block[start[w]], baw * baw
         # R: the later positions but w and the partners before it
-        keep = [r for r in later if r > w or (r < w and not row[r - a])]
-        u = [row[r - a] for r in keep]  # B[a, r]
-        g = [baw * (block[r][w - r] if r < w else block[w][r - w]) for r in keep]  # B[a, w] B[w, r]
+        keep = [r for r in later if r > w or (r < w and not block[at + r])]
+        u = [block[at + r] for r in keep]  # B[a, r]
+        g = [baw * block[start[r] + w - r if r < w else start[w] + r - w] for r in keep]  # B[a, w] B[w, r]
         e = [gr - bww * ur for gr, ur in zip(g, u)]
         tblock = [
-            [(e[j] * ur + u[j] * gr - nrm * block[r][keep[j] - r]) // square for j in range(i, len(keep))]
-            for i, (r, ur, gr) in enumerate(zip(keep, u, g))
+            (e[j] * ur + u[j] * gr - nrm * block[start[r] + keep[j] - r]) // square
+            for i, (r, ur, gr) in enumerate(zip(keep, u, g)) for j in range(i, len(keep))
         ]
         pivot = child | bits[w]
         table[pivot] = -psign
@@ -443,25 +447,26 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
     B[r, a] is the conjugate of the stored B[a, r] for d = -1 and equal to
     it for d = 5; a division multiplies by the conjugate of the divisor
     and divides by its norm, or divides directly by a real one."""
-    row = block[a]
-    later = range(a + 1, len(block))
+    start = _layout(len(bits))
+    at = start[a] - a  # B[a, t] is block[at + t]
+    later = range(a + 1, len(bits))
     pa, pb = prev
     sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2
     snrm, pnrm = sa * sa - d * sb * sb, pa * pa - d * pb * pb
     zeros = 0
     for w in later:
-        wa, wb = row[w - a]  # B[a, w]
+        wa, wb = block[at + w]  # B[a, w]
         if not (wa or wb):
             zeros |= bits[w]
             continue
         wc = -wb if d < 0 else wb  # B[w, a] = (wa, wc)
         ma, mb = wa * wa + d * wb * wc, wa * wc + wb * wa  # B[a, w] B[w, a]
-        xa, xb = block[w][0]  # B[w, w]
-        keep = [r for r in later if r > w or (r < w and row[r - a] == (0, 0))]
-        u = [row[r - a] for r in keep]  # B[a, r]
+        xa, xb = block[start[w]]  # B[w, w]
+        keep = [r for r in later if r > w or (r < w and block[at + r] == (0, 0))]
+        u = [block[at + r] for r in keep]  # B[a, r]
         g, e = [], []
         for r, (ua, ub) in zip(keep, u):
-            ya, yb = block[r][w - r] if r < w else block[w][r - w]
+            ya, yb = block[start[r] + w - r] if r < w else block[start[w] + r - w]
             if r < w and d < 0:
                 yb = -yb  # B[w, r] is the conjugate of the stored B[r, w]
             ga, gb = wa * ya + d * wb * yb, wa * yb + wb * ya  # B[a, w] B[w, r]
@@ -471,21 +476,16 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
         for i, (r, (ua, ub), (ga, gb)) in enumerate(zip(keep, u, g)):
             if d < 0:
                 ub, gb = -ub, -gb  # conjugates of B[a, r] and of g[r]
-            brow = block[r]
-            out = []
+            row = start[r] - r  # B[r, t] is block[row + t]
             for (ea, eb), (ta, tb), t in zip(e[i:], u[i:], keep[i:]):
-                ba, bb = brow[t - r]  # B[r, t]
+                ba, bb = block[row + t]
                 na = ea * ua + d * eb * ub + ta * ga + d * tb * gb - ma * ba - d * mb * bb
                 nb = ea * ub + eb * ua + ta * gb + tb * ga - ma * bb - mb * ba
                 if sb:
-                    out.append(((na * sa - d * nb * sb) // snrm, (nb * sa - na * sb) // snrm))
+                    tblock.append(((na * sa - d * nb * sb) // snrm, (nb * sa - na * sb) // snrm))
                 else:
-                    out.append((na // sa, nb // sa))
-            tblock.append(out)
-        if pb:
-            tprev = ((d * mb * pb - ma * pa) // pnrm, (ma * pb - mb * pa) // pnrm)
-        else:
-            tprev = (-ma // pa, -mb // pa)
+                    tblock.append((na // sa, nb // sa))
+        tprev = ((d * mb * pb - ma * pa) // pnrm, (ma * pb - mb * pa) // pnrm)  # -B[a, w] B[w, a] / det S
         pivot = child | bits[w]
         table[pivot] = -psign
         _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, -psign, table, d)

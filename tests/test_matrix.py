@@ -231,6 +231,7 @@ def test_sign_table_below_negative_singular_prefix():
 
 
 _I, _R5 = Gauss(0, 1), Root5(0, 1)
+_UNITS = {"real": Gauss(0), "gaussian": _I, "sqrt5": _R5}
 
 
 def test_elimination_oracle_matches_permutation_oracle():
@@ -277,6 +278,14 @@ def test_sign_table_of_hollow_matrices(kind, data):
     assert m._mask_signs() == _oracle_sign_table(m, elimination_det)
 
 
+def _congruence(rows, unit):
+    """D B D* for a grid B and D = diag(1, 1 + u, 1 + 2u, ...), u = unit:
+    every principal minor keeps its sign and every bordered minor its zero
+    pattern, so the walk takes the same path."""
+    scale = [1 + k * unit for k in range(len(rows))]
+    return matrix_of([[scale[i] * v * scale[j].conj() for j, v in enumerate(row)] for i, row in enumerate(rows)])
+
+
 # Each case has a zero pivot at position a of a node S with two or more
 # later positions.  Its facts are signs of minors, 1-based: det[S+a+r] = 0
 # for a non-partner r (B[a, r] = 0), and det[S+a+w] = -|B[a, w]|**2 / det S
@@ -311,9 +320,7 @@ def test_two_by_two_pivot_matches_oracle(case, kind):
     # sqrt 5, keeps the sign of every principal minor and the zero pattern
     # of every block, and makes each B[a, w] non-real or irrational.
     rows, facts = _PIVOT_CASES[case]
-    unit = {"real": Gauss(0), "gaussian": _I, "sqrt5": _R5}[kind]
-    scale = [1 + k * unit for k in range(len(rows))]
-    m = matrix_of([[scale[i] * v * scale[j].conj() for j, v in enumerate(row)] for i, row in enumerate(rows)])
+    m = _congruence(rows, _UNITS[kind])
     expected = _oracle_sign_table(m, elimination_det)
     assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
     assert m._mask_signs() == expected
@@ -340,6 +347,72 @@ def test_two_level_leaf_matches_oracle(rows):
     # and N[q, r] non-real or irrational.
     m = matrix_of(rows)
     assert m._mask_signs() == _oracle_sign_table(m)
+
+
+def _walk_order(n, start=0, prefix=0):
+    """The masks of the index sets in the order the sign walk visits them:
+    depth first in lexicographic order, except that below a nonempty set
+    followed by exactly two indices q < r (a two-level leaf) the walk signs
+    S+q and S+r before S+q+r."""
+    later = range(start, n)
+    if prefix and len(later) == 2:
+        q, r = (prefix | 1 << i for i in later)
+        return [q, r, q | r]
+    out = []
+    for i in later:
+        out += [prefix | 1 << i, *_walk_order(n, i + 1, prefix | 1 << i)]
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+def test_sign_table_keys_follow_walk_order(kind):
+    # A strictly diagonally dominant matrix has no zero principal minor, so
+    # the walk takes no 2 x 2 pivot and the table's keys come in walk order,
+    # which check_inheritance reports its escapes in.  Diagonal signs vary,
+    # and entries off it are at most 2 + 2 sqrt 5 < 40 / 5 in size.
+    rng = random.Random(6)
+    n = 6
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.choice((-40, 40))
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randint(-2, 2) + rng.randint(-2, 2) * _UNITS[kind]
+            rows[j][i] = rows[i][j].conj()
+    m = matrix_of(rows)
+    assert list(m._mask_signs()) == _walk_order(n)
+    assert 0 not in m._mask_signs().values() and len(set(m._mask_signs().values())) == 2
+
+
+def _integer_draws(rng, n):
+    """Integer symmetric grids of order n: dense, low-rank (a signed sum of
+    n // 2 rank-one terms, so every minor above n // 2 is zero) and dense
+    with a zero diagonal."""
+    dense = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    low = [[0] * n for _ in range(n)]
+    for _ in range(n // 2):
+        v, s = [rng.randint(-2, 2) for _ in range(n)], rng.choice((-1, 1))
+        low = [[low[i][j] + s * v[i] * v[j] for j in range(n)] for i in range(n)]
+    hollow = [[0 if i == j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    for rows in (dense, hollow):
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return {"dense": dense, "lowrank": low, "hollow": hollow}
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_large_blocks_agree_across_kernels(n):
+    # Orders 8 to 10 have no oracle here; instead D B D* with
+    # D = diag(1, 1 + u, ...) must give B's table exactly, key order
+    # included.  B runs the int walk, u = i the Z[i] step with real pivots,
+    # and u = sqrt 5 the general Z[sqrt 5] step with irrational pivots, all
+    # on blocks of eight positions and more.
+    rng = random.Random(8000 + n)
+    for k in range(3):
+        for draw, rows in _integer_draws(rng, n).items():
+            table = list(HermitianMatrix(rows)._mask_signs().items())
+            for unit in (_I, _R5):
+                assert list(_congruence(rows, unit)._mask_signs().items()) == table, (k, draw, unit)
 
 
 @pytest.mark.parametrize(
