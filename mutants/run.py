@@ -304,6 +304,15 @@ MUTANTS = (
         "if not any(w in missing for w in windows):",
         ("tests/test_cli.py::test_census_stdout_pinned",),
     ),
+    # the sweep grades raw grids and builds a matrix only for the first
+    # grid of each sequence
+    Mutant(
+        "sweep-keeps-last-grid",
+        SEARCH,
+        "if terms not in seen:",
+        "if True:",
+        ("tests/test_search.py::test_sweep_keeps_the_first_canonical_grid_of_each_sequence",),
+    ),
     # every rule-predicted census construction passes one gate, which
     # scans its prediction for forbidden windows
     Mutant(
@@ -332,6 +341,13 @@ MUTANTS = (
         "return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)",
         "return (frozenset(),) + tuple(t.signs for t in seq.terms)",
         ("tests/test_sepr.py::test_direct_sum_rule_matches_engine",),
+    ),
+    Mutant(
+        "classify-signs-drops-unknown-values",
+        SEPR,
+        "term = _TERM_BY_SIGNS.get(present)",
+        "term = _TERM_BY_SIGNS.get(present & {-1, 0, 1})",
+        ("tests/test_sepr.py::test_classify_rejects_values_other_than_signs",),
     ),
     Mutant(
         "negation-swaps-even-orders",

@@ -515,6 +515,13 @@ def _order_masks(n):
     )
 
 
+def _signs_by_order(table, n):
+    """List indexed by k-1: the signs of a sign table (keyed by index
+    bitmask, as _sign_walk returns it) for the order-k index sets of
+    range(n), in lexicographic subset order."""
+    return [[table[mask] for mask in masks] for masks in _order_masks(n)]
+
+
 class HermitianMatrix:
     """An n-by-n Hermitian matrix with exact entries, stored as its scaled
     integer grid (see the module docstring).
@@ -630,8 +637,7 @@ class HermitianMatrix:
     def minor_signs_by_order(self):
         """List indexed by k-1: signs of all order-k principal minors in
         lexicographic subset order."""
-        table = self._mask_signs()
-        return [[table[mask] for mask in masks] for masks in _order_masks(self.n)]
+        return _signs_by_order(self._mask_signs(), self.n)
 
     # -- rank and inverse ---------------------------------------------------
 

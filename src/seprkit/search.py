@@ -19,8 +19,12 @@ full_sequence_sweep).
 
 Every generator builds scaled integer grids directly: a pool is scaled
 into a GridPool once per search, not once per matrix, and the det = 0
-completions are solved in integers, one per similarity class.  Each grid
-still goes through HermitianMatrix's checks and gets its own sign walk.
+completions are solved in integers, one per similarity class.  A sweep
+grid is walked raw, with no matrix built, and only the first grid of
+each sequence becomes a HermitianMatrix; a test pins that a sweep grid
+passes HermitianMatrix's checks and that its raw walk is the matrix's.
+Every other generated grid goes through HermitianMatrix's checks and
+gets its own sign walk.
 
 The attainability census draws no random matrix: after its stock and
 catalog bases it climbs a fixed ladder of transforms, sweeps,
@@ -47,7 +51,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, 
 from .catalog import build_witness, get_record, witness_ids
 from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
-from .matrix import HermitianMatrix, SingularMatrixError, _scale
+from .matrix import HermitianMatrix, SingularMatrixError, _scale, _sign_walk, _signs_by_order
 from .properties import run_suite
 from .sepr import (
     SeprSequence,
@@ -57,6 +61,7 @@ from .sepr import (
     duplicate_last_rule,
     inverse_rule,
     negation_rule,
+    sepr_terms,
 )
 
 DEFAULT_SEED = 1729
@@ -157,10 +162,10 @@ def random_matrix(rng: random.Random, n: int, pool: GridPool) -> HermitianMatrix
     return HermitianMatrix._of(pool.d, pool.scale, tuple(map(tuple, rows)))
 
 
-def _grids(d: int, scale: int, diagonals, choices) -> Iterator[HermitianMatrix]:
+def _grid_tuples(diagonals, choices) -> Iterator[tuple]:
     """Odometer over free entries: for each diagonal in turn, every upper
     triangle, row-major, upper slot k ranging over the (v, conj v) grid
-    pairs choices[k]."""
+    pairs choices[k]; each grid in _scale's form."""
     for diag in diagonals:
         n = len(diag)
         upper_slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -171,7 +176,13 @@ def _grids(d: int, scale: int, diagonals, choices) -> Iterator[HermitianMatrix]:
             for (i, j), (v, conjugate) in zip(upper_slots, vals):
                 rows[i][j] = v
                 rows[j][i] = conjugate
-            yield HermitianMatrix._of(d, scale, tuple(map(tuple, rows)))
+            yield tuple(map(tuple, rows))
+
+
+def _grids(d: int, scale: int, diagonals, choices) -> Iterator[HermitianMatrix]:
+    """The matrices grid / scale of _grid_tuples' grids, in its order."""
+    for grid in _grid_tuples(diagonals, choices):
+        yield HermitianMatrix._of(d, scale, grid)
 
 
 def exhaustive_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
@@ -355,7 +366,10 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     (combinations with replacement of the diagonal candidates), first-row
     entries b_1j among the pool's real nonnegative values, and every other
     upper entry over the whole pool, in odometer order.  The first
-    canonical grid with a given sequence represents it.
+    canonical grid with a given sequence represents it.  A grid is graded
+    by the signs of its own _sign_walk, with no matrix built; only the
+    first grid of each sequence becomes a HermitianMatrix, whose
+    compute_sepr gives the sequence's text.
 
     The reduction is exact because of _sweep_pool's closed pools,
     {-2..2} and {0, +-1, +-i}: each is closed under conjugation and under
@@ -374,8 +388,13 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     first_row = tuple(p for v, p in zip(pool, pairs) if v.im == 0 and v.re >= 0)
     choices = [first_row] * (order - 1) + [pairs] * ((order - 1) * (order - 2) // 2)
     found: Dict[str, HermitianMatrix] = {}
-    for m in _grids(d, scale, combinations_with_replacement(diag_values, order), choices):
-        found.setdefault(str(compute_sepr(m)), m)
+    seen = set()
+    for grid in _grid_tuples(combinations_with_replacement(diag_values, order), choices):
+        terms = sepr_terms(_signs_by_order(_sign_walk(grid, d), order))
+        if terms not in seen:
+            seen.add(terms)
+            m = HermitianMatrix._of(d, scale, grid)
+            found[str(compute_sepr(m))] = m
     return found
 
 

@@ -226,30 +226,32 @@ class SeprSequence(_TermSequence):
 # ---------------------------------------------------------------------------
 
 
+_TERM_BY_SIGNS = {signs: term for term, signs in _SIGNS.items()}
+
+
 def classify_signs(signs) -> SeprTerm:
-    """Seven-way classification of a nonempty collection of minor signs."""
-    present = set(signs)
-    if not present:
-        raise ValueError("cannot classify an empty collection of minors")
-    has_zero = 0 in present
-    has_pos = 1 in present
-    has_neg = -1 in present
-    if not has_zero:
-        if has_pos and has_neg:
-            return SeprTerm.A_STAR
-        return SeprTerm.A_PLUS if has_pos else SeprTerm.A_MINUS
-    if not has_pos and not has_neg:
-        return SeprTerm.N
-    if has_pos and has_neg:
-        return SeprTerm.S_STAR
-    return SeprTerm.S_PLUS if has_pos else SeprTerm.S_MINUS
+    """Seven-way classification of a nonempty collection of minor signs,
+    each -1, 0 or 1 (ValueError otherwise): one lookup of the set of
+    signs present."""
+    present = frozenset(signs)
+    term = _TERM_BY_SIGNS.get(present)
+    if term is None:
+        if not present:
+            raise ValueError("cannot classify an empty collection of minors")
+        bad = ", ".join(sorted(repr(v) for v in present if v not in (-1, 0, 1)))
+        raise ValueError(f"minor signs must be -1, 0 or 1, not {bad}")
+    return term
+
+
+def sepr_terms(signs_by_order) -> tuple:
+    """The terms of the sequence whose order-k minors have the signs
+    signs_by_order[k - 1], as minor_signs_by_order lists them."""
+    return tuple(map(classify_signs, signs_by_order))
 
 
 def compute_sepr(matrix: HermitianMatrix) -> SeprSequence:
     """The full sign-refined sequence of the matrix, one term per order."""
-    return SeprSequence(
-        classify_signs(signs) for signs in matrix.minor_signs_by_order()
-    )
+    return SeprSequence(sepr_terms(matrix.minor_signs_by_order()))
 
 
 def compute_epr(matrix: HermitianMatrix) -> EprSequence:

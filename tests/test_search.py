@@ -298,6 +298,54 @@ def test_sweep_finds_every_sequence_of_the_full_enumeration(order, field):
         assert m in enumerated and str(compute_sepr(m)) == text
 
 
+# canonical grids per sweep: the real pool's 5 diagonal candidates and 3
+# real nonnegative values, the complex pool's 3 and 2, and 5 pool values
+SWEEP_GRIDS = {
+    1: {Field.REAL_SYMMETRIC: 5, Field.HERMITIAN: 3},
+    2: {Field.REAL_SYMMETRIC: 15 * 3, Field.HERMITIAN: 6 * 2},
+    3: {Field.REAL_SYMMETRIC: 35 * 3**2 * 5, Field.HERMITIAN: 10 * 2**2 * 5},
+}
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@pytest.mark.parametrize("field", Field, ids=lambda f: f.name)
+def test_sweep_grids_walk_raw_as_their_matrices(order, field, monkeypatch):
+    # the sweep grades its grids without building them: each must be a
+    # grid the matrix constructor accepts, kept as given unless it is a
+    # real grid in Gaussian form, and walk to the matrix's own signs
+    d, scale = grid_pool(_sweep_pool(field))[:2]
+    walked, odometer = [], search._grid_tuples
+
+    def recording(*args):
+        for grid in odometer(*args):
+            walked.append(grid)
+            yield grid
+
+    monkeypatch.setattr(search, "_grid_tuples", recording)
+    full_sequence_sweep(order, field)
+    assert len(walked) == SWEEP_GRIDS[order][field]
+    for grid in walked:
+        m = HermitianMatrix._of(d, scale, grid)
+        if m._d == d:
+            assert (m._scale, m._grid) == (scale, grid)
+        assert m._mask_signs() == search._sign_walk(grid, d)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3))
+@pytest.mark.parametrize("field", Field, ids=lambda f: f.name)
+def test_sweep_keeps_the_first_canonical_grid_of_each_sequence(order, field):
+    # canonical: a nondecreasing diagonal and a real nonnegative first row;
+    # the full enumeration's odometer order restricted to canonical grids
+    # is the sweep's order, so its first grid per sequence is the sweep's
+    expected = {}
+    for m in exhaustive_matrices(order, _sweep_pool(field)):
+        rows = m.entries
+        diagonal = [rows[i][i].re for i in range(order)]
+        if diagonal == sorted(diagonal) and all(v.im == 0 and v.re >= 0 for v in rows[0][1:]):
+            expected.setdefault(str(compute_sepr(m)), m)
+    assert list(full_sequence_sweep(order, field).items()) == list(expected.items())
+
+
 def test_census_order2():
     for field in Field:
         rep = attainability_census(2, field)

@@ -40,6 +40,12 @@ def test_classify_order_examples():
         classify_signs([])
 
 
+@pytest.mark.parametrize("values, named", [([2], "2"), ([0, 5], "5"), (["x"], "'x'"), ([1, -2, 0], "-2")])
+def test_classify_rejects_values_other_than_signs(values, named):
+    with pytest.raises(ValueError, match=f"must be -1, 0 or 1, not {named}$"):
+        classify_signs(values)
+
+
 @given(st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=9))
 def test_classify_order_against_naive(values):
     got = classify_signs(values)
