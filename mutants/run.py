@@ -84,15 +84,15 @@ MUTANTS = (
     Mutant(
         "leaf-int-sign",
         MATRIX,
-        "table[child | q | r] = ((det > 0) - (det < 0)) * s",
-        "table[child | q | r] = ((det > 0) - (det < 0)) * psign",
+        "= ((nrr > 0) - (nrr < 0)) * psign\n                table[child | q | r] = ((det > 0) - (det < 0)) * s\n",
+        "= ((nrr > 0) - (nrr < 0)) * psign\n                table[child | q | r] = ((det > 0) - (det < 0)) * psign\n",
         LEAF,
     ),
     Mutant(
         "leaf-pair-sign",
         MATRIX,
-        "if d < 0 and not det[1] else _sign(det, d)) * s",
-        "if d < 0 and not det[1] else _sign(det, d)) * psign",
+        "if zb else (nrr > 0) - (nrr < 0)) * psign\n                table[child | q | r] = ((det > 0) - (det < 0)) * s\n",
+        "if zb else (nrr > 0) - (nrr < 0)) * psign\n                table[child | q | r] = ((det > 0) - (det < 0)) * psign\n",
         LEAF,
     ),
     Mutant(
@@ -105,30 +105,42 @@ MUTANTS = (
     Mutant(
         "leaf-pair-child-sign",
         MATRIX,
-        "if d < 0 and not nqq[1] else _sign(nqq, d)) * psign",
-        "if d < 0 and not nqq[1] else _sign(nqq, d)) * s",
+        "if xb else (nqq > 0) - (nqq < 0)) * psign",
+        "if xb else (nqq > 0) - (nqq < 0)) * s",
         LEAF,
     ),
     Mutant(
         "leaf-bqa-unconjugated",
         MATRIX,
-        "qc, rc = (-qb, -rb) if d < 0 else (qb, rb)",
-        "qc, rc = (qb, -rb) if d < 0 else (qb, rb)",
+        "nqq = va * xa - qa * qa - qb * qb\n"
+        "                nrr = va * za - ra * ra - rb * rb\n"
+        "                na, nb = va * ya - qa * ra - qb * rb, va * yb - qa * rb + qb * ra",
+        "nqq = va * xa - qa * qa + qb * qb\n"
+        "                nrr = va * za - ra * ra - rb * rb\n"
+        "                na, nb = va * ya - qa * ra + qb * rb, va * yb - qa * rb - qb * ra",
         LEAF,
     ),
     Mutant(
         "leaf-nrq-unconjugated",
         MATRIX,
-        "mb = -nb if d < 0 else nb",
-        "mb = nb",
+        "det = nqq * nrr - na * na - nb * nb",
+        "det = nqq * nrr - na * na + nb * nb",
+        LEAF,
+    ),
+    # the two-level leaf over Z[sqrt 5] keeps the general form
+    Mutant(
+        "leaf-sqrt5-sign",
+        MATRIX,
+        "table[child | q | r] = _sign(det, d) * s",
+        "table[child | q | r] = _sign(det, d) * psign",
         LEAF,
     ),
     # the inline sign of a Z[i] minor keeps the non-real check
     Mutant(
         "walk-pairs-real-part-only",
         MATRIX,
-        "(piv[0] > 0) - (piv[0] < 0) if d < 0 and not piv[1] else _sign(piv, d)",
-        "(piv[0] > 0) - (piv[0] < 0) if d < 0 else _sign(piv, d)",
+        "(piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, d)",
+        "(piv[0] > 0) - (piv[0] < 0) if d < 0 or not piv[1] else _sign(piv, d)",
         ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",),
     ),
     # the certified sign of a Z[sqrt 5] minor
@@ -174,8 +186,8 @@ MUTANTS = (
     Mutant(
         "pivot-bwa-unconjugated",
         MATRIX,
-        "wc = -wb if d < 0 else wb",
-        "wc = wb",
+        "nrm = wa * wa + wb * wb",
+        "nrm = wa * wa - wb * wb",
         PIVOT,
     ),
     Mutant(
@@ -188,15 +200,31 @@ MUTANTS = (
     Mutant(
         "pivot-pair-single-division",
         MATRIX,
-        "    sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2\n",
-        "    sa, sb = pa, pb\n",
+        "        square = pa * pa\n",
+        "        square = pa\n",
+        PIVOT,
+    ),
+    Mutant(
+        "pivot-sqrt5-single-division",
+        MATRIX,
+        "        sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2\n",
+        "        sa, sb = pa, pb\n",
         PIVOT,
     ),
     Mutant(
         "pivot-partners-kept",
         MATRIX,
-        "keep = [r for r in later if r > w or (r < w and not block[at + r])]",
-        "keep = list(later)",
+        "keep = (*low, *range(w + 1, m))\n        u = [block[at + r] for r in keep]",
+        "keep = tuple(range(a + 1, m))\n        u = [block[at + r] for r in keep]",
+        PIVOT,
+    ),
+    # the cached index triples of a 2 x 2 pivot's block: (i, j) swapped
+    # conjugates the wrong factors of a Z[i] entry
+    Mutant(
+        "pairs-index-swapped",
+        MATRIX,
+        "(i, j, start[r] + t - r)",
+        "(j, i, start[r] + t - r)",
         PIVOT,
     ),
     Mutant(

@@ -33,6 +33,9 @@ from .sepr import compute_epr, compute_sepr, parse_sequence
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
+# the largest order --order-n and --max-n may ask to generate: a sign walk
+# of an order-n matrix writes 2**n - 1 signs
+MAX_GENERATED_ORDER = 16
 
 def parse_pool(spec: str, field: Field):
     if spec == "real-default":
@@ -139,6 +142,8 @@ def _parse_order_spec(text: str, mode: str):
         raise ValueError(f"--order-n: expected orders ≥ 1, got {text!r}")
     if orders[0] > orders[-1]:
         raise ValueError(f"--order-n: expected LO ≤ HI, got {text!r}")
+    if orders[-1] > MAX_GENERATED_ORDER:
+        raise ValueError(f"--order-n: expected orders ≤ {MAX_GENERATED_ORDER}, got {text!r}")
     if orders[0] == orders[-1]:
         return orders[0]
     if mode == "exhaustive":
@@ -208,6 +213,9 @@ def cmd_properties(args) -> int:
         if value is not None and value < 1:
             print(f"error: {flag}: expected an integer ≥ 1, got {value}", file=sys.stderr)
             return USAGE_ERROR
+    if args.max_n is not None and args.max_n > MAX_GENERATED_ORDER:
+        print(f"error: --max-n: expected an integer ≤ {MAX_GENERATED_ORDER}, got {args.max_n}", file=sys.stderr)
+        return USAGE_ERROR
     if args.max_n is not None and (args.order_n is not None or args.mode == "exhaustive"):
         print("error: --max-n applies only to random mode without --order-n", file=sys.stderr)
         return USAGE_ERROR

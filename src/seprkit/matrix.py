@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
@@ -99,10 +99,16 @@ class SingularMatrixError(ValueError):
 # alone, since (det S)**2 > 0.  No block is built, nothing is divided and
 # nothing recurses, and a singular S+a+q needs no pivot because only
 # det[S+a] divides.
+# A 2 x 2 pivot builds T's block the same way, in one comprehension over
+# _pairs(m, keep): for each entry of T's block, its place in R and the
+# index of the matching entry of B, cached like _step.
 # Each int kernel and walk stays separate from its pair counterpart
 # because it is about twice as fast on real input.  The pair kernels write
-# their Z[sqrt d] products and divisions out inline, with no helper call
-# per entry.
+# their products and divisions out inline, with no helper call per entry.
+# Their Z[i] leaves and 2 x 2 pivots are written for d = -1 alone: B[r, a]
+# is the conjugate of B[a, r] and every minor is real, so no term carries a
+# factor d and each division is by a real integer.  Q(sqrt 5) keeps the
+# general Z[sqrt d] form.
 # ---------------------------------------------------------------------------
 
 
@@ -283,6 +289,15 @@ def _step(m, a):
     return tuple((start[r] + t - r, row + r, row + t) for r in range(a + 1, m) for t in range(r, m))
 
 
+@lru_cache(maxsize=None)
+def _pairs(m, keep):
+    """The index triples of a 2 x 2 pivot's block on a packed m-position
+    block: for each entry (i, j), i <= j, of the packed block over the
+    positions ``keep`` (a tuple), i, j and the index of B[keep[i], keep[j]]."""
+    start = _layout(m)
+    return tuple((i, j, start[r] + t - r) for i, r in enumerate(keep) for j, t in enumerate(keep[i:], i))
+
+
 def _reduce_ints(block, m, a, prev):
     """One Bareiss step on a packed Hermitian m-position block: pivot on
     position a, divide by ``prev``, and return the packed block of the
@@ -377,38 +392,56 @@ def _walk_ints(block, bits, mask, prev, psign, table):
 
 
 def _walk_pairs(block, bits, mask, prev, psign, table, d):
-    """_walk_ints for a block over Z[sqrt d].  A real Z[i] minor is signed
-    inline; _sign takes a non-real one (raising) and every Z[sqrt 5] one."""
+    """_walk_ints for a block over Z[sqrt d].  A rational minor is signed
+    inline; _sign takes a non-real Z[i] one (raising) and an irrational
+    Z[sqrt 5] one.
+    The Z[i] leaves read B[a, a] as real, since its sign was just taken,
+    so a leaf minor's imaginary part is B[a, a] times that of its diagonal
+    entry x: formed, and sent to _sign, only when x is non-real."""
     m = len(bits)
     for a, i in enumerate(_layout(m)):
         piv = block[i]
         child = mask | bits[a]
-        s = table[child] = (piv[0] > 0) - (piv[0] < 0) if d < 0 and not piv[1] else _sign(piv, d)
+        s = table[child] = (piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, d)
         if a < m - 2:
             if not s:
                 _pivot2_pairs(block, a, bits, child, prev, psign, table, d)
             elif a < m - 3:
                 _walk_pairs(_reduce_pairs(block, m, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
+            elif d < 0:
+                # B[q, a] is the conjugate of the stored B[a, q].  N_qq and N_rr
+                # are real once signed, and then so is N_qq N_rr - |N_qr|**2.
+                (va, _), (qa, qb), (ra, rb), (xa, xb), (ya, yb), (za, zb) = block[-6:]
+                nqq = va * xa - qa * qa - qb * qb
+                nrr = va * za - ra * ra - rb * rb
+                na, nb = va * ya - qa * ra - qb * rb, va * yb - qa * rb + qb * ra  # N_qr
+                det = nqq * nrr - na * na - nb * nb
+                q, r = bits[-2], bits[-1]
+                table[child | q] = (_sign((nqq, va * xb), d) if xb else (nqq > 0) - (nqq < 0)) * psign
+                table[child | r] = (_sign((nrr, va * zb), d) if zb else (nrr > 0) - (nrr < 0)) * psign
+                table[child | q | r] = ((det > 0) - (det < 0)) * s
             else:
                 (va, vb), (qa, qb), (ra, rb), (xa, xb), (ya, yb), (za, zb) = block[-6:]
-                qc, rc = (-qb, -rb) if d < 0 else (qb, rb)  # B[q, a] = (qa, qc), B[r, a] = (ra, rc)
-                nqq = (va * xa + d * (vb * xb - qc * qb) - qa * qa, va * xb + vb * xa - qa * qb - qc * qa)
-                nrr = (va * za + d * (vb * zb - rc * rb) - ra * ra, va * zb + vb * za - ra * rb - rc * ra)
-                na, nb = va * ya + d * (vb * yb - qc * rb) - qa * ra, va * yb + vb * ya - qa * rb - qc * ra
-                mb = -nb if d < 0 else nb  # N[r, q] = (na, mb)
+                nqq = (va * xa + d * (vb * xb - qb * qb) - qa * qa, va * xb + vb * xa - 2 * qa * qb)
+                nrr = (va * za + d * (vb * zb - rb * rb) - ra * ra, va * zb + vb * za - 2 * ra * rb)
+                na, nb = va * ya + d * (vb * yb - qb * rb) - qa * ra, va * yb + vb * ya - qa * rb - qb * ra
                 det = (
-                    nqq[0] * nrr[0] + d * nqq[1] * nrr[1] - na * na - d * mb * nb,
-                    nqq[0] * nrr[1] + nqq[1] * nrr[0] - na * nb - mb * na,
+                    nqq[0] * nrr[0] + d * nqq[1] * nrr[1] - na * na - d * nb * nb,
+                    nqq[0] * nrr[1] + nqq[1] * nrr[0] - 2 * na * nb,
                 )
                 q, r = bits[-2], bits[-1]
-                table[child | q] = ((nqq[0] > 0) - (nqq[0] < 0) if d < 0 and not nqq[1] else _sign(nqq, d)) * psign
-                table[child | r] = ((nrr[0] > 0) - (nrr[0] < 0) if d < 0 and not nrr[1] else _sign(nrr, d)) * psign
-                table[child | q | r] = ((det[0] > 0) - (det[0] < 0) if d < 0 and not det[1] else _sign(det, d)) * s
+                table[child | q] = _sign(nqq, d) * psign
+                table[child | r] = _sign(nrr, d) * psign
+                table[child | q | r] = _sign(det, d) * s
         elif a == m - 2:
-            (va, vb), (la, lb), (xa, xb) = block[-3:]
-            lc = -lb if d < 0 else lb  # entry (last, a) is (la, lc)
-            num = (va * xa + d * vb * xb - la * la - d * lc * lb, va * xb + vb * xa - la * lb - lc * la)
-            table[child | bits[-1]] = ((num[0] > 0) - (num[0] < 0) if d < 0 and not num[1] else _sign(num, d)) * psign
+            if d < 0:
+                (va, _), (la, lb), (xa, xb) = block[-3:]
+                num = va * xa - la * la - lb * lb
+                table[child | bits[-1]] = (_sign((num, va * xb), d) if xb else (num > 0) - (num < 0)) * psign
+            else:
+                (va, vb), (la, lb), (xa, xb) = block[-3:]
+                num = (va * xa + d * (vb * xb - lb * lb) - la * la, va * xb + vb * xa - 2 * la * lb)
+                table[child | bits[-1]] = _sign(num, d) * psign
 
 
 def _pivot2_ints(block, a, bits, child, prev, psign, table):
@@ -416,26 +449,24 @@ def _pivot2_ints(block, a, bits, child, prev, psign, table):
     packed block of the node S (det S = prev, psign = sign(prev)), by one
     2 x 2 pivot on a and each partner w, a later position with
     B[a, w] != 0; see the comment above the integer kernels."""
-    start = _layout(len(bits))
+    m = len(bits)
+    start = _layout(m)
     at = start[a] - a  # B[a, t] is block[at + t]
-    later = range(a + 1, len(bits))
     square = prev * prev
-    zeros = 0
-    for w in later:
+    zeros, low = 0, []  # the non-partners so far
+    for w in range(a + 1, m):
         baw = block[at + w]
         if not baw:
             zeros |= bits[w]
+            low.append(w)
             continue
         bww, nrm = block[start[w]], baw * baw
         # R: the later positions but w and the partners before it
-        keep = [r for r in later if r > w or (r < w and not block[at + r])]
+        keep = (*low, *range(w + 1, m))
         u = [block[at + r] for r in keep]  # B[a, r]
         g = [baw * block[start[r] + w - r if r < w else start[w] + r - w] for r in keep]  # B[a, w] B[w, r]
         e = [gr - bww * ur for gr, ur in zip(g, u)]
-        tblock = [
-            (e[j] * ur + u[j] * gr - nrm * block[start[r] + keep[j] - r]) // square
-            for i, (r, ur, gr) in enumerate(zip(keep, u, g)) for j in range(i, len(keep))
-        ]
+        tblock = [(e[j] * u[i] + u[j] * g[i] - nrm * block[k]) // square for i, j, k in _pairs(m, keep)]
         pivot = child | bits[w]
         table[pivot] = -psign
         _walk_ints(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)
@@ -444,48 +475,69 @@ def _pivot2_ints(block, a, bits, child, prev, psign, table):
 
 def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
     """_pivot2_ints for a block over Z[sqrt d], entries as (a, b) pairs.
-    B[r, a] is the conjugate of the stored B[a, r] for d = -1 and equal to
-    it for d = 5; a division multiplies by the conjugate of the divisor
-    and divides by its norm, or divides directly by a real one."""
-    start = _layout(len(bits))
+    For d = -1, B[r, a] is the conjugate of the stored B[a, r], and
+    det S, B[w, w] and B[a, w] B[w, a] are real, so T's block divides
+    directly by (det S)**2.  For d = 5, B[r, a] is the stored B[a, r], and
+    a division multiplies by the conjugate of the divisor and divides by
+    its norm.  Per position r of R, v[r] holds u = B[a, r] (0 before w),
+    g = B[a, w] B[w, r] and e = g - B[w, w] B[a, r]."""
+    m = len(bits)
+    start = _layout(m)
     at = start[a] - a  # B[a, t] is block[at + t]
-    later = range(a + 1, len(bits))
     pa, pb = prev
-    sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2
-    snrm, pnrm = sa * sa - d * sb * sb, pa * pa - d * pb * pb
-    zeros = 0
-    for w in later:
+    if d < 0:
+        square = pa * pa
+    else:
+        sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2
+        snrm, pnrm = sa * sa - d * sb * sb, pa * pa - d * pb * pb
+    zeros, low = 0, []  # the non-partners so far
+    for w in range(a + 1, m):
         wa, wb = block[at + w]  # B[a, w]
         if not (wa or wb):
             zeros |= bits[w]
+            low.append(w)
             continue
-        wc = -wb if d < 0 else wb  # B[w, a] = (wa, wc)
-        ma, mb = wa * wa + d * wb * wc, wa * wc + wb * wa  # B[a, w] B[w, a]
-        xa, xb = block[start[w]]  # B[w, w]
-        keep = [r for r in later if r > w or (r < w and block[at + r] == (0, 0))]
-        u = [block[at + r] for r in keep]  # B[a, r]
-        g, e = [], []
-        for r, (ua, ub) in zip(keep, u):
-            ya, yb = block[start[r] + w - r] if r < w else block[start[w] + r - w]
-            if r < w and d < 0:
-                yb = -yb  # B[w, r] is the conjugate of the stored B[r, w]
-            ga, gb = wa * ya + d * wb * yb, wa * yb + wb * ya  # B[a, w] B[w, r]
-            g.append((ga, gb))
-            e.append((ga - xa * ua - d * xb * ub, gb - xa * ub - xb * ua))
-        tblock = []
-        for i, (r, (ua, ub), (ga, gb)) in enumerate(zip(keep, u, g)):
-            if d < 0:
-                ub, gb = -ub, -gb  # conjugates of B[a, r] and of g[r]
-            row = start[r] - r  # B[r, t] is block[row + t]
-            for (ea, eb), (ta, tb), t in zip(e[i:], u[i:], keep[i:]):
-                ba, bb = block[row + t]
-                na = ea * ua + d * eb * ub + ta * ga + d * tb * gb - ma * ba - d * mb * bb
-                nb = ea * ub + eb * ua + ta * gb + tb * ga - ma * bb - mb * ba
-                if sb:
-                    tblock.append(((na * sa - d * nb * sb) // snrm, (nb * sa - na * sb) // snrm))
-                else:
-                    tblock.append((na // sa, nb // sa))
-        tprev = ((d * mb * pb - ma * pa) // pnrm, (ma * pb - mb * pa) // pnrm)  # -B[a, w] B[w, a] / det S
+        # R: the later positions but w and the partners before it
+        keep = (*low, *range(w + 1, m))
+        after = zip(block[at + w + 1 : at + m], block[start[w] + 1 : start[w] + m - w])  # (B[a, r], B[w, r])
+        if d < 0:
+            nrm = wa * wa + wb * wb  # B[a, w] B[w, a]
+            x = block[start[w]][0]  # B[w, w]
+            # B[w, r] is the conjugate of the stored B[r, w] for r < w
+            before = [((0, 0), (ya, -yb)) for r in low for ya, yb in [block[start[r] + w - r]]]
+            v = [
+                (ua, ub, ga, gb, ga - x * ua, gb - x * ub)
+                for (ua, ub), (ya, yb) in chain(before, after)
+                for ga, gb in [(wa * ya - wb * yb, wa * yb + wb * ya)]
+            ]
+            # entry (r, t) is conj(u[r]) e[t] + u[t] conj(g[r]) - nrm B[r, t]
+            tblock = [
+                (
+                    (ua * ea + ub * eb + ta * ga + tb * gb - nrm * ba) // square,
+                    (ua * eb - ub * ea + tb * ga - ta * gb - nrm * bb) // square,
+                )
+                for i, j, k in _pairs(m, keep)
+                for (ua, ub, ga, gb, _, _), (ta, tb, _, _, ea, eb), (ba, bb) in [(v[i], v[j], block[k])]
+            ]
+            tprev = (-nrm // pa, 0)  # -B[a, w] B[w, a] / det S
+        else:
+            ma, mb = wa * wa + d * wb * wb, 2 * wa * wb  # B[a, w] B[w, a]
+            xa, xb = block[start[w]]  # B[w, w]
+            before = [((0, 0), block[start[r] + w - r]) for r in low]
+            v = [
+                (ua, ub, ga, gb, ga - xa * ua - d * xb * ub, gb - xa * ub - xb * ua)
+                for (ua, ub), (ya, yb) in chain(before, after)
+                for ga, gb in [(wa * ya + d * wb * yb, wa * yb + wb * ya)]
+            ]
+            # entry (r, t) is u[r] e[t] + u[t] g[r] - B[a, w]**2 B[r, t]
+            tblock = [
+                ((na * sa - d * nb * sb) // snrm, (nb * sa - na * sb) // snrm)
+                for i, j, k in _pairs(m, keep)
+                for (ua, ub, ga, gb, _, _), (ta, tb, _, _, ea, eb), (ba, bb) in [(v[i], v[j], block[k])]
+                for na in [ua * ea + d * ub * eb + ta * ga + d * tb * gb - ma * ba - d * mb * bb]
+                for nb in [ua * eb + ub * ea + ta * gb + tb * ga - ma * bb - mb * ba]
+            ]
+            tprev = ((d * mb * pb - ma * pa) // pnrm, (ma * pb - mb * pa) // pnrm)  # -B[a, w] B[w, a] / det S
         pivot = child | bits[w]
         table[pivot] = -psign
         _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, -psign, table, d)
@@ -519,7 +571,7 @@ def _signs_by_order(table, n):
     """List indexed by k-1: the signs of a sign table (keyed by index
     bitmask, as _sign_walk returns it) for the order-k index sets of
     range(n), in lexicographic subset order."""
-    return [[table[mask] for mask in masks] for masks in _order_masks(n)]
+    return [list(map(table.__getitem__, masks)) for masks in _order_masks(n)]
 
 
 class HermitianMatrix:

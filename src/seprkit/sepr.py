@@ -259,10 +259,10 @@ def compute_epr(matrix: HermitianMatrix) -> EprSequence:
     (not by stripping the sign-refined sequence)."""
     terms = []
     for signs in matrix.minor_signs_by_order():
-        nonzero = sum(1 for s in signs if s != 0)
-        if nonzero == 0:
+        zeros = signs.count(0)
+        if zeros == len(signs):
             terms.append(EprTerm.N)
-        elif nonzero == len(signs):
+        elif zeros == 0:
             terms.append(EprTerm.A)
         else:
             terms.append(EprTerm.S)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seprkit.cli import build_parser, main
+from seprkit.cli import MAX_GENERATED_ORDER, build_parser, main
 from seprkit.exact import GaussianRational, ScalarParseError, parse_pool_token
 from seprkit.matrix import HermitianMatrix, matrix_to_json
 
@@ -214,11 +214,22 @@ def test_usage_errors(capsys):
     for flag in ("--samples", "--max-n"):
         assert main(["properties", "--field", "real", flag, "0"]) == 2
         assert f"error: {flag}: expected an integer ≥ 1, got 0" in capsys.readouterr().err
-    for spec, expected in (("0", "orders ≥ 1"), ("0:2", "orders ≥ 1"), ("3:1", "LO ≤ HI")):
+    # a sign walk writes 2**n - 1 signs, so generated orders stop at
+    # MAX_GENERATED_ORDER, before any matrix is drawn
+    top = MAX_GENERATED_ORDER + 1
+    for spec, expected in (
+        ("0", "orders ≥ 1"),
+        ("0:2", "orders ≥ 1"),
+        ("3:1", "LO ≤ HI"),
+        (f"{top}", f"orders ≤ {MAX_GENERATED_ORDER}"),
+        (f"1:{top}", f"orders ≤ {MAX_GENERATED_ORDER}"),
+    ):
         search = ["search", "--target", "A+A+", "--order-n", spec, "--field", "real"]
         for argv in (search, ["properties", "--field", "real", "--order-n", spec]):
             assert main(argv) == 2
             assert f"error: --order-n: expected {expected}, got '{spec}'" in capsys.readouterr().err
+    assert main(["properties", "--field", "real", "--max-n", str(top)]) == 2
+    assert capsys.readouterr() == ("", f"error: --max-n: expected an integer ≤ {MAX_GENERATED_ORDER}, got {top}\n")
     for flag, message in (("--id", "unknown witness id 'nope'"), ("--family", "unknown family 'nope'")):
         assert main(["catalog", "verify", flag, "nope"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

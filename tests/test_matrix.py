@@ -417,13 +417,23 @@ def test_large_blocks_agree_across_kernels(n):
 
 @pytest.mark.parametrize(
     "diagonal",
-    [[(1, 1)], [(2, 0), (1, 1)], [(1, 0), (2, 1), (3, 0)], [(1, 0), (2, 0), (3, 1)], [(1, 0), (2, 0), (3, 0), (-1, 2)]],
-    ids=["pivot", "leaf", "two-level-leaf-q", "two-level-leaf-r", "reduced-block"],
+    [
+        [(1, 1)],
+        [(2, 0), (1, 1)],
+        [(1, 0), (2, 1), (3, 0)],
+        [(1, 0), (2, 0), (3, 1)],
+        [(1, 0), (2, 0), (3, 0), (-1, 2)],
+        [(0, 0), (1, 1), (2, 0)],
+    ],
+    ids=["pivot", "leaf", "two-level-leaf-q", "two-level-leaf-r", "reduced-block", "pivot-partner"],
 )
 def test_sign_walk_rejects_non_real_minor(diagonal):
     # A grid with a non-real diagonal entry is not Hermitian, so some
     # principal minor the Z[i] walk signs has a nonzero imaginary part: the
     # 1 x 1 minor itself, or the leaf or two-level-leaf numerator it enters.
+    # In "pivot-partner" the zero first pivot takes a 2 x 2 pivot with the
+    # partner whose diagonal entry is non-real; that pivot reads only real
+    # parts, and the walk must still raise rather than return a table.
     n = len(diagonal)
     grid = [[diagonal[i] if i == j else (1, 0) for j in range(n)] for i in range(n)]
     with pytest.raises(RuntimeError, match="came out non-real"):
