@@ -46,6 +46,8 @@ PROPERTIES = "src/seprkit/properties.py"
 SEARCH = "src/seprkit/search.py"
 SEPR = "src/seprkit/sepr.py"
 LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
+LEAF3 = ("tests/test_matrix.py::test_three_level_leaf_matches_oracle",)
+NON_REAL = ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
@@ -98,8 +100,8 @@ MUTANTS = (
     Mutant(
         "leaf-int-child-sign",
         MATRIX,
-        "table[child | q] = ((nqq > 0) - (nqq < 0)) * psign",
-        "table[child | q] = ((nqq > 0) - (nqq < 0)) * s",
+        "q, r = bits[-2], bits[-1]\n                table[child | q] = ((nqq > 0) - (nqq < 0)) * psign",
+        "q, r = bits[-2], bits[-1]\n                table[child | q] = ((nqq > 0) - (nqq < 0)) * s",
         LEAF,
     ),
     Mutant(
@@ -135,13 +137,68 @@ MUTANTS = (
         "table[child | q | r] = _sign(det, d) * psign",
         LEAF,
     ),
+    # the three-level leaf of the sign walk: S+a+q+r+t takes sign det S,
+    # the Z[i] 3 x 3 determinant reads Re(N_qr N_rt conj N_qt), N_qq = 0
+    # falls back to the Bareiss step and the 2 x 2 pivot's key order, and
+    # each N_xx is checked for a nonzero imaginary part before any sign
+    Mutant(
+        "leaf3-int-det-sign",
+        MATRIX,
+        "table[child | q] = ((nqq > 0) - (nqq < 0)) * psign\n"
+        "                table[child | q | r] = ((dqr > 0) - (dqr < 0)) * s\n"
+        "                table[child | q | t] = ((dqt > 0) - (dqt < 0)) * s\n"
+        "                table[child | q | r | t] = ((det > 0) - (det < 0)) * psign\n",
+        "table[child | q] = ((nqq > 0) - (nqq < 0)) * psign\n"
+        "                table[child | q | r] = ((dqr > 0) - (dqr < 0)) * s\n"
+        "                table[child | q | t] = ((dqt > 0) - (dqt < 0)) * s\n"
+        "                table[child | q | r | t] = ((det > 0) - (det < 0)) * s\n",
+        LEAF3,
+    ),
+    Mutant(
+        "leaf3-pair-det-sign",
+        MATRIX,
+        "table[child | q] = sq * psign\n"
+        "                table[child | q | r] = ((dqr > 0) - (dqr < 0)) * s\n"
+        "                table[child | q | t] = ((dqt > 0) - (dqt < 0)) * s\n"
+        "                table[child | q | r | t] = ((det > 0) - (det < 0)) * psign\n",
+        "table[child | q] = sq * psign\n"
+        "                table[child | q | r] = ((dqr > 0) - (dqr < 0)) * s\n"
+        "                table[child | q | t] = ((dqt > 0) - (dqt < 0)) * s\n"
+        "                table[child | q | r | t] = ((det > 0) - (det < 0)) * s\n",
+        LEAF3,
+    ),
+    Mutant(
+        "leaf3-pair-triple-unconjugated",
+        MATRIX,
+        "2 * (pa * fa + pb * fb)",
+        "2 * (pa * fa - pb * fb)",
+        LEAF3,
+    ),
+    Mutant(
+        "leaf3-no-fallback",
+        MATRIX,
+        "                if not nqq:\n",
+        "                if False:\n",
+        LEAF3,
+    ),
+    Mutant(
+        "leaf3-nonreal-unchecked",
+        MATRIX,
+        "                sq = _sign((nqq, va * qqb), d) if qqb else (nqq > 0) - (nqq < 0)\n"
+        "                sr = _sign((nrr, va * rrb), d) if rrb else (nrr > 0) - (nrr < 0)\n"
+        "                st = _sign((ntt, va * ttb), d) if ttb else (ntt > 0) - (ntt < 0)\n",
+        "                sq = (nqq > 0) - (nqq < 0)\n"
+        "                sr = (nrr > 0) - (nrr < 0)\n"
+        "                st = (ntt > 0) - (ntt < 0)\n",
+        NON_REAL,
+    ),
     # the inline sign of a Z[i] minor keeps the non-real check
     Mutant(
         "walk-pairs-real-part-only",
         MATRIX,
         "(piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, d)",
         "(piv[0] > 0) - (piv[0] < 0) if d < 0 or not piv[1] else _sign(piv, d)",
-        ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",),
+        NON_REAL,
     ),
     # the certified sign of a Z[sqrt 5] minor
     Mutant(

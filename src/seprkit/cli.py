@@ -188,6 +188,9 @@ def cmd_search(args) -> int:
     if args.order_n is None:
         print("error: search needs --order-n", file=sys.stderr)
         return USAGE_ERROR
+    if args.budget is not None and args.budget < 1:
+        print(f"error: --budget: expected an integer ≥ 1, got {args.budget}", file=sys.stderr)
+        return USAGE_ERROR
     mode = args.mode or "random"
     cfg = SearchConfig(
         n=_parse_order_spec(args.order_n, mode),

@@ -98,7 +98,14 @@ class SingularMatrixError(ValueError):
 # (N_qq N_rr - N_rq N_qr) / ((det S)**2 det[S+a]), signed by sign(det[S+a])
 # alone, since (det S)**2 > 0.  No block is built, nothing is divided and
 # nothing recurses, and a singular S+a+q needs no pivot because only
-# det[S+a] divides.
+# det[S+a] divides.  A nonsingular child S+a followed by exactly three
+# positions q, r and t is a three-level leaf, from N on {q, r, t}: for
+# each nonempty V, det[S+a+V] = det N[V] / ((det S)**|V| det[S+a]**(|V|-1)),
+# so S+a+x takes sign(N_xx) * sign(det S), a pair V sign(det N[V]) *
+# sign(det[S+a]) and S+a+q+r+t sign(det N) * sign(det S).  Its seven keys
+# come in walk order.  When N_qq = 0 the walk takes the Bareiss step
+# instead, because the 2 x 2 pivot below it signs in another order, and
+# Q(sqrt 5) always takes the step there.
 # A 2 x 2 pivot builds T's block the same way, in one comprehension over
 # _pairs(m, keep): for each entry of T's block, its place in R and the
 # index of the matching entry of B, cached like _step.
@@ -372,8 +379,28 @@ def _walk_ints(block, bits, mask, prev, psign, table):
         if a < m - 2:
             if not s:
                 _pivot2_ints(block, a, bits, child, prev, psign, table)
-            elif a < m - 3:
+            elif a < m - 4:
                 _walk_ints(_reduce_ints(block, m, a, prev), bits[a + 1 :], child, piv, s, table)
+            elif a == m - 4:
+                # a three-level leaf on the last three positions q, r and t
+                _, bq, br, bt, bqq, bqr, bqt, brr, brt, btt = block[-10:]
+                nqq = piv * bqq - bq * bq
+                if not nqq:
+                    # S+a+q is singular: the Bareiss step, then the 2 x 2 pivot
+                    _walk_ints(_reduce_ints(block, m, a, prev), bits[a + 1 :], child, piv, s, table)
+                    continue
+                nrr, ntt = piv * brr - br * br, piv * btt - bt * bt
+                nqr, nqt, nrt = piv * bqr - bq * br, piv * bqt - bq * bt, piv * brt - br * bt
+                dqr, dqt, drt = nqq * nrr - nqr * nqr, nqq * ntt - nqt * nqt, nrr * ntt - nrt * nrt
+                det = nqq * drt - nrr * nqt * nqt - ntt * nqr * nqr + 2 * nqr * nrt * nqt
+                q, r, t = bits[-3:]
+                table[child | q] = ((nqq > 0) - (nqq < 0)) * psign
+                table[child | q | r] = ((dqr > 0) - (dqr < 0)) * s
+                table[child | q | t] = ((dqt > 0) - (dqt < 0)) * s
+                table[child | q | r | t] = ((det > 0) - (det < 0)) * psign
+                table[child | r] = ((nrr > 0) - (nrr < 0)) * psign
+                table[child | r | t] = ((drt > 0) - (drt < 0)) * s
+                table[child | t] = ((ntt > 0) - (ntt < 0)) * psign
             else:
                 # a two-level leaf on the last two positions q and r
                 _, bq, br, bqq, bqr, brr = block[-6:]
@@ -406,8 +433,41 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
         if a < m - 2:
             if not s:
                 _pivot2_pairs(block, a, bits, child, prev, psign, table, d)
-            elif a < m - 3:
+            elif a < m - 3 and (a < m - 4 or d > 0):
                 _walk_pairs(_reduce_pairs(block, m, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
+            elif a < m - 3:
+                # a three-level leaf on the last three positions q, r and t:
+                # B[x, a] is the conjugate of the stored B[a, x], and each N_xx
+                # is real once signed, and then so is every minor of N
+                (va, _), (qa, qb), (ra, rb), (ta, tb) = block[-10:-6]
+                (qqa, qqb), (qra, qrb), (qta, qtb), (rra, rrb), (rta, rtb), (tta, ttb) = block[-6:]
+                nqq = va * qqa - qa * qa - qb * qb
+                nrr = va * rra - ra * ra - rb * rb
+                ntt = va * tta - ta * ta - tb * tb
+                sq = _sign((nqq, va * qqb), d) if qqb else (nqq > 0) - (nqq < 0)
+                sr = _sign((nrr, va * rrb), d) if rrb else (nrr > 0) - (nrr < 0)
+                st = _sign((ntt, va * ttb), d) if ttb else (ntt > 0) - (ntt < 0)
+                if not sq:
+                    # S+a+q is singular: the Bareiss step, then the 2 x 2 pivot
+                    _walk_pairs(_reduce_pairs(block, m, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
+                    continue
+                # N_qr = (ea, eb), N_qt = (fa, fb), N_rt = (ga, gb) and N_qr N_rt
+                ea, eb = va * qra - qa * ra - qb * rb, va * qrb - qa * rb + qb * ra
+                fa, fb = va * qta - qa * ta - qb * tb, va * qtb - qa * tb + qb * ta
+                ga, gb = va * rta - ra * ta - rb * tb, va * rtb - ra * tb + rb * ta
+                pa, pb = ea * ga - eb * gb, ea * gb + eb * ga
+                sqr, sqt, srt = ea * ea + eb * eb, fa * fa + fb * fb, ga * ga + gb * gb
+                dqr, dqt, drt = nqq * nrr - sqr, nqq * ntt - sqt, nrr * ntt - srt
+                # N_qq N_rr N_tt + 2 Re(N_qr N_rt conj N_qt) - sum N_xx |N_yz|**2
+                det = nqq * drt - nrr * sqt - ntt * sqr + 2 * (pa * fa + pb * fb)
+                q, r, t = bits[-3:]
+                table[child | q] = sq * psign
+                table[child | q | r] = ((dqr > 0) - (dqr < 0)) * s
+                table[child | q | t] = ((dqt > 0) - (dqt < 0)) * s
+                table[child | q | r | t] = ((det > 0) - (det < 0)) * psign
+                table[child | r] = sr * psign
+                table[child | r | t] = ((drt > 0) - (drt < 0)) * s
+                table[child | t] = st * psign
             elif d < 0:
                 # B[q, a] is the conjugate of the stored B[a, q].  N_qq and N_rr
                 # are real once signed, and then so is N_qq N_rr - |N_qr|**2.

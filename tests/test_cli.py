@@ -207,7 +207,7 @@ def test_usage_errors(capsys):
     for budget in ("0", "-1"):
         target = ["search", "--target", "NN", "--order-n", "2", "--field", "real", "--budget", budget]
         assert main(target) == 2
-        assert "error: budget must be positive" in capsys.readouterr().err
+        assert f"error: --budget: expected an integer ≥ 1, got {budget}" in capsys.readouterr().err
     for spec in ("abc", "1:x"):
         assert main(["properties", "--field", "real", "--order-n", spec]) == 2
         assert f"error: --order-n: expected N or LO:HI, got '{spec}'" in capsys.readouterr().err

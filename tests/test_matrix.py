@@ -329,31 +329,121 @@ def test_two_by_two_pivot_matches_oracle(case, kind):
 @pytest.mark.parametrize(
     "rows",
     [
-        [[-1, 1, 1, 0], [1, 2, 1, 1], [1, 1, -1, 2], [0, 1, 2, 3]],
-        [[-1, 1, 2, 1], [1, -3, 3, 1], [2, 3, -3, 1], [1, 1, 1, 2]],
-        [[-1, 1 + _I, _I, 0], [1 - _I, 2, 1, 1 - _I], [-_I, 1, -1, 2 * _I], [0, 1 + _I, -2 * _I, 3]],
-        [[-1, _I, 2, 1], [-_I, -3, 3 * _I, 1], [2, -3 * _I, -3, 1 + _I], [1, 1, 1 - _I, 2]],
-        [[1 - _R5, _R5, 1, 0], [_R5, 2, 1, 1], [1, 1, -1, 1 + _R5], [0, 1, 1 + _R5, 3]],
-        [[-1, 1, _R5, 1], [1, -3, 3, 1], [_R5, 3, -3, 1], [1, 1, 1, 2 + _R5]],
+        [[-1, 1, 1, 1, 0], [1, 2, 1, 0, -1], [1, 1, 2, 1, 1], [1, 0, 1, -1, 2], [0, -1, 1, 2, 3]],
+        [[-1, 1, 1, 2, 1], [1, 2, 1, 0, -1], [1, 1, -3, 3, 1], [2, 0, 3, -3, 1], [1, -1, 1, 1, 2]],
+        [
+            [-1, 1 - _I, 1 + _I, _I, 0],
+            [1 + _I, 2, _I, 0, 1],
+            [1 - _I, -_I, 2, 1, 1 - _I],
+            [-_I, 0, 1, -1, 2 * _I],
+            [0, 1, 1 + _I, -2 * _I, 3],
+        ],
+        [
+            [-1, 1 - _I, _I, 2, 1],
+            [1 + _I, 2, _I, 0, 1],
+            [-_I, -_I, -3, 3 * _I, 1],
+            [2, 0, -3 * _I, -3, 1 + _I],
+            [1, 1, 1, 1 - _I, 2],
+        ],
+        [[1 - _R5, _R5, _R5, 1, 0], [_R5, 2, 1, 0, 1], [_R5, 1, 2, 1, 1], [1, 0, 1, -1, 1 + _R5], [0, 1, 1, 1 + _R5, 3]],
+        [[-1, _R5, 1, _R5, 1], [_R5, 2, 1, 0, 1], [1, 1, -3, 3, 1], [_R5, 0, 3, -3, 1], [1, 1, 1, 1, 2 + _R5]],
     ],
     ids=["real-same", "real-opposite", "gaussian-same", "gaussian-opposite", "sqrt5-same", "sqrt5-opposite"],
 )
 def test_two_level_leaf_matches_oracle(rows):
-    # The walk takes the two-level leaf on child S+{2} with q, r = 3, 4
+    # The walk takes the two-level leaf on child S+{3} with q, r = 4, 5
     # twice: below S = {1}, where det S < 0, and below S = {}, where
-    # det S = 1.  In each "same" matrix sign det[S+2] equals sign det S at
-    # both; in each "opposite" one it differs at both, and det[2, 3] = 0
-    # makes S+2+3 singular.  Gaussian and Q(sqrt 5) entries make B[q, a]
-    # and N[q, r] non-real or irrational.
+    # det S = 1.  In each "same" matrix sign det[S+3] equals sign det S at
+    # both; in each "opposite" one it differs at both, and det[3, 4] = 0
+    # makes S+3+4 singular.  Gaussian and Q(sqrt 5) entries make B[q, a]
+    # and N[q, r] non-real or irrational.  The block of S = {1} comes from
+    # a Bareiss step at the root; index 2 only feeds three-level leaves.
     m = matrix_of(rows)
     assert m._mask_signs() == _oracle_sign_table(m)
+
+
+# Each case takes the three-level leaf on a nonsingular child S+a followed
+# by exactly three positions q, r and t; its facts are signs of minors,
+# 1-based.  The order-5 cases take it twice, at a = 2 below S = {1} and
+# below S = {}; the order-4 ones once, at a = 1 below S = {}.
+_LEAF3_CASES = {
+    # det[1] < 0 and det[2] < 0 differ in sign from det[1, 2] > 0 and from
+    # det {} = 1, so S+a+q+r+t takes sign det S and not sign det[S+a].
+    "real-opposite": (
+        [[-1, 0, 0, 2, 2], [0, -3, 1, 0, -2], [0, 1, 3, -2, 0], [2, 0, -2, -3, 2], [2, -2, 0, 2, 2]],
+        {(1,): -1, (1, 2): 1, (1, 2, 3, 4, 5): -1, (2,): -1, (2, 3, 4, 5): 1},
+    ),
+    # N_qr N_rt conj N_qt is not real, so its real part needs the conjugate.
+    "gaussian-opposite": (
+        [
+            [-1, -1, 0, -1 + _I, 1],
+            [-1, -2, -1 - _I, 1 - _I, -1 + _I],
+            [0, -1 + _I, 1, _I, -_I],
+            [-1 - _I, 1 + _I, -_I, 0, -1],
+            [1, -1 - _I, _I, -1, 3],
+        ],
+        {(1,): -1, (1, 2): 1, (1, 2, 3, 4, 5): 1, (2,): -1, (2, 3, 4, 5): 1},
+    ),
+    # Q(sqrt 5) keeps the Bareiss step at this position.
+    "sqrt5-opposite": (
+        [[-1, 0, 0, 2, 2], [0, -3, _R5, 0, -2], [0, _R5, 3, -2, 0], [2, 0, -2, -3, 1 + _R5], [2, -2, 0, 1 + _R5, 2]],
+        {(1,): -1, (1, 2): 1, (1, 2, 3, 4, 5): -1, (2,): -1, (2, 3, 4, 5): 1},
+    ),
+    # Row 4 is -1 (real) or i (Gaussian) times row 1, and det[1, 3] = 0:
+    # N_rr = N_tt = 0, and two 2 x 2 descendants and the 3 x 3 one are
+    # singular, with no special case in the leaf.
+    "real-singular": (
+        [[1, 2, -1, -1], [2, -1, -1, -2], [-1, -1, 1, 1], [-1, -2, 1, 1]],
+        {(1, 2): -1, (1, 3): 0, (1, 4): 0, (1, 2, 3): -1, (1, 2, 4): 0, (1, 3, 4): 0, (1, 2, 3, 4): 0},
+    ),
+    "gaussian-singular": (
+        [[1, 2 + _I, -1 + _I, -_I], [2 - _I, -1, 1, -1 - 2 * _I], [-1 - _I, 1, 2, -1 + _I], [_I, -1 + 2 * _I, -1 - _I, 1]],
+        {(1, 2): -1, (1, 3): 0, (1, 4): 0, (1, 2, 3): -1, (1, 2, 4): 0, (1, 3, 4): 0, (1, 2, 3, 4): 0},
+    ),
+    # det[1, 2] = 0, so N_qq = 0: the walk takes the Bareiss step and then a
+    # 2 x 2 pivot on 2 with the partners 3 and 4, which signs {1, 2, 3, 4}
+    # before {1, 2, 4}; _LEAF3_PIVOT_KEYS pins that order.
+    "real-pivot": (
+        [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, -1, 1], [0, 1, 1, 2]],
+        {(1,): 1, (1, 2): 0, (1, 2, 3): -1, (1, 2, 4): -1},
+    ),
+    "gaussian-pivot": (
+        [[1, _I, 1, 0], [-_I, 1, 0, 1], [1, 0, -1, 1], [0, 1, 1, 2]],
+        {(1,): 1, (1, 2): 0, (1, 2, 3): -1, (1, 2, 4): -1},
+    ),
+}
+_LEAF3_PIVOT_KEYS = [
+    (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 3), (1, 3, 4), (1, 4),
+    (2,), (2, 3), (2, 4), (2, 3, 4), (3,), (3, 4), (4,),
+]
+
+
+@pytest.mark.parametrize("case", sorted(_LEAF3_CASES))
+def test_three_level_leaf_matches_oracle(case):
+    rows, facts = _LEAF3_CASES[case]
+    m = matrix_of(rows)
+    expected = _oracle_sign_table(m)
+    assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
+    assert m._mask_signs() == expected
+    if case.endswith("-pivot"):
+        keys = [tuple(i + 1 for i in range(m.n) if mask >> i & 1) for mask in m._mask_signs()]
+        assert keys == _LEAF3_PIVOT_KEYS
 
 
 def _walk_order(n, start=0, prefix=0):
     """The masks of the index sets in the order the sign walk visits them:
     depth first in lexicographic order, except that below a nonempty set
     followed by exactly two indices q < r (a two-level leaf) the walk signs
-    S+q and S+r before S+q+r."""
+    S+q and S+r before S+q+r.
+
+    A three-level leaf, a nonempty set C = S+a followed by exactly three
+    indices q < r < t, keeps this order: it signs C+q, C+q+r, C+q+t,
+    C+q+r+t, C+r, C+r+t and C+t from the numerators N on {q, r, t}, one
+    index x by sign N_xx times sign det S, a pair V by sign det N[V] times
+    sign det C, and all three by sign det N times sign det S.  Where
+    N_qq = 0 the walk takes a Bareiss step and a 2 x 2 pivot instead, in
+    another order, as _LEAF3_PIVOT_KEYS pins; Q(sqrt 5) always takes the
+    step, in this order."""
     later = range(start, n)
     if prefix and len(later) == 2:
         q, r = (prefix | 1 << i for i in later)
@@ -415,29 +505,41 @@ def test_large_blocks_agree_across_kernels(n):
                 assert list(_congruence(rows, unit)._mask_signs().items()) == table, (k, draw, unit)
 
 
-@pytest.mark.parametrize(
-    "diagonal",
-    [
-        [(1, 1)],
-        [(2, 0), (1, 1)],
-        [(1, 0), (2, 1), (3, 0)],
-        [(1, 0), (2, 0), (3, 1)],
-        [(1, 0), (2, 0), (3, 0), (-1, 2)],
-        [(0, 0), (1, 1), (2, 0)],
-    ],
-    ids=["pivot", "leaf", "two-level-leaf-q", "two-level-leaf-r", "reduced-block", "pivot-partner"],
-)
-def test_sign_walk_rejects_non_real_minor(diagonal):
+_NON_REAL_DIAGONALS = {
+    "pivot": [(1, 1)],
+    "leaf": [(2, 0), (1, 1)],
+    "two-level-leaf-q": [(1, 0), (2, 1), (3, 0)],
+    "two-level-leaf-r": [(1, 0), (2, 0), (3, 1)],
+    "three-level-leaf-q": [(1, 0), (2, 1), (3, 0), (4, 0)],
+    "three-level-leaf-r": [(1, 0), (2, 0), (3, 1), (4, 0)],
+    "three-level-leaf-t": [(1, 0), (2, 0), (3, 0), (4, 1)],
+    "reduced-block": [(1, 0), (2, 0), (3, 0), (4, 0), (-1, 2)],
+    "pivot-partner": [(0, 0), (1, 1), (2, 0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_REAL_DIAGONALS))
+def test_sign_walk_rejects_non_real_minor(case):
     # A grid with a non-real diagonal entry is not Hermitian, so some
     # principal minor the Z[i] walk signs has a nonzero imaginary part: the
-    # 1 x 1 minor itself, or the leaf or two-level-leaf numerator it enters.
-    # In "pivot-partner" the zero first pivot takes a 2 x 2 pivot with the
-    # partner whose diagonal entry is non-real; that pivot reads only real
-    # parts, and the walk must still raise rather than return a table.
+    # 1 x 1 minor itself, or the leaf numerator it enters, also after a
+    # Bareiss step ("reduced-block").  The walk checks each diagonal entry
+    # of a block when it reaches it, so a leaf that skipped its own check
+    # would still raise, but only after signing sets through that entry:
+    # the test starts the walk as _sign_walk does, on a table it reads
+    # after the raise.  In "pivot-partner" the zero first pivot takes a
+    # 2 x 2 pivot with the partner whose diagonal entry is non-real; that
+    # pivot reads only real parts and signs T, and the walk must still
+    # raise rather than return a table.
+    diagonal = _NON_REAL_DIAGONALS[case]
     n = len(diagonal)
     grid = [[diagonal[i] if i == j else (1, 0) for j in range(n)] for i in range(n)]
+    block = [v for i, row in enumerate(grid) for v in row[i:]]
+    table = {}
     with pytest.raises(RuntimeError, match="came out non-real"):
-        matrix_module._sign_walk(grid, -1)
+        matrix_module._walk_pairs(block, [1 << i for i in range(n)], 0, (1, 0), 1, table, -1)
+    non_real = sum(1 << i for i, (_, imag) in enumerate(diagonal) if imag)
+    assert case == "pivot-partner" or not any(mask & non_real for mask in table)
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
