@@ -129,14 +129,6 @@ MUTANTS = (
         "det = nqq * nrr - na * na + nb * nb",
         LEAF,
     ),
-    # the two-level leaf over Z[sqrt 5] keeps the general form
-    Mutant(
-        "leaf-sqrt5-sign",
-        MATRIX,
-        "table[child | q | r] = _sign(det, d) * s",
-        "table[child | q | r] = _sign(det, d) * psign",
-        LEAF,
-    ),
     # the three-level leaf of the sign walk: S+a+q+r+t takes sign det S,
     # the Z[i] 3 x 3 determinant reads Re(N_qr N_rt conj N_qt), N_qq = 0
     # falls back to the Bareiss step and the 2 x 2 pivot's key order, and
@@ -184,9 +176,9 @@ MUTANTS = (
     Mutant(
         "leaf3-nonreal-unchecked",
         MATRIX,
-        "                sq = _sign((nqq, va * qqb), d) if qqb else (nqq > 0) - (nqq < 0)\n"
-        "                sr = _sign((nrr, va * rrb), d) if rrb else (nrr > 0) - (nrr < 0)\n"
-        "                st = _sign((ntt, va * ttb), d) if ttb else (ntt > 0) - (ntt < 0)\n",
+        "                sq = _sign((nqq, va * qqb), -1) if qqb else (nqq > 0) - (nqq < 0)\n"
+        "                sr = _sign((nrr, va * rrb), -1) if rrb else (nrr > 0) - (nrr < 0)\n"
+        "                st = _sign((ntt, va * ttb), -1) if ttb else (ntt > 0) - (ntt < 0)\n",
         "                sq = (nqq > 0) - (nqq < 0)\n"
         "                sr = (nrr > 0) - (nrr < 0)\n"
         "                st = (ntt > 0) - (ntt < 0)\n",
@@ -196,11 +188,12 @@ MUTANTS = (
     Mutant(
         "walk-pairs-real-part-only",
         MATRIX,
-        "(piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, d)",
-        "(piv[0] > 0) - (piv[0] < 0) if d < 0 or not piv[1] else _sign(piv, d)",
+        "(piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, -1)",
+        "(piv[0] > 0) - (piv[0] < 0)",
         NON_REAL,
     ),
-    # the certified sign of a Z[sqrt 5] minor
+    # the certified sign of a Z[sqrt 5] minor, and the swap sign of the
+    # elimination that gives it
     Mutant(
         "sign-sqrt5-flipped",
         MATRIX,
@@ -208,12 +201,19 @@ MUTANTS = (
         "        return -Sqrt5Rational(*value).sign()\n",
         LEAF,
     ),
+    Mutant(
+        "sqrt5-table-no-swap-sign",
+        MATRIX,
+        "table[mask] = sign * _sign(last, d) if",
+        "table[mask] = _sign(last, d) if",
+        LEAF,
+    ),
     # the Bareiss step of the pair walk
     Mutant(
         "reduce-pairs-flipped-sign",
         MATRIX,
-        "((va * xa - la * ya - lb * yb) // pa,",
-        "((va * xa - la * ya + lb * yb) // pa,",
+        "((va * xa - la * ya - lb * yb) // prev,",
+        "((va * xa - la * ya + lb * yb) // prev,",
         LEAF,
     ),
     # the cached index triples of a Bareiss step on a flat block: (a, r)
@@ -236,8 +236,8 @@ MUTANTS = (
     Mutant(
         "pivot-pair-sign",
         MATRIX,
-        "        table[pivot] = -psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, -psign, table, d)",
-        "        table[pivot] = psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, psign, table, d)",
+        "        table[pivot] = -psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)",
+        "        table[pivot] = psign\n        _walk_pairs(tblock, [bits[r] for r in keep], pivot, -nrm // prev, psign, table)",
         PIVOT,
     ),
     Mutant(
@@ -250,22 +250,15 @@ MUTANTS = (
     Mutant(
         "pivot-int-single-division",
         MATRIX,
-        "    square = prev * prev\n",
-        "    square = prev\n",
+        "    square = prev * prev\n    zeros, low",
+        "    square = prev\n    zeros, low",
         PIVOT,
     ),
     Mutant(
         "pivot-pair-single-division",
         MATRIX,
-        "        square = pa * pa\n",
-        "        square = pa\n",
-        PIVOT,
-    ),
-    Mutant(
-        "pivot-sqrt5-single-division",
-        MATRIX,
-        "        sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2\n",
-        "        sa, sb = pa, pb\n",
+        "    square = prev * prev\n    for w",
+        "    square = prev\n    for w",
         PIVOT,
     ),
     Mutant(

@@ -311,6 +311,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
+    # argparse before Python 3.13 parses "--flag=--" to an empty list
+    for name, value in vars(args).items():
+        if value == []:
+            print(f"error: --{name.replace('_', '-')}: expected a value, got '--'", file=sys.stderr)
+            return USAGE_ERROR
     try:
         return args.func(args)
     except ValueError as exc:

@@ -14,9 +14,10 @@ The heavy operation is enumerating all 2**n - 1 principal minors.
 Fraction-free elimination stays exact over those rings.  One
 Gauss-Jordan kernel per form returns the rank, the sign of its row swaps
 and the last pivot, which give every rank and inverse.  The cached minor
-table holds only signs and comes from one depth-first walk over the index
-sets that eliminates each nonsingular prefix once; no minor value is ever
-built.
+table holds only signs.  Over Z and Z[i] it comes from one depth-first
+walk over the index sets that eliminates each nonsingular prefix once; no
+minor value is ever built.  A Q(sqrt 5) grid gets one elimination per
+principal submatrix, in mask order.
 """
 
 from __future__ import annotations
@@ -68,14 +69,14 @@ class SingularMatrixError(ValueError):
 # column at a time and be copied part way: _column_deletions serves every
 # deletion of a single column from a grid from one elimination, sharing
 # the columns before each deleted one.
-# The sign walk (_sign_walk) is a depth-first walk over the index sets S
-# in lexicographic order.  A nonsingular S carries the block B of bordered
-# minors det[S+i, S+l] over its later indices.  B is Hermitian, so one flat
-# list holds its upper triangle row after row: row r of an m-position block
-# starts at _layout(m)[r].  B's diagonal holds the children's minors
-# det[S+j], and one Bareiss step dividing by det S gives a child's block
-# (exact by Sylvester's identity, for any S).  That step is one
-# comprehension over _step(m, a), the cached index triples of (r, t),
+# The sign walk (_sign_walk) runs over Z and Z[i]: a depth-first walk over
+# the index sets S in lexicographic order.  A nonsingular S carries the
+# block B of bordered minors det[S+i, S+l] over its later indices.  B is
+# Hermitian, so one flat list holds its upper triangle row after row: row
+# r of an m-position block starts at _layout(m)[r].  B's diagonal holds the
+# children's minors det[S+j], and one Bareiss step dividing by det S gives
+# a child's block (exact by Sylvester's identity, for any S).  That step is
+# one comprehension over _step(m, a), the cached index triples of (r, t),
 # (a, r) and (a, t) for each entry (r, t) of the child's block, so a step
 # pays no per-row setup, slicing or zip.  A singular child S+a (B[a, a] = 0)
 # with two or more later positions has no block, so the walk takes a 2 x 2
@@ -104,18 +105,20 @@ class SingularMatrixError(ValueError):
 # so S+a+x takes sign(N_xx) * sign(det S), a pair V sign(det N[V]) *
 # sign(det[S+a]) and S+a+q+r+t sign(det N) * sign(det S).  Its seven keys
 # come in walk order.  When N_qq = 0 the walk takes the Bareiss step
-# instead, because the 2 x 2 pivot below it signs in another order, and
-# Q(sqrt 5) always takes the step there.
+# instead, because the 2 x 2 pivot below it signs in another order.
 # A 2 x 2 pivot builds T's block the same way, in one comprehension over
 # _pairs(m, keep): for each entry of T's block, its place in R and the
 # index of the matching entry of B, cached like _step.
 # Each int kernel and walk stays separate from its pair counterpart
 # because it is about twice as fast on real input.  The pair kernels write
 # their products and divisions out inline, with no helper call per entry.
-# Their Z[i] leaves and 2 x 2 pivots are written for d = -1 alone: B[r, a]
-# is the conjugate of B[a, r] and every minor is real, so no term carries a
-# factor d and each division is by a real integer.  Q(sqrt 5) keeps the
-# general Z[sqrt d] form.
+# The pair walk is written for Z[i] alone: B[r, a] is the conjugate of
+# B[a, r] and every minor is real, so det S is an int, no term carries a
+# factor d and each division is by a real integer.  Q(sqrt 5) enters only
+# through one catalog witness and its transforms, so a d = 5 grid is not
+# walked: each of its 2**n - 1 principal submatrices gets one _eliminate,
+# in mask order, and its sign is the swap sign times that of the last
+# pivot at full rank, else 0.
 # ---------------------------------------------------------------------------
 
 
@@ -313,26 +316,15 @@ def _reduce_ints(block, m, a, prev):
     return [(piv * block[i] - block[j] * block[k]) // prev for i, j, k in _step(m, a)]
 
 
-def _reduce_pairs(block, m, a, prev, d):
-    """_reduce_ints over Z[sqrt d], entries as (a, b) pairs.  For d = -1,
-    entry (r, a) is the conjugate of the stored (a, r), and pivot and
-    ``prev`` are real (principal minors).  For d = 5 it is the stored
-    entry, a pivot may be irrational, and the division multiplies by the
-    conjugate of ``prev`` and divides by its norm."""
-    va, vb = block[_layout(m)[a]]
-    pa, pb = prev
-    if d < 0:
-        return [
-            ((va * xa - la * ya - lb * yb) // pa, (va * xb - la * yb + lb * ya) // pa)
-            for i, j, k in _step(m, a)
-            for xa, xb in [block[i]] for la, lb in [block[j]] for ya, yb in [block[k]]
-        ]
-    dvb, dpb, nrm = d * vb, d * pb, pa * pa - d * pb * pb
+def _reduce_pairs(block, m, a, prev):
+    """_reduce_ints over Z[i], entries as (a, b) pairs.  Entry (r, a) is the
+    conjugate of the stored (a, r), and pivot and ``prev`` are real
+    (principal minors), so each division is by a real integer."""
+    va, _ = block[_layout(m)[a]]
     return [
-        ((na * pa - nb * dpb) // nrm, (nb * pa - na * pb) // nrm)
+        ((va * xa - la * ya - lb * yb) // prev, (va * xb - la * yb + lb * ya) // prev)
         for i, j, k in _step(m, a)
         for xa, xb in [block[i]] for la, lb in [block[j]] for ya, yb in [block[k]]
-        for na, nb in [(va * xa + dvb * xb - la * ya - d * lb * yb, va * xb + vb * xa - la * yb - lb * ya)]
     ]
 
 
@@ -356,14 +348,23 @@ def _sign_walk(grid, d):
     _scale's form, keyed by index bitmask.
 
     See the comment above the integer kernels; the walk starts at the
-    empty set, whose block is the grid and whose determinant is 1."""
+    empty set, whose block is the grid and whose determinant is 1.  A
+    Q(sqrt 5) grid is not walked: each of its principal submatrices gets
+    one _eliminate, in mask order."""
     table = {}
+    n = len(grid)
+    if d == 5:
+        for mask in range(1, 1 << n):
+            keep = [i for i in range(n) if mask >> i & 1]
+            rank, sign, last = _eliminate(d, [[grid[i][j] for j in keep] for i in keep])
+            table[mask] = sign * _sign(last, d) if rank == len(keep) else 0
+        return table
     block = [v for i, row in enumerate(grid) for v in row[i:]]
-    bits = [1 << i for i in range(len(grid))]
+    bits = [1 << i for i in range(n)]
     if d == 0:
         _walk_ints(block, bits, 0, 1, 1, table)
     else:
-        _walk_pairs(block, bits, 0, (1, 0), 1, table, d)
+        _walk_pairs(block, bits, 0, 1, 1, table)
     return table
 
 
@@ -418,38 +419,41 @@ def _walk_ints(block, bits, mask, prev, psign, table):
             table[child | bits[-1]] = ((num > 0) - (num < 0)) * psign
 
 
-def _walk_pairs(block, bits, mask, prev, psign, table, d):
-    """_walk_ints for a block over Z[sqrt d].  A rational minor is signed
-    inline; _sign takes a non-real Z[i] one (raising) and an irrational
-    Z[sqrt 5] one.
-    The Z[i] leaves read B[a, a] as real, since its sign was just taken,
-    so a leaf minor's imaginary part is B[a, a] times that of its diagonal
-    entry x: formed, and sent to _sign, only when x is non-real."""
+def _walk_pairs(block, bits, mask, prev, psign, table):
+    """_walk_ints for a block over Z[i].  B[r, a] is the conjugate of the
+    stored B[a, r], and det S is a real principal minor, so ``prev`` is an
+    int.  A real minor is signed inline; _sign takes a non-real one and
+    raises.  The leaves read B[a, a] as real, since its sign was just
+    taken, so a leaf minor's imaginary part is B[a, a] times that of its
+    diagonal entry x: formed, and sent to _sign, only when x is non-real.
+    The loop would also raise on x when it reached it, but only after the
+    leaf had recorded signs through x; the leaves' own checks keep a wrong
+    sign from ever being recorded, as test_sign_walk_rejects_non_real_minor
+    pins."""
     m = len(bits)
     for a, i in enumerate(_layout(m)):
         piv = block[i]
         child = mask | bits[a]
-        s = table[child] = (piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, d)
+        s = table[child] = (piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, -1)
         if a < m - 2:
             if not s:
-                _pivot2_pairs(block, a, bits, child, prev, psign, table, d)
-            elif a < m - 3 and (a < m - 4 or d > 0):
-                _walk_pairs(_reduce_pairs(block, m, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
-            elif a < m - 3:
+                _pivot2_pairs(block, a, bits, child, prev, psign, table)
+            elif a < m - 4:
+                _walk_pairs(_reduce_pairs(block, m, a, prev), bits[a + 1 :], child, piv[0], s, table)
+            elif a == m - 4:
                 # a three-level leaf on the last three positions q, r and t:
-                # B[x, a] is the conjugate of the stored B[a, x], and each N_xx
-                # is real once signed, and then so is every minor of N
+                # each N_xx is real once signed, and then so is every minor of N
                 (va, _), (qa, qb), (ra, rb), (ta, tb) = block[-10:-6]
                 (qqa, qqb), (qra, qrb), (qta, qtb), (rra, rrb), (rta, rtb), (tta, ttb) = block[-6:]
                 nqq = va * qqa - qa * qa - qb * qb
                 nrr = va * rra - ra * ra - rb * rb
                 ntt = va * tta - ta * ta - tb * tb
-                sq = _sign((nqq, va * qqb), d) if qqb else (nqq > 0) - (nqq < 0)
-                sr = _sign((nrr, va * rrb), d) if rrb else (nrr > 0) - (nrr < 0)
-                st = _sign((ntt, va * ttb), d) if ttb else (ntt > 0) - (ntt < 0)
+                sq = _sign((nqq, va * qqb), -1) if qqb else (nqq > 0) - (nqq < 0)
+                sr = _sign((nrr, va * rrb), -1) if rrb else (nrr > 0) - (nrr < 0)
+                st = _sign((ntt, va * ttb), -1) if ttb else (ntt > 0) - (ntt < 0)
                 if not sq:
                     # S+a+q is singular: the Bareiss step, then the 2 x 2 pivot
-                    _walk_pairs(_reduce_pairs(block, m, a, prev, d), bits[a + 1 :], child, piv, s, table, d)
+                    _walk_pairs(_reduce_pairs(block, m, a, prev), bits[a + 1 :], child, va, s, table)
                     continue
                 # N_qr = (ea, eb), N_qt = (fa, fb), N_rt = (ga, gb) and N_qr N_rt
                 ea, eb = va * qra - qa * ra - qb * rb, va * qrb - qa * rb + qb * ra
@@ -468,40 +472,23 @@ def _walk_pairs(block, bits, mask, prev, psign, table, d):
                 table[child | r] = sr * psign
                 table[child | r | t] = ((drt > 0) - (drt < 0)) * s
                 table[child | t] = st * psign
-            elif d < 0:
-                # B[q, a] is the conjugate of the stored B[a, q].  N_qq and N_rr
-                # are real once signed, and then so is N_qq N_rr - |N_qr|**2.
+            else:
+                # a two-level leaf on the last two positions q and r.  N_qq and
+                # N_rr are real once signed, and then so is N_qq N_rr - |N_qr|**2.
                 (va, _), (qa, qb), (ra, rb), (xa, xb), (ya, yb), (za, zb) = block[-6:]
                 nqq = va * xa - qa * qa - qb * qb
                 nrr = va * za - ra * ra - rb * rb
                 na, nb = va * ya - qa * ra - qb * rb, va * yb - qa * rb + qb * ra  # N_qr
                 det = nqq * nrr - na * na - nb * nb
                 q, r = bits[-2], bits[-1]
-                table[child | q] = (_sign((nqq, va * xb), d) if xb else (nqq > 0) - (nqq < 0)) * psign
-                table[child | r] = (_sign((nrr, va * zb), d) if zb else (nrr > 0) - (nrr < 0)) * psign
+                table[child | q] = (_sign((nqq, va * xb), -1) if xb else (nqq > 0) - (nqq < 0)) * psign
+                table[child | r] = (_sign((nrr, va * zb), -1) if zb else (nrr > 0) - (nrr < 0)) * psign
                 table[child | q | r] = ((det > 0) - (det < 0)) * s
-            else:
-                (va, vb), (qa, qb), (ra, rb), (xa, xb), (ya, yb), (za, zb) = block[-6:]
-                nqq = (va * xa + d * (vb * xb - qb * qb) - qa * qa, va * xb + vb * xa - 2 * qa * qb)
-                nrr = (va * za + d * (vb * zb - rb * rb) - ra * ra, va * zb + vb * za - 2 * ra * rb)
-                na, nb = va * ya + d * (vb * yb - qb * rb) - qa * ra, va * yb + vb * ya - qa * rb - qb * ra
-                det = (
-                    nqq[0] * nrr[0] + d * nqq[1] * nrr[1] - na * na - d * nb * nb,
-                    nqq[0] * nrr[1] + nqq[1] * nrr[0] - 2 * na * nb,
-                )
-                q, r = bits[-2], bits[-1]
-                table[child | q] = _sign(nqq, d) * psign
-                table[child | r] = _sign(nrr, d) * psign
-                table[child | q | r] = _sign(det, d) * s
         elif a == m - 2:
-            if d < 0:
-                (va, _), (la, lb), (xa, xb) = block[-3:]
-                num = va * xa - la * la - lb * lb
-                table[child | bits[-1]] = (_sign((num, va * xb), d) if xb else (num > 0) - (num < 0)) * psign
-            else:
-                (va, vb), (la, lb), (xa, xb) = block[-3:]
-                num = (va * xa + d * (vb * xb - lb * lb) - la * la, va * xb + vb * xa - 2 * la * lb)
-                table[child | bits[-1]] = _sign(num, d) * psign
+            # a leaf: its one minor is num / prev, so take sign(num) * psign
+            (va, _), (la, lb), (xa, xb) = block[-3:]
+            num = va * xa - la * la - lb * lb
+            table[child | bits[-1]] = (_sign((num, va * xb), -1) if xb else (num > 0) - (num < 0)) * psign
 
 
 def _pivot2_ints(block, a, bits, child, prev, psign, table):
@@ -533,24 +520,17 @@ def _pivot2_ints(block, a, bits, child, prev, psign, table):
     _zero_fill(child, zeros, table)
 
 
-def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
-    """_pivot2_ints for a block over Z[sqrt d], entries as (a, b) pairs.
-    For d = -1, B[r, a] is the conjugate of the stored B[a, r], and
-    det S, B[w, w] and B[a, w] B[w, a] are real, so T's block divides
-    directly by (det S)**2.  For d = 5, B[r, a] is the stored B[a, r], and
-    a division multiplies by the conjugate of the divisor and divides by
-    its norm.  Per position r of R, v[r] holds u = B[a, r] (0 before w),
+def _pivot2_pairs(block, a, bits, child, prev, psign, table):
+    """_pivot2_ints for a block over Z[i], entries as (a, b) pairs.
+    B[r, a] is the conjugate of the stored B[a, r], and det S, B[w, w] and
+    B[a, w] B[w, a] are real, so T's block divides directly by (det S)**2.
+    Per position r of R, v[r] holds u = B[a, r] (0 before w),
     g = B[a, w] B[w, r] and e = g - B[w, w] B[a, r]."""
     m = len(bits)
     start = _layout(m)
     at = start[a] - a  # B[a, t] is block[at + t]
-    pa, pb = prev
-    if d < 0:
-        square = pa * pa
-    else:
-        sa, sb = pa * pa + d * pb * pb, 2 * pa * pb  # (det S)**2
-        snrm, pnrm = sa * sa - d * sb * sb, pa * pa - d * pb * pb
     zeros, low = 0, []  # the non-partners so far
+    square = prev * prev
     for w in range(a + 1, m):
         wa, wb = block[at + w]  # B[a, w]
         if not (wa or wb):
@@ -560,47 +540,27 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table, d):
         # R: the later positions but w and the partners before it
         keep = (*low, *range(w + 1, m))
         after = zip(block[at + w + 1 : at + m], block[start[w] + 1 : start[w] + m - w])  # (B[a, r], B[w, r])
-        if d < 0:
-            nrm = wa * wa + wb * wb  # B[a, w] B[w, a]
-            x = block[start[w]][0]  # B[w, w]
-            # B[w, r] is the conjugate of the stored B[r, w] for r < w
-            before = [((0, 0), (ya, -yb)) for r in low for ya, yb in [block[start[r] + w - r]]]
-            v = [
-                (ua, ub, ga, gb, ga - x * ua, gb - x * ub)
-                for (ua, ub), (ya, yb) in chain(before, after)
-                for ga, gb in [(wa * ya - wb * yb, wa * yb + wb * ya)]
-            ]
-            # entry (r, t) is conj(u[r]) e[t] + u[t] conj(g[r]) - nrm B[r, t]
-            tblock = [
-                (
-                    (ua * ea + ub * eb + ta * ga + tb * gb - nrm * ba) // square,
-                    (ua * eb - ub * ea + tb * ga - ta * gb - nrm * bb) // square,
-                )
-                for i, j, k in _pairs(m, keep)
-                for (ua, ub, ga, gb, _, _), (ta, tb, _, _, ea, eb), (ba, bb) in [(v[i], v[j], block[k])]
-            ]
-            tprev = (-nrm // pa, 0)  # -B[a, w] B[w, a] / det S
-        else:
-            ma, mb = wa * wa + d * wb * wb, 2 * wa * wb  # B[a, w] B[w, a]
-            xa, xb = block[start[w]]  # B[w, w]
-            before = [((0, 0), block[start[r] + w - r]) for r in low]
-            v = [
-                (ua, ub, ga, gb, ga - xa * ua - d * xb * ub, gb - xa * ub - xb * ua)
-                for (ua, ub), (ya, yb) in chain(before, after)
-                for ga, gb in [(wa * ya + d * wb * yb, wa * yb + wb * ya)]
-            ]
-            # entry (r, t) is u[r] e[t] + u[t] g[r] - B[a, w]**2 B[r, t]
-            tblock = [
-                ((na * sa - d * nb * sb) // snrm, (nb * sa - na * sb) // snrm)
-                for i, j, k in _pairs(m, keep)
-                for (ua, ub, ga, gb, _, _), (ta, tb, _, _, ea, eb), (ba, bb) in [(v[i], v[j], block[k])]
-                for na in [ua * ea + d * ub * eb + ta * ga + d * tb * gb - ma * ba - d * mb * bb]
-                for nb in [ua * eb + ub * ea + ta * gb + tb * ga - ma * bb - mb * ba]
-            ]
-            tprev = ((d * mb * pb - ma * pa) // pnrm, (ma * pb - mb * pa) // pnrm)  # -B[a, w] B[w, a] / det S
+        nrm = wa * wa + wb * wb  # B[a, w] B[w, a]
+        x = block[start[w]][0]  # B[w, w]
+        # B[w, r] is the conjugate of the stored B[r, w] for r < w
+        before = [((0, 0), (ya, -yb)) for r in low for ya, yb in [block[start[r] + w - r]]]
+        v = [
+            (ua, ub, ga, gb, ga - x * ua, gb - x * ub)
+            for (ua, ub), (ya, yb) in chain(before, after)
+            for ga, gb in [(wa * ya - wb * yb, wa * yb + wb * ya)]
+        ]
+        # entry (r, t) is conj(u[r]) e[t] + u[t] conj(g[r]) - nrm B[r, t]
+        tblock = [
+            (
+                (ua * ea + ub * eb + ta * ga + tb * gb - nrm * ba) // square,
+                (ua * eb - ub * ea + tb * ga - ta * gb - nrm * bb) // square,
+            )
+            for i, j, k in _pairs(m, keep)
+            for (ua, ub, ga, gb, _, _), (ta, tb, _, _, ea, eb), (ba, bb) in [(v[i], v[j], block[k])]
+        ]
         pivot = child | bits[w]
         table[pivot] = -psign
-        _walk_pairs(tblock, [bits[r] for r in keep], pivot, tprev, -psign, table, d)
+        _walk_pairs(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)
     _zero_fill(child, zeros, table)
 
 

@@ -276,6 +276,33 @@ def test_pool_errors_name_the_flag(capsys):
             assert capsys.readouterr() == ("", f"error: --pool: {message}\n")
 
 
+_SEARCH = ["search", "--target", "NN", "--order-n", "2", "--field", "real"]
+_PROPERTIES = ["properties", "--field", "real", "--samples", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _PROPERTIES + ["--pool=--"],
+        ["properties", "--field", "real", "--samples=--"],
+        _PROPERTIES + ["--order-n=--"],
+        ["properties", "--samples", "1", "--field=--"],
+        _PROPERTIES + ["--seed=--"],
+        ["catalog", "verify", "--id=--"],
+        _SEARCH + ["--budget=--"],
+        _SEARCH + ["--pool=--"],
+        ["search", "--census", "--order", "2", "--field", "real", "--seed=--"],
+    ],
+    ids=lambda argv: argv[0] + argv[-1][:-3],
+)
+def test_flag_equals_double_dash_is_a_usage_error(argv, capsys):
+    # argparse before Python 3.13 parses "--flag=--" to an empty list, which
+    # a command would read as a value; 3.13 passes "--" to the flag's checks
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "Traceback" not in err
+
+
 def test_order_n_range_of_one_order_is_that_order(capsys):
     # N:N is the fixed order N, so exhaustive mode takes it and random
     # mode draws the same samples

@@ -318,7 +318,8 @@ _PIVOT_CASES = {
 def test_two_by_two_pivot_matches_oracle(case, kind):
     # The congruence D B D* with D = diag(1, 1 + u, 1 + 2u, ...), u = i or
     # sqrt 5, keeps the sign of every principal minor and the zero pattern
-    # of every block, and makes each B[a, w] non-real or irrational.
+    # of every block, and makes each B[a, w] non-real.  A Q(sqrt 5) matrix
+    # is not walked, and checks one elimination per principal submatrix.
     rows, facts = _PIVOT_CASES[case]
     m = _congruence(rows, _UNITS[kind])
     expected = _oracle_sign_table(m, elimination_det)
@@ -355,17 +356,19 @@ def test_two_level_leaf_matches_oracle(rows):
     # twice: below S = {1}, where det S < 0, and below S = {}, where
     # det S = 1.  In each "same" matrix sign det[S+3] equals sign det S at
     # both; in each "opposite" one it differs at both, and det[3, 4] = 0
-    # makes S+3+4 singular.  Gaussian and Q(sqrt 5) entries make B[q, a]
-    # and N[q, r] non-real or irrational.  The block of S = {1} comes from
-    # a Bareiss step at the root; index 2 only feeds three-level leaves.
+    # makes S+3+4 singular.  Gaussian entries make B[q, a] and N[q, r]
+    # non-real.  The block of S = {1} comes from a Bareiss step at the root;
+    # index 2 only feeds three-level leaves.  The Q(sqrt 5) matrices are not
+    # walked: they check one elimination per principal submatrix.
     m = matrix_of(rows)
     assert m._mask_signs() == _oracle_sign_table(m)
 
 
-# Each case takes the three-level leaf on a nonsingular child S+a followed
-# by exactly three positions q, r and t; its facts are signs of minors,
-# 1-based.  The order-5 cases take it twice, at a = 2 below S = {1} and
-# below S = {}; the order-4 ones once, at a = 1 below S = {}.
+# Each real or Gaussian case takes the three-level leaf on a nonsingular
+# child S+a followed by exactly three positions q, r and t; its facts are
+# signs of minors, 1-based.  The order-5 cases take it twice, at a = 2
+# below S = {1} and below S = {}; the order-4 ones once, at a = 1 below
+# S = {}.
 _LEAF3_CASES = {
     # det[1] < 0 and det[2] < 0 differ in sign from det[1, 2] > 0 and from
     # det {} = 1, so S+a+q+r+t takes sign det S and not sign det[S+a].
@@ -384,7 +387,7 @@ _LEAF3_CASES = {
         ],
         {(1,): -1, (1, 2): 1, (1, 2, 3, 4, 5): 1, (2,): -1, (2, 3, 4, 5): 1},
     ),
-    # Q(sqrt 5) keeps the Bareiss step at this position.
+    # Q(sqrt 5) is not walked: one elimination per principal submatrix.
     "sqrt5-opposite": (
         [[-1, 0, 0, 2, 2], [0, -3, _R5, 0, -2], [0, _R5, 3, -2, 0], [2, 0, -2, -3, 1 + _R5], [2, -2, 0, 1 + _R5, 2]],
         {(1,): -1, (1, 2): 1, (1, 2, 3, 4, 5): -1, (2,): -1, (2, 3, 4, 5): 1},
@@ -442,8 +445,8 @@ def _walk_order(n, start=0, prefix=0):
     index x by sign N_xx times sign det S, a pair V by sign det N[V] times
     sign det C, and all three by sign det N times sign det S.  Where
     N_qq = 0 the walk takes a Bareiss step and a 2 x 2 pivot instead, in
-    another order, as _LEAF3_PIVOT_KEYS pins; Q(sqrt 5) always takes the
-    step, in this order."""
+    another order, as _LEAF3_PIVOT_KEYS pins.  A Q(sqrt 5) table is not
+    walked, and its keys come in mask order."""
     later = range(start, n)
     if prefix and len(later) == 2:
         q, r = (prefix | 1 << i for i in later)
@@ -458,8 +461,9 @@ def _walk_order(n, start=0, prefix=0):
 def test_sign_table_keys_follow_walk_order(kind):
     # A strictly diagonally dominant matrix has no zero principal minor, so
     # the walk takes no 2 x 2 pivot and the table's keys come in walk order,
-    # which check_inheritance reports its escapes in.  Diagonal signs vary,
-    # and entries off it are at most 2 + 2 sqrt 5 < 40 / 5 in size.
+    # which check_inheritance reports its escapes in.  A Q(sqrt 5) table is
+    # not walked: its keys come in mask order.  Diagonal signs vary, and
+    # entries off it are at most 2 + 2 sqrt 5 < 40 / 5 in size.
     rng = random.Random(6)
     n = 6
     rows = [[None] * n for _ in range(n)]
@@ -469,7 +473,7 @@ def test_sign_table_keys_follow_walk_order(kind):
             rows[i][j] = rng.randint(-2, 2) + rng.randint(-2, 2) * _UNITS[kind]
             rows[j][i] = rows[i][j].conj()
     m = matrix_of(rows)
-    assert list(m._mask_signs()) == _walk_order(n)
+    assert list(m._mask_signs()) == (list(range(1, 1 << n)) if kind == "sqrt5" else _walk_order(n))
     assert 0 not in m._mask_signs().values() and len(set(m._mask_signs().values())) == 2
 
 
@@ -493,16 +497,17 @@ def _integer_draws(rng, n):
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_large_blocks_agree_across_kernels(n):
     # Orders 8 to 10 have no oracle here; instead D B D* with
-    # D = diag(1, 1 + u, ...) must give B's table exactly, key order
-    # included.  B runs the int walk, u = i the Z[i] step with real pivots,
-    # and u = sqrt 5 the general Z[sqrt 5] step with irrational pivots, all
-    # on blocks of eight positions and more.
+    # D = diag(1, 1 + u, ...) must give B's table.  B runs the int walk and
+    # u = i the Z[i] walk with real pivots, on blocks of eight positions and
+    # more, so their tables agree key order included.  u = sqrt 5 runs one
+    # elimination per principal submatrix, with irrational pivots, and its
+    # table agrees by value.
     rng = random.Random(8000 + n)
     for k in range(3):
         for draw, rows in _integer_draws(rng, n).items():
-            table = list(HermitianMatrix(rows)._mask_signs().items())
-            for unit in (_I, _R5):
-                assert list(_congruence(rows, unit)._mask_signs().items()) == table, (k, draw, unit)
+            table = HermitianMatrix(rows)._mask_signs()
+            assert list(_congruence(rows, _I)._mask_signs().items()) == list(table.items()), (k, draw)
+            assert _congruence(rows, _R5)._mask_signs() == table, (k, draw)
 
 
 _NON_REAL_DIAGONALS = {
@@ -537,7 +542,7 @@ def test_sign_walk_rejects_non_real_minor(case):
     block = [v for i, row in enumerate(grid) for v in row[i:]]
     table = {}
     with pytest.raises(RuntimeError, match="came out non-real"):
-        matrix_module._walk_pairs(block, [1 << i for i in range(n)], 0, (1, 0), 1, table, -1)
+        matrix_module._walk_pairs(block, [1 << i for i in range(n)], 0, 1, 1, table)
     non_real = sum(1 << i for i, (_, imag) in enumerate(diagonal) if imag)
     assert case == "pivot-partner" or not any(mask & non_real for mask in table)
 
