@@ -52,7 +52,7 @@ PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
-INHERITANCE = ("tests/test_properties.py::test_inheritance_lists_every_escape_in_walk_order",)
+INHERITANCE = ("tests/test_properties.py::test_inheritance_lists_every_escape_in_mask_order",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
     "tests/test_search.py::test_singular_completions_match_rational_solver",
@@ -130,9 +130,9 @@ MUTANTS = (
         LEAF,
     ),
     # the three-level leaf of the sign walk: S+a+q+r+t takes sign det S,
-    # the Z[i] 3 x 3 determinant reads Re(N_qr N_rt conj N_qt), N_qq = 0
-    # falls back to the Bareiss step and the 2 x 2 pivot's key order, and
-    # each N_xx is checked for a nonzero imaginary part before any sign
+    # the Z[i] 3 x 3 determinant reads Re(N_qr N_rt conj N_qt), each of the
+    # seven sets is written (an unwritten one reads 0), and each N_xx is
+    # checked for a nonzero imaginary part before any sign
     Mutant(
         "leaf3-int-det-sign",
         MATRIX,
@@ -167,10 +167,11 @@ MUTANTS = (
         LEAF3,
     ),
     Mutant(
-        "leaf3-no-fallback",
+        "leaf3-int-pair-unwritten",
         MATRIX,
-        "                if not nqq:\n",
-        "                if False:\n",
+        "table[child | r] = ((nrr > 0) - (nrr < 0)) * psign\n"
+        "                table[child | r | t] = ((drt > 0) - (drt < 0)) * s\n",
+        "table[child | r] = ((nrr > 0) - (nrr < 0)) * psign\n",
         LEAF3,
     ),
     Mutant(
@@ -250,8 +251,8 @@ MUTANTS = (
     Mutant(
         "pivot-int-single-division",
         MATRIX,
-        "    square = prev * prev\n    zeros, low",
-        "    square = prev\n    zeros, low",
+        "    square = prev * prev\n    low = []",
+        "    square = prev\n    low = []",
         PIVOT,
     ),
     Mutant(
@@ -275,13 +276,6 @@ MUTANTS = (
         MATRIX,
         "(i, j, start[r] + t - r)",
         "(j, i, start[r] + t - r)",
-        PIVOT,
-    ),
-    Mutant(
-        "pivot-no-zero-fill",
-        MATRIX,
-        "    sub = zeros\n    while sub:\n",
-        "    sub = 0\n    while sub:\n",
         PIVOT,
     ),
     # the shared elimination prefix of the rank-drop check

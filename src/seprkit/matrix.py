@@ -17,7 +17,7 @@ and the last pivot, which give every rank and inverse.  The cached minor
 table holds only signs.  Over Z and Z[i] it comes from one depth-first
 walk over the index sets that eliminates each nonsingular prefix once; no
 minor value is ever built.  A Q(sqrt 5) grid gets one elimination per
-principal submatrix, in mask order.
+principal submatrix.
 """
 
 from __future__ import annotations
@@ -70,8 +70,10 @@ class SingularMatrixError(ValueError):
 # deletion of a single column from a grid from one elimination, sharing
 # the columns before each deleted one.
 # The sign walk (_sign_walk) runs over Z and Z[i]: a depth-first walk over
-# the index sets S in lexicographic order.  A nonsingular S carries the
-# block B of bordered minors det[S+i, S+l] over its later indices.  B is
+# the index sets S in lexicographic order.  It writes each set's sign into
+# a list indexed by mask, whose entries start at 0, so a set the walk
+# knows to be singular needs no write.  A nonsingular S carries the block
+# B of bordered minors det[S+i, S+l] over its later indices.  B is
 # Hermitian, so one flat list holds its upper triangle row after row: row
 # r of an m-position block starts at _layout(m)[r].  B's diagonal holds the
 # children's minors det[S+j], and one Bareiss step dividing by det S gives
@@ -87,12 +89,12 @@ class SingularMatrixError(ValueError):
 # before it, holds det B[{a, w, r}, {a, w, t}] / (det S)**2, again by
 # Sylvester's identity, and the walk goes on below T: that covers every
 # set through a and w that holds no earlier partner.  Row a of B[{a} + V]
-# is zero when V holds no partner, so each such S+a+V is singular.  When
-# a single index l follows a, the child S+a has one descendant, S+a+l,
-# whose minor is num / det S with num the 2 x 2 determinant of B on
-# {a, l}: the walk takes sign(num) * sign(det S) and never divides.  A
-# nonsingular child S+a followed by exactly two positions q and r is a
-# two-level leaf: its block would be N / det S with
+# is zero when V holds no partner, so each such S+a+V is singular and
+# keeps its 0.  When a single index l follows a, the child S+a has one
+# descendant, S+a+l, whose minor is num / det S with num the 2 x 2
+# determinant of B on {a, l}: the walk takes sign(num) * sign(det S) and
+# never divides.  A nonsingular child S+a followed by exactly two
+# positions q and r is a two-level leaf: its block would be N / det S with
 # N = det[S+a] * B - B[., a] B[a, .] on {q, r}, so the walk forms only the
 # numerators N_qq, N_rr and N_qr.  The minors S+a+q and S+a+r are
 # N_qq / det S and N_rr / det S, signed by sign(det S); S+a+q+r is
@@ -103,9 +105,8 @@ class SingularMatrixError(ValueError):
 # positions q, r and t is a three-level leaf, from N on {q, r, t}: for
 # each nonempty V, det[S+a+V] = det N[V] / ((det S)**|V| det[S+a]**(|V|-1)),
 # so S+a+x takes sign(N_xx) * sign(det S), a pair V sign(det N[V]) *
-# sign(det[S+a]) and S+a+q+r+t sign(det N) * sign(det S).  Its seven keys
-# come in walk order.  When N_qq = 0 the walk takes the Bareiss step
-# instead, because the 2 x 2 pivot below it signs in another order.
+# sign(det[S+a]) and S+a+q+r+t sign(det N) * sign(det S).  Only det S and
+# det[S+a] divide, so the leaf holds when some N_xx = 0 as well.
 # A 2 x 2 pivot builds T's block the same way, in one comprehension over
 # _pairs(m, keep): for each entry of T's block, its place in R and the
 # index of the matching entry of B, cached like _step.
@@ -117,8 +118,8 @@ class SingularMatrixError(ValueError):
 # factor d and each division is by a real integer.  Q(sqrt 5) enters only
 # through one catalog witness and its transforms, so a d = 5 grid is not
 # walked: each of its 2**n - 1 principal submatrices gets one _eliminate,
-# in mask order, and its sign is the swap sign times that of the last
-# pivot at full rank, else 0.
+# and its sign is the swap sign times that of the last pivot at full rank,
+# else 0.
 # ---------------------------------------------------------------------------
 
 
@@ -344,15 +345,17 @@ def _sign(value, d) -> int:
 
 
 def _sign_walk(grid, d):
-    """Signs of all 2**n - 1 principal minors of a scaled Hermitian grid in
-    _scale's form, keyed by index bitmask.
+    """Signs of the principal minors of a scaled Hermitian grid in _scale's
+    form, as a list of 2**n signs indexed by mask; index 0 is the empty
+    minor, 1.
 
     See the comment above the integer kernels; the walk starts at the
     empty set, whose block is the grid and whose determinant is 1.  A
     Q(sqrt 5) grid is not walked: each of its principal submatrices gets
-    one _eliminate, in mask order."""
-    table = {}
+    one _eliminate."""
     n = len(grid)
+    table = [0] * (1 << n)
+    table[0] = 1
     if d == 5:
         for mask in range(1, 1 << n):
             keep = [i for i in range(n) if mask >> i & 1]
@@ -385,12 +388,7 @@ def _walk_ints(block, bits, mask, prev, psign, table):
             elif a == m - 4:
                 # a three-level leaf on the last three positions q, r and t
                 _, bq, br, bt, bqq, bqr, bqt, brr, brt, btt = block[-10:]
-                nqq = piv * bqq - bq * bq
-                if not nqq:
-                    # S+a+q is singular: the Bareiss step, then the 2 x 2 pivot
-                    _walk_ints(_reduce_ints(block, m, a, prev), bits[a + 1 :], child, piv, s, table)
-                    continue
-                nrr, ntt = piv * brr - br * br, piv * btt - bt * bt
+                nqq, nrr, ntt = piv * bqq - bq * bq, piv * brr - br * br, piv * btt - bt * bt
                 nqr, nqt, nrt = piv * bqr - bq * br, piv * bqt - bq * bt, piv * brt - br * bt
                 dqr, dqt, drt = nqq * nrr - nqr * nqr, nqq * ntt - nqt * nqt, nrr * ntt - nrt * nrt
                 det = nqq * drt - nrr * nqt * nqt - ntt * nqr * nqr + 2 * nqr * nrt * nqt
@@ -451,10 +449,6 @@ def _walk_pairs(block, bits, mask, prev, psign, table):
                 sq = _sign((nqq, va * qqb), -1) if qqb else (nqq > 0) - (nqq < 0)
                 sr = _sign((nrr, va * rrb), -1) if rrb else (nrr > 0) - (nrr < 0)
                 st = _sign((ntt, va * ttb), -1) if ttb else (ntt > 0) - (ntt < 0)
-                if not sq:
-                    # S+a+q is singular: the Bareiss step, then the 2 x 2 pivot
-                    _walk_pairs(_reduce_pairs(block, m, a, prev), bits[a + 1 :], child, va, s, table)
-                    continue
                 # N_qr = (ea, eb), N_qt = (fa, fb), N_rt = (ga, gb) and N_qr N_rt
                 ea, eb = va * qra - qa * ra - qb * rb, va * qrb - qa * rb + qb * ra
                 fa, fb = va * qta - qa * ta - qb * tb, va * qtb - qa * tb + qb * ta
@@ -500,11 +494,10 @@ def _pivot2_ints(block, a, bits, child, prev, psign, table):
     start = _layout(m)
     at = start[a] - a  # B[a, t] is block[at + t]
     square = prev * prev
-    zeros, low = 0, []  # the non-partners so far
+    low = []  # the non-partners so far
     for w in range(a + 1, m):
         baw = block[at + w]
         if not baw:
-            zeros |= bits[w]
             low.append(w)
             continue
         bww, nrm = block[start[w]], baw * baw
@@ -517,7 +510,6 @@ def _pivot2_ints(block, a, bits, child, prev, psign, table):
         pivot = child | bits[w]
         table[pivot] = -psign
         _walk_ints(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)
-    _zero_fill(child, zeros, table)
 
 
 def _pivot2_pairs(block, a, bits, child, prev, psign, table):
@@ -529,12 +521,11 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table):
     m = len(bits)
     start = _layout(m)
     at = start[a] - a  # B[a, t] is block[at + t]
-    zeros, low = 0, []  # the non-partners so far
+    low = []  # the non-partners so far
     square = prev * prev
     for w in range(a + 1, m):
         wa, wb = block[at + w]  # B[a, w]
         if not (wa or wb):
-            zeros |= bits[w]
             low.append(w)
             continue
         # R: the later positions but w and the partners before it
@@ -561,15 +552,6 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table):
         pivot = child | bits[w]
         table[pivot] = -psign
         _walk_pairs(tblock, [bits[r] for r in keep], pivot, -nrm // prev, -psign, table)
-    _zero_fill(child, zeros, table)
-
-
-def _zero_fill(child, zeros, table):
-    """Zero signs for child + V, V a nonempty subset of the bits in zeros."""
-    sub = zeros
-    while sub:
-        table[child | sub] = 0
-        sub = (sub - 1) & zeros
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +570,9 @@ def _order_masks(n):
 
 
 def _signs_by_order(table, n):
-    """List indexed by k-1: the signs of a sign table (keyed by index
-    bitmask, as _sign_walk returns it) for the order-k index sets of
-    range(n), in lexicographic subset order."""
+    """List indexed by k-1: the signs of a sign table (indexed by mask, as
+    _sign_walk returns it) for the order-k index sets of range(n), in
+    lexicographic subset order."""
     return [list(map(table.__getitem__, masks)) for masks in _order_masks(n)]
 
 
@@ -698,8 +680,8 @@ class HermitianMatrix:
     # -- principal minors ---------------------------------------------------
 
     def _mask_signs(self):
-        """Signs of all 2**n - 1 principal minors keyed by index bitmask
-        (cached), from one _sign_walk over the scaled grid."""
+        """Signs of the principal minors indexed by mask, index 0 the empty
+        minor (cached), from one _sign_walk over the scaled grid."""
         cached = self._minor_cache
         if cached is None:
             cached = _sign_walk(self._grid, self._d)

@@ -180,8 +180,8 @@ def check_inheritance(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     for j, term in enumerate(terms):
         bad_bits |= _INHERIT_BAD.get(term, 0) << 3 * j
     bad = []
-    for mask in sign_by_mask:
-        if mask == full or not packed[mask] & bad_bits:
+    for mask in range(1, full):
+        if not packed[mask] & bad_bits:
             continue
         fields = packed[mask]
         for j in range(mask.bit_count()):

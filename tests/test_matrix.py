@@ -188,13 +188,13 @@ def _negative_singular_prefix(draw, kind, orders, entries):
 
 def _oracle_sign_table(m, det=oracle_det):
     """The sign of every principal minor by the determinant oracle ``det``,
-    keyed by index bitmask."""
+    indexed by mask; index 0 is the empty minor, 1."""
     entries = lift(m.entries)
-    return {
-        sum(1 << i for i in subset): sign(det([[entries[i][j] for j in subset] for i in subset]))
-        for k in range(1, m.n + 1)
-        for subset in combinations(range(m.n), k)
-    }
+    table = [1] * (1 << m.n)
+    for k in range(1, m.n + 1):
+        for subset in combinations(range(m.n), k):
+            table[sum(1 << i for i in subset)] = sign(det([[entries[i][j] for j in subset] for i in subset]))
+    return table
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -403,9 +403,8 @@ _LEAF3_CASES = {
         [[1, 2 + _I, -1 + _I, -_I], [2 - _I, -1, 1, -1 - 2 * _I], [-1 - _I, 1, 2, -1 + _I], [_I, -1 + 2 * _I, -1 - _I, 1]],
         {(1, 2): -1, (1, 3): 0, (1, 4): 0, (1, 2, 3): -1, (1, 2, 4): 0, (1, 3, 4): 0, (1, 2, 3, 4): 0},
     ),
-    # det[1, 2] = 0, so N_qq = 0: the walk takes the Bareiss step and then a
-    # 2 x 2 pivot on 2 with the partners 3 and 4, which signs {1, 2, 3, 4}
-    # before {1, 2, 4}; _LEAF3_PIVOT_KEYS pins that order.
+    # det[1, 2] = 0, so N_qq = 0 at a = 1 below S = {}: the leaf signs
+    # {1, 2} as 0 and the sets through {1, 2} from N, with no 2 x 2 pivot.
     "real-pivot": (
         [[1, 1, 1, 0], [1, 1, 0, 1], [1, 0, -1, 1], [0, 1, 1, 2]],
         {(1,): 1, (1, 2): 0, (1, 2, 3): -1, (1, 2, 4): -1},
@@ -415,10 +414,6 @@ _LEAF3_CASES = {
         {(1,): 1, (1, 2): 0, (1, 2, 3): -1, (1, 2, 4): -1},
     ),
 }
-_LEAF3_PIVOT_KEYS = [
-    (1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 4), (1, 3), (1, 3, 4), (1, 4),
-    (2,), (2, 3), (2, 4), (2, 3, 4), (3,), (3, 4), (4,),
-]
 
 
 @pytest.mark.parametrize("case", sorted(_LEAF3_CASES))
@@ -428,53 +423,6 @@ def test_three_level_leaf_matches_oracle(case):
     expected = _oracle_sign_table(m)
     assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
     assert m._mask_signs() == expected
-    if case.endswith("-pivot"):
-        keys = [tuple(i + 1 for i in range(m.n) if mask >> i & 1) for mask in m._mask_signs()]
-        assert keys == _LEAF3_PIVOT_KEYS
-
-
-def _walk_order(n, start=0, prefix=0):
-    """The masks of the index sets in the order the sign walk visits them:
-    depth first in lexicographic order, except that below a nonempty set
-    followed by exactly two indices q < r (a two-level leaf) the walk signs
-    S+q and S+r before S+q+r.
-
-    A three-level leaf, a nonempty set C = S+a followed by exactly three
-    indices q < r < t, keeps this order: it signs C+q, C+q+r, C+q+t,
-    C+q+r+t, C+r, C+r+t and C+t from the numerators N on {q, r, t}, one
-    index x by sign N_xx times sign det S, a pair V by sign det N[V] times
-    sign det C, and all three by sign det N times sign det S.  Where
-    N_qq = 0 the walk takes a Bareiss step and a 2 x 2 pivot instead, in
-    another order, as _LEAF3_PIVOT_KEYS pins.  A Q(sqrt 5) table is not
-    walked, and its keys come in mask order."""
-    later = range(start, n)
-    if prefix and len(later) == 2:
-        q, r = (prefix | 1 << i for i in later)
-        return [q, r, q | r]
-    out = []
-    for i in later:
-        out += [prefix | 1 << i, *_walk_order(n, i + 1, prefix | 1 << i)]
-    return out
-
-
-@pytest.mark.parametrize("kind", sorted(_ENTRIES))
-def test_sign_table_keys_follow_walk_order(kind):
-    # A strictly diagonally dominant matrix has no zero principal minor, so
-    # the walk takes no 2 x 2 pivot and the table's keys come in walk order,
-    # which check_inheritance reports its escapes in.  A Q(sqrt 5) table is
-    # not walked: its keys come in mask order.  Diagonal signs vary, and
-    # entries off it are at most 2 + 2 sqrt 5 < 40 / 5 in size.
-    rng = random.Random(6)
-    n = 6
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = rng.choice((-40, 40))
-        for j in range(i + 1, n):
-            rows[i][j] = rng.randint(-2, 2) + rng.randint(-2, 2) * _UNITS[kind]
-            rows[j][i] = rows[i][j].conj()
-    m = matrix_of(rows)
-    assert list(m._mask_signs()) == (list(range(1, 1 << n)) if kind == "sqrt5" else _walk_order(n))
-    assert 0 not in m._mask_signs().values() and len(set(m._mask_signs().values())) == 2
 
 
 def _integer_draws(rng, n):
@@ -499,14 +447,13 @@ def test_large_blocks_agree_across_kernels(n):
     # Orders 8 to 10 have no oracle here; instead D B D* with
     # D = diag(1, 1 + u, ...) must give B's table.  B runs the int walk and
     # u = i the Z[i] walk with real pivots, on blocks of eight positions and
-    # more, so their tables agree key order included.  u = sqrt 5 runs one
-    # elimination per principal submatrix, with irrational pivots, and its
-    # table agrees by value.
+    # more.  u = sqrt 5 runs one elimination per principal submatrix, with
+    # irrational pivots.
     rng = random.Random(8000 + n)
     for k in range(3):
         for draw, rows in _integer_draws(rng, n).items():
             table = HermitianMatrix(rows)._mask_signs()
-            assert list(_congruence(rows, _I)._mask_signs().items()) == list(table.items()), (k, draw)
+            assert _congruence(rows, _I)._mask_signs() == table, (k, draw)
             assert _congruence(rows, _R5)._mask_signs() == table, (k, draw)
 
 
@@ -540,11 +487,11 @@ def test_sign_walk_rejects_non_real_minor(case):
     n = len(diagonal)
     grid = [[diagonal[i] if i == j else (1, 0) for j in range(n)] for i in range(n)]
     block = [v for i, row in enumerate(grid) for v in row[i:]]
-    table = {}
+    table = [None] * (1 << n)
     with pytest.raises(RuntimeError, match="came out non-real"):
         matrix_module._walk_pairs(block, [1 << i for i in range(n)], 0, 1, 1, table)
     non_real = sum(1 << i for i, (_, imag) in enumerate(diagonal) if imag)
-    assert case == "pivot-partner" or not any(mask & non_real for mask in table)
+    assert case == "pivot-partner" or all(table[mask] is None for mask in range(1 << n) if mask & non_real)
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))

@@ -124,19 +124,19 @@ def test_suite_catches_seeded_defect():
     assert check_negation_rule(m, wrong) != []
 
 
-def test_inheritance_lists_every_escape_in_walk_order():
+def test_inheritance_lists_every_escape_in_mask_order():
     # Negative control: diag(1, -1, 0) has sequence S*S-N.  Paired with
     # NS+A+, the order-1 term N escapes in every submatrix holding index 1
     # or 2, and the order-2 term S+ in mask 0x3 (minor -1).  Messages come
-    # mask by mask in the minor table's walk order, orders ascending.
+    # mask by mask in increasing mask order, orders ascending.
     m = HermitianMatrix.diagonal([1, -1, 0])
     assert str(compute_sepr(m)) == "S*S-N"
     expected = [
         (1, "N", "A+", 0x1),
+        (1, "N", "A-", 0x2),
         (1, "N", "A*", 0x3),
         (2, "S+", "A-", 0x3),
         (1, "N", "S+", 0x5),
-        (1, "N", "A-", 0x2),
         (1, "N", "S-", 0x6),
     ]
     assert check_inheritance(m, parse_sequence("NS+A+")) == [
