@@ -399,12 +399,22 @@ MUTANTS = (
             "tests/test_search.py::test_census_scans_direct_sum_predictions",
         ),
     ),
+    # the transforms of a base's negation are predicted from the negation's
+    # sequence, not the base's
     Mutant(
-        "census-inverse-of-unnegated",
+        "census-transform-of-unnegated",
         SEARCH,
-        "inverse_rule(s),",
-        "inverse_rule(seq),",
+        "t.rule(s),",
+        "t.rule(seq),",
         ("tests/test_search.py::test_census_transforms_match_their_rules",),
+    ),
+    # the hunt's four transform checks share one comparison
+    Mutant(
+        "transform-check-never-fails",
+        PROPERTIES,
+        "if got != expected:",
+        "if False:",
+        ("tests/test_properties.py::test_suite_catches_seeded_defect",),
     ),
     # the sequence rules the property checks and the census read
     Mutant(

@@ -38,18 +38,24 @@ VERIFICATION_FAILURE = 1
 MAX_GENERATED_ORDER = 16
 
 def parse_pool(spec: str, field: Field):
+    """The entries --pool names; a real-symmetric field takes real ones only."""
     if spec == "real-default":
-        return REAL_DEFAULT_POOL
-    if spec == "complex-default":
-        return COMPLEX_DEFAULT_POOL
-    if spec == "default":
+        pool = REAL_DEFAULT_POOL
+    elif spec == "complex-default":
+        pool = COMPLEX_DEFAULT_POOL
+    elif spec == "default":
         return REAL_DEFAULT_POOL if field is Field.REAL_SYMMETRIC else COMPLEX_DEFAULT_POOL
-    try:
-        pool = tuple(parse_pool_token(t) for t in spec.split(",") if t.strip())
-    except ValueError as exc:
-        raise ValueError(f"--pool: {exc}") from None
-    if not pool:
-        raise ValueError("--pool: entry pool is empty")
+    else:
+        try:
+            pool = tuple(parse_pool_token(t) for t in spec.split(",") if t.strip())
+        except ValueError as exc:
+            raise ValueError(f"--pool: {exc}") from None
+        if not pool:
+            raise ValueError("--pool: entry pool is empty")
+    if field is Field.REAL_SYMMETRIC:
+        for entry in pool:
+            if entry.im != 0:
+                raise ValueError(f"--pool: real-symmetric search cannot use non-real pool entry {entry}")
     return pool
 
 

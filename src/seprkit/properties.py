@@ -4,9 +4,9 @@ Each check inspects one matrix and returns a list of violation messages
 (empty means the property held).  The checks encode facts that are
 mathematically guaranteed, so any violation indicates a defect in the
 exact arithmetic, the minor enumeration, or the classification logic.
-The transform checks take their expected sequences from the rules in
-``sepr`` (``inverse_rule``, ``negation_rule``, ``direct_sum_rule``,
-``duplicate_last_rule``), which read only the parent's sequence, never
+The transform checks and the census in ``search`` read one table,
+``TRANSFORMS``, which pairs each transform with the rule of ``sepr``
+that predicts its sequence from the parent's sequence alone, never from
 its minor table:
 
 * the last term of a sequence is always A+, A- or N;
@@ -32,7 +32,9 @@ its minor table:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from functools import partial
+from operator import methodcaller
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .classify import Field, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
 from .matrix import HermitianMatrix, MatrixFormatError, SingularMatrixError, _column_deletions, matrix_to_json
@@ -194,29 +196,71 @@ def check_inheritance(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     return bad
 
 
-def check_inverse_relation(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    last = seq.terms[-1]
-    if last not in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
+def not_invertible(last: SeprTerm, where: str) -> str:
+    """The violation for an inverse the engine refuses although the last
+    term, the determinant's sign, is A+ or A-."""
+    return f"last term {last} but matrix not invertible: {where}"
+
+
+class Transform(NamedTuple):
+    """A matrix transform whose sequence a rule of ``sepr`` predicts from
+    its operand's sequence alone.  ``build`` looks its HermitianMatrix
+    method up when called, so a patched or wrapped method is the one run."""
+
+    check: str  # the hunt's check name
+    tag: str  # the census's source tag
+    build: Callable[[HermitianMatrix], HermitianMatrix]
+    rule: Callable[[SeprSequence], SeprSequence]
+    message: str  # the hunt's violation, formatted with got, expected and matrix
+    applies: Callable[[SeprSequence], bool] = lambda seq: True
+
+
+_ZERO_1 = SeprSequence((SeprTerm.N,))  # the sequence of the 1x1 zero matrix
+
+# The rule-predicted transforms, keyed by census tag, in the census's order.
+TRANSFORMS: Dict[str, Transform] = {
+    t.tag: t
+    for t in (
+        Transform(
+            "negation-rule", "negate", methodcaller("negate"), negation_rule,
+            "negated matrix gave {got}, expected {expected}: {matrix}",
+        ),
+        Transform(
+            "append-zero", "append-zero", lambda m: m.direct_sum(HermitianMatrix.zero(1)),
+            lambda seq: direct_sum_rule(seq, _ZERO_1), "zero append gave {got}, expected {expected}: {matrix}",
+        ),
+        Transform(
+            "append-duplicate", "duplicate-last", methodcaller("duplicate_last"), duplicate_last_rule,
+            "last-row duplication gave {got}, expected {expected}: {matrix}",
+        ),
+        Transform(
+            "inverse-relation", "inverse", methodcaller("inverse"), inverse_rule,
+            "inverse sequence {got} != expected {expected} for {matrix}",
+            lambda seq: seq.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS),
+        ),
+    )
+}
+
+
+def _check_transform(transform: Transform, matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
+    """The transformed matrix's sequence is the rule's prediction from seq."""
+    if not transform.applies(seq):
         return []
     try:
-        inv = matrix.inverse()
+        image = transform.build(matrix)
     except SingularMatrixError:
-        return [f"last term {last} but matrix not invertible: {_describe(matrix)}"]
-    got = compute_sepr(inv)
-    expected = inverse_rule(seq)
+        return [not_invertible(seq.terms[-1], _describe(matrix))]
+    got = compute_sepr(image)
+    expected = transform.rule(seq)
     if got != expected:
-        return [
-            f"inverse sequence {got} != expected {expected} for {_describe(matrix)}"
-        ]
+        return [transform.message.format(got=got, expected=expected, matrix=_describe(matrix))]
     return []
 
 
-def check_negation_rule(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    got = compute_sepr(matrix.negate())
-    expected = negation_rule(seq)
-    if got != expected:
-        return [f"negated matrix gave {got}, expected {expected}: {_describe(matrix)}"]
-    return []
+check_inverse_relation = partial(_check_transform, TRANSFORMS["inverse"])
+check_negation_rule = partial(_check_transform, TRANSFORMS["negate"])
+check_append_zero = partial(_check_transform, TRANSFORMS["append-zero"])
+check_append_duplicate = partial(_check_transform, TRANSFORMS["duplicate-last"])
 
 
 def check_permutation_invariance(
@@ -232,29 +276,6 @@ def check_permutation_invariance(
                 f"permutation {perm} changed sequence to {got}: {_describe(matrix)}"
             )
     return bad
-
-
-_ZERO_1 = SeprSequence((SeprTerm.N,))
-
-
-def check_append_zero(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    got = compute_sepr(matrix.direct_sum(HermitianMatrix.zero(1)))
-    expected = direct_sum_rule(seq, _ZERO_1)
-    if got != expected:
-        return [
-            f"zero append gave {got}, expected {expected}: {_describe(matrix)}"
-        ]
-    return []
-
-
-def check_append_duplicate(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    got = compute_sepr(matrix.duplicate_last())
-    expected = duplicate_last_rule(seq)
-    if got != expected:
-        return [
-            f"last-row duplication gave {got}, expected {expected}: {_describe(matrix)}"
-        ]
-    return []
 
 
 def check_real_sna_window(matrix: HermitianMatrix) -> List[str]:
@@ -330,7 +351,7 @@ def run_suite(
     run("same-sign-at-rank", check_same_sign_at_rank(matrix))
     run("rank-drop-on-deletion", check_rank_drop_on_deletion(matrix))
     run("inheritance", check_inheritance(matrix, seq))
-    if seq.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
+    if TRANSFORMS["inverse"].applies(seq):
         run("inverse-relation", check_inverse_relation(matrix, seq))
     run("negation-rule", check_negation_rule(matrix, seq))
     run(

@@ -30,11 +30,12 @@ The attainability census draws no random matrix: after its stock and
 catalog bases it climbs a fixed ladder of transforms, sweeps,
 duplicate-last constructions, det = 0 completions and direct sums (see
 attainability_census), so its report depends on nothing but the order
-and the field.  Transforms, duplicate-last constructions and direct sums
-are predicted by the rules of seprkit.sepr and pass one gate: each
-prediction is scanned for forbidden windows, and a matrix is built and
-walked only when its prediction holds a pattern still missing.  Every
-witness the census reports is a matrix it built and walked.
+and the field.  Transforms and duplicate-last constructions are predicted
+by the rules of seprkit.properties.TRANSFORMS, the table the hunt's
+transform checks read, and direct sums by seprkit.sepr's direct_sum_rule.
+All pass one gate: each prediction is scanned for forbidden windows, and a
+matrix is built and walked only when its prediction holds a pattern still
+missing.  Every witness the census reports is a matrix it built and walked.
 
 Absence of a witness within a budget is only ever reported as "not found",
 never as impossibility.
@@ -52,17 +53,8 @@ from .catalog import build_witness, get_record, witness_ids
 from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
 from .matrix import HermitianMatrix, SingularMatrixError, _scale, _sign_walk, _signs_by_order
-from .properties import run_suite
-from .sepr import (
-    SeprSequence,
-    SeprTerm,
-    compute_sepr,
-    direct_sum_rule,
-    duplicate_last_rule,
-    inverse_rule,
-    negation_rule,
-    sepr_terms,
-)
+from .properties import TRANSFORMS, not_invertible, run_suite
+from .sepr import SeprSequence, compute_sepr, direct_sum_rule, sepr_terms
 
 DEFAULT_SEED = 1729
 
@@ -179,18 +171,13 @@ def _grid_tuples(diagonals, choices) -> Iterator[tuple]:
             yield tuple(map(tuple, rows))
 
 
-def _grids(d: int, scale: int, diagonals, choices) -> Iterator[HermitianMatrix]:
-    """The matrices grid / scale of _grid_tuples' grids, in its order."""
-    for grid in _grid_tuples(diagonals, choices):
-        yield HermitianMatrix._of(d, scale, grid)
-
-
 def exhaustive_matrices(n: int, pool) -> Iterator[HermitianMatrix]:
     """Deterministic odometer enumeration over free entries: n diagonal
     slots over the pool's distinct real parts, then the upper triangle
     row-major over the pool."""
     d, scale, pairs, _, diag_values = grid_pool(pool)
-    return _grids(d, scale, product(diag_values, repeat=n), [pairs] * (n * (n - 1) // 2))
+    grids = _grid_tuples(product(diag_values, repeat=n), [pairs] * (n * (n - 1) // 2))
+    return map(partial(HermitianMatrix._of, d, scale), grids)
 
 
 def _orders(spec: OrderSpec) -> Tuple[int, int]:
@@ -447,37 +434,22 @@ def _census_bases(field: Field) -> List[Tuple[str, HermitianMatrix]]:
     ]
 
 
-_APPENDED_ZERO = SeprSequence.parse("N")  # the sequence of the 1x1 zero matrix
-
-
 def _derived_matrices(
     label: str, matrix: HermitianMatrix
 ) -> Iterator[Tuple[str, SeprSequence, Callable[[], HermitianMatrix]]]:
-    """The structural transforms of a base as (source, predicted sequence,
-    build): its negation, then append-zero, duplicate-last and, for a
-    sequence ending in A+ or A-, inverse of the base and of its negation.
-    Each sequence follows from the base's walked sequence by the rules of
-    seprkit.sepr; build() makes the matrix, negating the base at most once."""
+    """The TRANSFORMS of a base as (source, predicted sequence, build): its
+    negation, then the other transforms of the base and of its negation, in
+    the table's order.  Each sequence follows from the base's walked
+    sequence by the table's rules; build() makes the matrix, negating the
+    base at most once."""
     seq = compute_sepr(matrix)
-    negated = cache(matrix.negate)
-    yield f"transform:negate({label})", negation_rule(seq), negated
-    for tag, s, operand in (("", seq, lambda: matrix), ("negate:", negation_rule(seq), negated)):
-        yield (
-            f"transform:append-zero({tag}{label})",
-            direct_sum_rule(s, _APPENDED_ZERO),
-            lambda operand=operand: operand().direct_sum(HermitianMatrix.zero(1)),
-        )
-        yield (
-            f"transform:duplicate-last({tag}{label})",
-            duplicate_last_rule(s),
-            lambda operand=operand: operand().duplicate_last(),
-        )
-        if s.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
-            yield (
-                f"transform:inverse({tag}{label})",
-                inverse_rule(s),
-                lambda operand=operand: operand().inverse(),
-            )
+    negate = TRANSFORMS["negate"]
+    negated_seq, negated = negate.rule(seq), cache(partial(negate.build, matrix))
+    yield f"transform:{negate.tag}({label})", negated_seq, negated
+    for prefix, s, operand in (("", seq, lambda: matrix), (f"{negate.tag}:", negated_seq, negated)):
+        for t in TRANSFORMS.values():
+            if t is not negate and t.applies(s):
+                yield f"transform:{t.tag}({prefix}{label})", t.rule(s), lambda t=t, operand=operand: t.build(operand())
 
 
 # Longest direct sum the census walks.  A*A*A*, the one pattern no earlier
@@ -521,11 +493,12 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     (5) direct sums of the sequences recorded so far (see _direct_sums).
 
     absorb() grades a walked matrix by its own sign walk.  Rungs 1, 3 and
-    5 predict each sequence by a rule of seprkit.sepr and pass one gate,
-    offer(): a forbidden window in the prediction is a violation naming
-    the source, the matrix is built only when the prediction holds a
-    missing window, an inverse the engine refuses although the sequence
-    ends in A+ or A- is a violation, and a built matrix is absorbed.
+    5 predict each sequence by a rule of TRANSFORMS or by direct_sum_rule
+    and pass one gate, offer(): a forbidden window in the prediction is a
+    violation naming the source, the matrix is built only when the
+    prediction holds a missing window, an inverse the engine refuses
+    although the sequence ends in A+ or A- is a violation, and a built
+    matrix is absorbed.
     Patterns still missing are reported open, never impossible.
     """
     if order not in (2, 3):
@@ -557,7 +530,7 @@ def attainability_census(order: int, field: Field) -> CensusReport:
             try:
                 matrix = build()
             except SingularMatrixError:
-                violations.append(f"last term {predicted.terms[-1]} but matrix not invertible: {source}")
+                violations.append(not_invertible(predicted.terms[-1], source))
                 return
             if counter is not None:
                 budgets[counter] += 1
@@ -585,12 +558,13 @@ def attainability_census(order: int, field: Field) -> CensusReport:
 
     # a sweep matrix's duplicate-last construction, indexed by the pattern
     # its predicted sequence starts with (real sweep first)
+    duplicate = TRANSFORMS["duplicate-last"]
     index = {}
     for sweep in sweeps:
         for text, m in sweep.items():
-            predicted = duplicate_last_rule(compute_sepr(m))
-            source = f"construction:duplicate-last(base={text})"
-            index.setdefault(predicted[:order], (source, predicted, m.duplicate_last))
+            predicted = duplicate.rule(compute_sepr(m))
+            source = f"construction:{duplicate.tag}(base={text})"
+            index.setdefault(predicted[:order], (source, predicted, partial(duplicate.build, m)))
     for pattern in sorted(missing, key=str):
         if not missing:
             break

@@ -258,9 +258,7 @@ def test_census_rejects_non_real_pool_for_real_field(capsys):
     assert capsys.readouterr() == ("", "error: --pool does not apply to --census\n")
     target = ["search", "--target", "NN", "--order-n", "2", "--field", "real", pool]
     assert main(target) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "real-symmetric search cannot use non-real pool entry 1i" in captured.err
+    assert capsys.readouterr() == ("", "error: --pool: real-symmetric search cannot use non-real pool entry 1i\n")
 
 
 def test_pool_errors_name_the_flag(capsys):
@@ -270,6 +268,8 @@ def test_pool_errors_name_the_flag(capsys):
         ("x", "malformed rational 'x' (offset 0)"),
         ("1/0", "zero denominator in '1/0' (offset 2)"),
         (",", "entry pool is empty"),
+        ("1,i", "real-symmetric search cannot use non-real pool entry 1i"),
+        ("complex-default", "real-symmetric search cannot use non-real pool entry 1i"),
     ):
         for argv in (search, properties):
             assert main(argv + ["--pool", pool]) == 2

@@ -7,6 +7,7 @@ from seprkit import properties
 from seprkit.matrix import HermitianMatrix, matrix_to_json
 from seprkit.properties import (
     SUITE_CHECKS,
+    TRANSFORMS,
     check_append_duplicate,
     check_append_zero,
     check_double_n_tail,
@@ -102,6 +103,18 @@ def test_run_suite_counts():
     assert violations == []
     assert counts["inverse-relation"] == 1
     assert "real-SNA-window" not in counts  # complex field: rule out of scope
+
+
+def test_transform_table_feeds_the_suite():
+    # each rule-predicted transform is a suite check, run once per matrix
+    # it applies to: a nonsingular matrix gets all four
+    assert {t.check for t in TRANSFORMS.values()} <= set(SUITE_CHECKS)
+    m = HermitianMatrix.diagonal([1, -1, 2])
+    seq = compute_sepr(m)
+    assert all(t.applies(seq) for t in TRANSFORMS.values())
+    counts, violations = run_suite(m, Field.REAL_SYMMETRIC, random.Random(5))
+    assert violations == []
+    assert [counts[t.check] for t in TRANSFORMS.values()] == [1, 1, 1, 1]
 
 
 def test_suite_random_small():

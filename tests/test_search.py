@@ -11,6 +11,7 @@ from seprkit.classify import Field, forbidden_order2, forbidden_order3
 from seprkit.cli import main
 from seprkit.exact import GaussianRational, I
 from seprkit.matrix import HermitianMatrix, SingularMatrixError
+from seprkit.properties import TRANSFORMS
 from seprkit.search import (
     COMPLEX_DEFAULT_POOL,
     REAL_DEFAULT_POOL,
@@ -388,13 +389,15 @@ def test_census_transforms_match_their_rules():
     # the census builds a transform only when its predicted sequence holds
     # a missing window; every prediction, built or not, must be the
     # sequence of the matrix it stands for
-    checked = 0
+    checked, tags = 0, set()
     for field in Field:
         for label, base in _census_bases(field):
             for source, predicted, build in _derived_matrices(label, base):
                 assert compute_sepr(build()) == predicted, source
+                tags.add(source[len("transform:") : source.index("(")])
                 checked += 1
     assert checked == 1082
+    assert tags == set(TRANSFORMS)  # the sources name exactly the table's transforms
 
 
 def test_census_reports_a_failed_inverse(monkeypatch, capsys):
@@ -416,7 +419,8 @@ def test_census_scans_predictions_for_forbidden_windows(monkeypatch):
     # a prediction is checked for forbidden windows even when its matrix
     # is never built
     bad = min(forbidden_order3(Field.REAL_SYMMETRIC), key=str)
-    monkeypatch.setattr(search, "negation_rule", lambda seq: bad)
+    negate = TRANSFORMS["negate"]._replace(rule=lambda seq: bad)
+    monkeypatch.setattr(search, "TRANSFORMS", {**TRANSFORMS, "negate": negate})
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert f"forbidden pattern {bad} predicted in {bad} for transform:negate(stock:O1)" in rep.violations
 
@@ -425,9 +429,7 @@ def test_census_scans_direct_sum_predictions(monkeypatch):
     # direct sums pass the same gate as the transforms: a forbidden
     # window in a sum's prediction is a violation naming the sum
     bad = min(forbidden_order3(Field.REAL_SYMMETRIC), key=str)
-    rule = search.direct_sum_rule
-    # the append-zero transforms pass the module's own N and keep the rule
-    monkeypatch.setattr(search, "direct_sum_rule", lambda a, b: rule(a, b) if b is search._APPENDED_ZERO else bad)
+    monkeypatch.setattr(search, "direct_sum_rule", lambda a, b: bad)
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert any(
         v.startswith(f"forbidden pattern {bad} predicted in {bad} for construction:direct-sum(") for v in rep.violations
