@@ -55,7 +55,7 @@ TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 INHERITANCE = ("tests/test_properties.py::test_inheritance_lists_every_escape_in_mask_order",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
-    "tests/test_search.py::test_singular_completions_match_rational_solver",
+    "tests/test_search.py::test_singular_completions_emit_510_matrices",
     "tests/test_search.py::test_completions_reach_every_sequence_of_the_full_enumeration",
 )
 
@@ -337,19 +337,26 @@ MUTANTS = (
         "lead = self.a or self.b",
         LEAF,
     ),
-    # the det-zero completions' similarity-class reduction
+    # the det-zero completions' diagonal solve and similarity-class reduction
     Mutant(
         "completions-b-over-whole-pool",
         SEARCH,
         "product(ints, ints, ints, nonnegative, nonnegative)",
-        "product(ints, ints, ints, nonnegative, ints)",
+        "product(ints, ints, ints, ints, nonnegative)",
         COMPLETIONS,
     ),
     Mutant(
-        "completions-c-negated",
+        "completions-b33-negated",
         SEARCH,
-        "(a * den, y * den, num), (b * den, num, z * den)",
-        "(a * den, y * den, -num), (b * den, -num, z * den)",
+        "(b * den, c * den, num))",
+        "(b * den, c * den, -num))",
+        COMPLETIONS,
+    ),
+    Mutant(
+        "completions-no-swap",
+        SEARCH,
+        "if den == 0 or (x, b) > (y, c):",
+        "if den == 0:",
         COMPLETIONS,
     ),
     # the order-3 rule families built from their rules

@@ -59,6 +59,14 @@ def parse_pool(spec: str, field: Field):
     return pool
 
 
+def parse_field(text: str) -> Field:
+    """The field --field names."""
+    try:
+        return Field.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--field: {exc}") from None
+
+
 def _field_arg(parser, required=True, default=None):
     parser.add_argument(
         "--field",
@@ -74,7 +82,7 @@ def cmd_compute(args) -> int:
     if args.field == "auto":
         field = Field.REAL_SYMMETRIC if matrix.is_real else Field.HERMITIAN
     else:
-        field = Field.parse(args.field)
+        field = parse_field(args.field)
         if field is Field.REAL_SYMMETRIC and not matrix.is_real:
             print("error: --field real given for a non-real matrix", file=sys.stderr)
             return USAGE_ERROR
@@ -87,7 +95,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    field = Field.parse(args.field)
+    field = parse_field(args.field)
     pattern = parse_sequence(args.sequence)
     if len(pattern) not in (2, 3):
         print(
@@ -104,7 +112,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    field = Field.parse(args.field)
+    field = parse_field(args.field)
     if args.epr:
         if args.order != 3:
             print("error: coarse-level sets are available for order 3", file=sys.stderr)
@@ -158,7 +166,7 @@ def _parse_order_spec(text: str, mode: str):
 
 
 def cmd_search(args) -> int:
-    field = Field.parse(args.field)
+    field = parse_field(args.field)
     if args.census:
         if args.order is None:
             print("error: --census needs --order 2 or 3", file=sys.stderr)
@@ -228,7 +236,7 @@ def cmd_properties(args) -> int:
     if args.max_n is not None and (args.order_n is not None or args.mode == "exhaustive"):
         print("error: --max-n applies only to random mode without --order-n", file=sys.stderr)
         return USAGE_ERROR
-    field = Field.parse(args.field)
+    field = parse_field(args.field)
     pool = parse_pool(args.pool, field)
     if args.order_n is not None:
         n = _parse_order_spec(args.order_n, args.mode)

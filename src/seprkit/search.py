@@ -18,8 +18,9 @@ a sequence is the first canonical grid attaining it (see
 full_sequence_sweep).
 
 Every generator builds scaled integer grids directly: a pool is scaled
-into a GridPool once per search, not once per matrix, and the det = 0
-completions are solved in integers, one per similarity class.  A sweep
+into a GridPool once per search, not once per matrix, and each det = 0
+completion solves one linear equation for a diagonal entry and scales
+its integer grid by the denominator, one per similarity class.  A sweep
 grid is walked raw, with no matrix built, and only the first grid of
 each sequence becomes a HermitianMatrix; a test pins that a sweep grid
 passes HermitianMatrix's checks and that its raw walk is the matrix's.
@@ -46,7 +47,6 @@ from __future__ import annotations
 import random
 from functools import cache, partial
 from itertools import combinations_with_replacement, islice, product
-from math import isqrt
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .catalog import build_witness, get_record, witness_ids
@@ -206,10 +206,17 @@ class SearchHit(NamedTuple):
 
 def find_witness(cfg: SearchConfig) -> Optional[SearchHit]:
     """First matrix whose sequence equals the target (or contains it as a
-    window, in subsequence mode); None if the budget runs out."""
+    window, in subsequence mode); None if the budget runs out.  A target
+    no order of the configuration can hold is a ValueError, before any
+    matrix is drawn."""
     if cfg.target is None:
         raise ValueError("find_witness needs a target sequence")
     lo, hi = _orders(cfg.n)
+    if cfg.subsequence and len(cfg.target) > hi:
+        raise ValueError(
+            f"target of length {len(cfg.target)} cannot be a window "
+            f"of the sequence of a matrix of order ≤ {hi}"
+        )
     if not cfg.subsequence and not (lo <= len(cfg.target) <= hi):
         raise ValueError(
             f"target of length {len(cfg.target)} cannot be the full sequence "
@@ -386,42 +393,32 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
 
 
 def singular_completions() -> Iterator[HermitianMatrix]:
-    """Real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]], x, y, z, a and
-    b over REAL_DEFAULT_POOL, with c solved for exactly (rational roots of
-    the det = 0 quadratic, in integers): witnesses with one entry far
-    outside any small pool.  Only a >= 0, b >= 0 and (y, a) <= (z, b) are
-    tried: similarity by diag(1, -1, 1) or diag(1, 1, -1) flips the sign of
-    a or b (and c), and exchanging indices 2 and 3 swaps (y, a) with (z, b);
-    both only reorder the principal minors, and the pool is closed under
-    negation, so every sequence of the full 5^5 enumeration is reached (460
-    matrices, not 1,929).  Deterministic; duplicates skipped.
+    """Singular real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]]:
+    x, y and a over REAL_DEFAULT_POOL, b and c over its nonnegative values,
+    and z solved for.  Laplace expansion along row 3 gives
+    det B = z (xy - a^2) - (x c^2 + y b^2 - 2abc), linear in z, so each
+    tuple with xy != a^2 has exactly one z making B singular, a rational
+    that may lie far outside any small pool.
+
+    Only b >= 0, c >= 0 and (x, b) <= (y, c) are tried: similarity by
+    diag(1, 1, -1) flips b and c, diag(-1, 1, 1) flips a and b and
+    diag(1, -1, 1) flips a and c, and exchanging indices 1 and 2 swaps
+    (x, b) with (y, c).  Each only reorders the principal minors and leaves
+    z unchanged, and the pool is closed under negation, so every sequence
+    of the unreduced 5^5 domain is reached (510 matrices, not 2,700).
+    Deterministic; distinct tuples give distinct matrices.
     """
     ints = sorted(int(v.re) for v in REAL_DEFAULT_POOL)
     nonnegative = [v for v in ints if v >= 0]
-    seen = set()
-    for x, y, z, a, b in product(ints, ints, ints, nonnegative, nonnegative):
-        if (y, a) > (z, b):
+    for x, y, a, b, c in product(ints, ints, ints, nonnegative, nonnegative):
+        den = x * y - a * a  # det B[{1,2}]
+        if den == 0 or (x, b) > (y, c):
             continue
-        # det = -x c**2 + 2ab c + k; a root c = num / den gives scale den
-        k = x * y * z - y * b * b - z * a * a
-        if x:
-            disc = a * a * b * b + x * k  # a quarter of the discriminant
-            r = isqrt(max(disc, 0))
-            if r * r != disc:
-                continue
-            roots = ((a * b - r, x), (a * b + r, x)) if r else ((a * b, x),)
-        elif a and b:
-            roots = ((-k, 2 * a * b),)
-        else:
-            roots = tuple((c, 1) for c in ints) if k == 0 else ()
-        for num, den in roots:
-            if den < 0:
-                num, den = -num, -den
-            grid = ((x * den, a * den, b * den), (a * den, y * den, num), (b * den, num, z * den))
-            m = HermitianMatrix._of(0, den, grid)
-            if m not in seen:
-                seen.add(m)
-                yield m
+        num = x * c * c + y * b * b - 2 * a * b * c  # -det B with z = 0
+        if den < 0:
+            num, den = -num, -den
+        grid = ((x * den, a * den, b * den), (a * den, y * den, c * den), (b * den, c * den, num))
+        yield HermitianMatrix._of(0, den, grid)
 
 
 def _census_bases(field: Field) -> List[Tuple[str, HermitianMatrix]]:
@@ -489,7 +486,8 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     every matrix of the exhaustive canonical sweep over real matrices,
     then (Hermitian census) over complex ones; (3) duplicate-last
     constructions on sweep matrices whose prediction starts with a
-    missing pattern; (4) det = 0 completions (see singular_completions);
+    missing pattern; (4) singular 3x3 matrices whose last diagonal entry
+    is solved from det = 0 (see singular_completions);
     (5) direct sums of the sequences recorded so far (see _direct_sums).
 
     absorb() grades a walked matrix by its own sign walk.  Rungs 1, 3 and

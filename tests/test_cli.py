@@ -164,9 +164,9 @@ CENSUS_STDERR = {
     ("2", "hermitian"): "census order 2 over hermitian: 45/45 patterns witnessed (0 open; budgets: "
     "completions-tried=0, direct-sums-tried=0)\n",
     ("3", "real"): "census order 3 over real symmetric: 242/242 patterns witnessed (0 open; budgets: "
-    "completions-tried=460, direct-sums-tried=1, sweep-real=62)\n",
+    "completions-tried=510, direct-sums-tried=1, sweep-real=62)\n",
     ("3", "hermitian"): "census order 3 over hermitian: 251/251 patterns witnessed (0 open; budgets: "
-    "completions-tried=460, direct-sums-tried=1, sweep-complex=42, sweep-real=62)\n",
+    "completions-tried=510, direct-sums-tried=1, sweep-complex=42, sweep-real=62)\n",
 }
 
 
@@ -274,6 +274,32 @@ def test_pool_errors_name_the_flag(capsys):
         for argv in (search, properties):
             assert main(argv + ["--pool", pool]) == 2
             assert capsys.readouterr() == ("", f"error: --pool: {message}\n")
+
+
+def test_subsequence_target_longer_than_every_order_is_a_usage_error(capsys):
+    argv = ["search", "--target", "A+A+A+", "--order-n", "1:2", "--field", "real", "--subsequence"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: target of length 3 cannot be a window of the sequence of a matrix of order ≤ 2\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "FILE"],
+        ["classify", "NA+A*"],
+        ["enumerate-forbidden", "--order", "3"],
+        ["search", "--census", "--order", "3"],
+        ["properties", "--samples", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_field_errors_name_the_flag(argv, diag_file, capsys):
+    argv = [diag_file if a == "FILE" else a for a in argv]
+    assert main(argv + ["--field", "bogus"]) == 2
+    assert capsys.readouterr() == ("", "error: --field: unknown field 'bogus' (try 'hermitian' or 'real')\n")
 
 
 _SEARCH = ["search", "--target", "NN", "--order-n", "2", "--field", "real"]

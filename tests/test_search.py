@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
 import pytest
 
@@ -89,6 +88,21 @@ def test_find_zero_matrix():
     assert hit is not None
     assert hit.matrix == HermitianMatrix.zero(2)
     assert str(hit.sepr) == "NN" and hit.position == 1
+
+
+@pytest.mark.parametrize("n", (2, (1, 2)), ids=("fixed", "range"))
+def test_subsequence_target_longer_than_every_order_is_refused(n):
+    # a window of length 3 never occurs in a sequence of order <= 2, so the
+    # search is refused instead of spending its budget
+    cfg = SearchConfig(
+        n=n,
+        pool=REAL_DEFAULT_POOL,
+        field=Field.REAL_SYMMETRIC,
+        target=parse_sequence("A+A+A+"),
+        subsequence=True,
+    )
+    with pytest.raises(ValueError, match="target of length 3 cannot be a window .* order ≤ 2$"):
+        find_witness(cfg)
 
 
 def test_forbidden_target_never_found():
@@ -205,86 +219,34 @@ def test_generators_emit_canonical_grids(pool):
 
 
 def test_singular_completions_are_singular():
-    seen = 0
     for m in singular_completions():
         assert oracle_det(lift(m.entries)) == 0
         _assert_canonical(m)
-        seen += 1
-    assert seen == 460
 
 
-def _rational_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+def test_singular_completions_emit_510_matrices():
+    # one matrix per tuple with xy != a^2, b >= 0, c >= 0 and (x, b) <= (y, c)
+    assert sum(1 for _ in singular_completions()) == 510
 
 
 def _fraction_completions(values):
-    """Entry rows of the det = 0 completions, solved over the rationals:
-    the rational roots c of -x c^2 + 2ab c + (xyz - y b^2 - z a^2), with
-    (-qb + sqrt disc) / 2qa first, or every value when the polynomial
-    vanishes; first occurrence kept."""
+    """The det = 0 completions of the unreduced domain, solved over the
+    rationals: x, y, a, b and c over the pool's values, and
+    b33 = (x c^2 + y b^2 - 2abc) / (xy - a^2) whenever xy != a^2."""
     vals = sorted({Fraction(v.re) for v in values})
-    out, seen = [], set()
-    for x, y, z, a, b in product(vals, repeat=5):
-        qa, qb, qc = -x, 2 * a * b, x * y * z - y * b * b - z * a * a
-        if qa == 0:
-            roots = (-qc / qb,) if qb else (vals if qc == 0 else ())
-        else:
-            root = _rational_sqrt(qb * qb - 4 * qa * qc)
-            if root is None:
-                roots = ()
-            elif root == 0:
-                roots = (-qb / (2 * qa),)
-            else:
-                roots = ((-qb + root) / (2 * qa), (-qb - root) / (2 * qa))
-        for c in roots:
-            rows = ((x, a, b), (a, y, c), (b, c, z))
-            if rows not in seen:
-                seen.add(rows)
-                out.append(rows)
-    return out
-
-
-def _completion_rows():
-    return [tuple(tuple(v.re for v in row) for row in m.entries) for m in singular_completions()]
-
-
-def _similar_rows(rows):
-    """The rows of D B D for D = diag(1, +-1, +-1), and of those with
-    indices 2 and 3 exchanged."""
-    (x, a, b), (_, y, c), (_, _, z) = rows
-    for sa, sb in product((1, -1), repeat=2):
-        a2, b2, c2 = sa * a, sb * b, sa * sb * c
-        yield ((x, a2, b2), (a2, y, c2), (b2, c2, z))
-        yield ((x, b2, a2), (b2, z, c2), (a2, c2, y))
-
-
-def test_singular_completions_match_rational_solver():
-    # every completion of the full 5^5 enumeration is similar to an
-    # emitted one by the sign flips and the index swap
-    got = _completion_rows()
-    assert len(got) == 460
-    assert all(oracle_det(rows) == 0 for rows in got)
-    assert {image for rows in got for image in _similar_rows(rows)} == set(
-        _fraction_completions(REAL_DEFAULT_POOL)
-    )
+    for x, y, a, b, c in product(vals, repeat=5):
+        if x * y != a * a:
+            z = (x * c * c + y * b * b - 2 * a * b * c) / (x * y - a * a)
+            yield HermitianMatrix([[x, a, b], [a, y, c], [b, c, z]])
 
 
 def test_completions_reach_every_sequence_of_the_full_enumeration():
-    # one (x, y, z, a, b) tuple per class of the sign flips of a and b and
-    # the swap of (y, a) with (z, b): the representatives come in oracle
-    # order, and reach exactly the sequences of all completions
-    oracle = _fraction_completions(REAL_DEFAULT_POOL)
-    representatives = [
-        rows for rows in oracle
-        if rows[0][1] >= 0 and rows[0][2] >= 0 and (rows[1][1], rows[0][1]) <= (rows[2][2], rows[0][2])
-    ]
-    assert _completion_rows() == representatives
-    assert {str(compute_sepr(m)) for m in singular_completions()} == {
-        str(compute_sepr(HermitianMatrix([list(row) for row in rows]))) for rows in oracle
-    }
+    # the sign flips and the index swap only reorder principal minors, so
+    # the reduced domain reaches exactly the unreduced domain's sequences,
+    # among them the two order-3 patterns the census takes from this rung
+    got = {str(compute_sepr(m)) for m in singular_completions()}
+    assert got == {str(compute_sepr(m)) for m in _fraction_completions(REAL_DEFAULT_POOL)}
+    assert {"A+A-N", "A-A-N"} <= got
 
 
 @pytest.mark.parametrize("order", (1, 2, 3))
