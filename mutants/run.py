@@ -52,7 +52,8 @@ PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
-INHERITANCE = ("tests/test_properties.py::test_inheritance_lists_every_escape_in_mask_order",)
+INHERITANCE = ("tests/test_properties.py::test_inheritance_names_the_first_wrong_cached_sign",)
+INHERITANCE_CLEAN = ("tests/test_properties.py::test_inheritance_clean_on_random_draws",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
     "tests/test_search.py::test_singular_completions_emit_510_matrices",
@@ -60,27 +61,37 @@ COMPLETIONS = (
 )
 
 MUTANTS = (
-    # the packed sign fields of the inheritance check
+    # the inheritance check compares the cached table with a fresh walk of
+    # the leading order-(n - 2) submatrix, on that submatrix's masks
     Mutant(
-        "inheritance-no-own-sign",
+        "inheritance-never-fails",
         PROPERTIES,
-        "fields = 1 << (sign_by_mask[mask] + 1 + 3 * (mask.bit_count() - 1))",
-        "fields = 0",
+        "if walked != stored:",
+        "if False:",
         INHERITANCE,
     ),
     Mutant(
-        "inheritance-skips-lowest-submask",
+        "inheritance-rereads-the-cache",
         PROPERTIES,
-        "        rest = mask\n",
-        "        rest = mask & (mask - 1)\n",
+        "fresh, cached = sub._mask_signs(),",
+        "fresh, cached = matrix._mask_signs(),",
         INHERITANCE,
     ),
     Mutant(
-        "inheritance-fields-one-order-up",
+        "inheritance-compares-the-wrong-slice",
         PROPERTIES,
-        "+ 3 * (mask.bit_count() - 1))",
-        "+ 3 * mask.bit_count())",
+        "matrix._mask_signs()[: 1 << k]",
+        "matrix._mask_signs()[-(1 << k) :]",
         INHERITANCE,
+    ),
+    # the one-level leaf of the integer walk, caught by the inheritance
+    # check alone: the hunt's own check sees faults in the walk
+    Mutant(
+        "leaf1-int-sign",
+        MATRIX,
+        "table[child | bits[-1]] = ((num > 0) - (num < 0)) * psign",
+        "table[child | bits[-1]] = ((num > 0) - (num < 0)) * s",
+        INHERITANCE_CLEAN,
     ),
     # the two-level leaf of the sign walk
     Mutant(

@@ -198,7 +198,10 @@ def cmd_search(args) -> int:
     if args.target is None:
         print("error: search needs --target SEQ (or --census)", file=sys.stderr)
         return USAGE_ERROR
-    target = parse_sequence(args.target)
+    try:
+        target = parse_sequence(args.target)
+    except ValueError as exc:
+        raise ValueError(f"--target: {exc}") from None
     if args.order_n is None:
         print("error: search needs --order-n", file=sys.stderr)
         return USAGE_ERROR

@@ -15,8 +15,8 @@ its minor table:
 * rank equals the largest order with a nonzero principal minor;
 * all nonzero minors of order rank(B) share one sign;
 * deleting one row and one column lowers rank by at most 2;
-* N / A+ / A- terms are inherited by principal submatrices, and
-  S+ / S- weaken only to {A+, N, S+} / {A-, N, S-};
+* the leading order-(n-2) principal submatrix, walked on its own,
+  has the matrix's signs on its masks;
 * the sequence of the inverse is the reversed (and, for negative
   determinant, sign-swapped) sequence;
 * negating the matrix swaps + and - exactly on odd orders;
@@ -42,7 +42,6 @@ from .sepr import (
     EprTerm,
     SeprSequence,
     SeprTerm,
-    classify_signs,
     compute_epr,
     compute_sepr,
     direct_sum_rule,
@@ -131,69 +130,25 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
     return bad
 
 
-_INHERIT_ALLOWED = {
-    SeprTerm.N: {SeprTerm.N},
-    SeprTerm.A_PLUS: {SeprTerm.A_PLUS},
-    SeprTerm.A_MINUS: {SeprTerm.A_MINUS},
-    SeprTerm.S_PLUS: {SeprTerm.A_PLUS, SeprTerm.N, SeprTerm.S_PLUS},
-    SeprTerm.S_MINUS: {SeprTerm.A_MINUS, SeprTerm.N, SeprTerm.S_MINUS},
-}
-
-
-# A set of minor signs packs into a 3-bit field: bit s + 1 is set when a
-# minor of sign s (-1, 0 or 1) is present.  Every nonempty field names one term.
-_FIELD_TERM = (None,) + tuple(
-    classify_signs(s for s in (-1, 0, 1) if field >> (s + 1) & 1) for field in range(1, 8)
-)
-
-# The sign bits a term's images must not show.  Each allowed set above holds
-# every term whose signs lie inside its union, so a nonempty field lands in
-# the allowed set exactly when it shares no bit with these.
-_INHERIT_BAD = {
-    term: 7 ^ sum(1 << (s + 1) for s in frozenset().union(*(t.signs for t in allowed)))
-    for term, allowed in _INHERIT_ALLOWED.items()
-}
-
-
-def check_inheritance(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    """Every principal submatrix's terms stay inside the allowed images.
-
-    Each mask gets one packed int holding a 3-bit sign field per order k
-    (bits 3(k-1) to 3k-1) for the order-k principal minors inside the
-    mask: its own minor's sign bit OR the ints of its one-smaller
-    submasks, filled in increasing mask order.
-    """
+def check_inheritance(matrix: HermitianMatrix) -> List[str]:
+    """The leading order-(n - 2) principal submatrix, walked on its own,
+    has the matrix's signs on the masks without index n - 1 or n: its
+    minors are principal minors of the matrix.  The two walks reach a mask
+    through different leaves and pivots, so a fault in the walk shows as
+    a mismatch; the first differing mask is reported."""
     n = matrix.n
-    if n < 2:
+    if n < 3:
         return []
-    sign_by_mask = matrix._mask_signs()
-    full = (1 << n) - 1
-    packed = [0] * full
-    for mask in range(1, full):
-        fields = 1 << (sign_by_mask[mask] + 1 + 3 * (mask.bit_count() - 1))
-        rest = mask
-        while rest:
-            low = rest & -rest
-            fields |= packed[mask ^ low]
-            rest ^= low
-        packed[mask] = fields
-    terms = seq.terms
-    bad_bits = 0
-    for j, term in enumerate(terms):
-        bad_bits |= _INHERIT_BAD.get(term, 0) << 3 * j
-    bad = []
-    for mask in range(1, full):
-        if not packed[mask] & bad_bits:
-            continue
-        fields = packed[mask]
-        for j in range(mask.bit_count()):
-            field = fields >> 3 * j & 7
-            if field & _INHERIT_BAD.get(terms[j], 0):
-                bad.append(
-                    f"order-{j + 1} term {terms[j]} of {_describe(matrix)} "
-                    f"became {_FIELD_TERM[field]} in principal submatrix mask {mask:#x}"
-                )
-    return bad
+    k = n - 2
+    sub = HermitianMatrix._of(matrix._d, matrix._scale, tuple(row[:k] for row in matrix._grid[:k]))
+    fresh, cached = sub._mask_signs(), matrix._mask_signs()[: 1 << k]
+    for mask, (walked, stored) in enumerate(zip(fresh, cached)):
+        if walked != stored:
+            return [
+                f"leading order-{k} submatrix walked alone has sign {walked} at mask {mask:#x}, "
+                f"the matrix's table {stored}: {_describe(matrix)}"
+            ]
+    return []
 
 
 def not_invertible(last: SeprTerm, where: str) -> str:
@@ -350,7 +305,7 @@ def run_suite(
     run("rank-is-principal", check_rank_is_principal(matrix))
     run("same-sign-at-rank", check_same_sign_at_rank(matrix))
     run("rank-drop-on-deletion", check_rank_drop_on_deletion(matrix))
-    run("inheritance", check_inheritance(matrix, seq))
+    run("inheritance", check_inheritance(matrix))
     if TRANSFORMS["inverse"].applies(seq):
         run("inverse-relation", check_inverse_relation(matrix, seq))
     run("negation-rule", check_negation_rule(matrix, seq))

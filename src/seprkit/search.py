@@ -218,10 +218,8 @@ def find_witness(cfg: SearchConfig) -> Optional[SearchHit]:
             f"of the sequence of a matrix of order ≤ {hi}"
         )
     if not cfg.subsequence and not (lo <= len(cfg.target) <= hi):
-        raise ValueError(
-            f"target of length {len(cfg.target)} cannot be the full sequence "
-            f"of an order-{cfg.n} matrix"
-        )
+        orders = f"an order-{lo} matrix" if lo == hi else f"a matrix of order {lo} to {hi}"
+        raise ValueError(f"target of length {len(cfg.target)} cannot be the full sequence of {orders}")
     for m in _iter_config(cfg):
         s = compute_sepr(m)
         if cfg.subsequence:

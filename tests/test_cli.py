@@ -286,6 +286,22 @@ def test_subsequence_target_longer_than_every_order_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "orders, text", (("2", "an order-2 matrix"), ("1:2", "a matrix of order 1 to 2")), ids=("fixed", "range")
+)
+def test_full_target_of_no_order_is_a_usage_error(orders, text, capsys):
+    assert main(["search", "--target", "A+A+A+", "--order-n", orders, "--field", "real"]) == 2
+    assert capsys.readouterr() == ("", f"error: target of length 3 cannot be the full sequence of {text}\n")
+
+
+def test_target_errors_name_the_flag(capsys):
+    assert main(["search", "--target", "XY", "--order-n", "2", "--field", "real"]) == 2
+    assert capsys.readouterr() == ("", "error: --target: unexpected character 'X' (offset 0)\n")
+    # the positional sequence of classify has no flag to name
+    assert main(["classify", "XY", "--field", "real"]) == 2
+    assert capsys.readouterr() == ("", "error: unexpected character 'X' (offset 0)\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["compute", "FILE"],

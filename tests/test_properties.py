@@ -21,6 +21,7 @@ from seprkit.properties import (
     check_same_sign_at_rank,
     run_suite,
 )
+from seprkit.search import COMPLEX_DEFAULT_POOL, REAL_DEFAULT_POOL, grid_pool, random_matrix
 from seprkit.sepr import SeprSequence, compute_sepr, parse_sequence
 
 
@@ -73,7 +74,7 @@ def test_individual_checks_pass_on_catalog():
         assert check_rank_is_principal(m) == []
         assert check_same_sign_at_rank(m) == []
         assert check_rank_drop_on_deletion(m) == []
-        assert check_inheritance(m, s) == []
+        assert check_inheritance(m) == []
         assert check_permutation_invariance(m, s, rng, samples=2) == []
 
 
@@ -137,22 +138,27 @@ def test_suite_catches_seeded_defect():
     assert check_negation_rule(m, wrong) != []
 
 
-def test_inheritance_lists_every_escape_in_mask_order():
-    # Negative control: diag(1, -1, 0) has sequence S*S-N.  Paired with
-    # NS+A+, the order-1 term N escapes in every submatrix holding index 1
-    # or 2, and the order-2 term S+ in mask 0x3 (minor -1).  Messages come
-    # mask by mask in increasing mask order, orders ascending.
-    m = HermitianMatrix.diagonal([1, -1, 0])
-    assert str(compute_sepr(m)) == "S*S-N"
-    expected = [
-        (1, "N", "A+", 0x1),
-        (1, "N", "A-", 0x2),
-        (1, "N", "A*", 0x3),
-        (2, "S+", "A-", 0x3),
-        (1, "N", "S+", 0x5),
-        (1, "N", "S-", 0x6),
+def test_inheritance_names_the_first_wrong_cached_sign():
+    # Negative control: one wrong sign planted in the cached table at mask
+    # 0x3 (the leading 2 x 2 minor, -3) disagrees with the fresh walk of
+    # the leading order-2 submatrix, and the message names that mask.
+    m = HermitianMatrix([[2, 1, 0, 1], [1, -1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 3]])
+    table = list(m._mask_signs())
+    assert table[0x3] == -1
+    table[0x3] = 1
+    object.__setattr__(m, "_minor_cache", table)
+    assert check_inheritance(m) == [
+        "leading order-2 submatrix walked alone has sign -1 at mask 0x3, "
+        f"the matrix's table 1: {matrix_to_json(m)}"
     ]
-    assert check_inheritance(m, parse_sequence("NS+A+")) == [
-        f"order-{k} term {term} of {matrix_to_json(m)} became {got} in principal submatrix mask {mask:#x}"
-        for k, term, got, mask in expected
-    ]
+
+
+def test_inheritance_clean_on_random_draws():
+    # Positive control: the walk of the leading submatrix agrees with the
+    # matrix's own walk on draws from both default pools at orders 1 to 7.
+    rng = random.Random(11)
+    for pool in (REAL_DEFAULT_POOL, COMPLEX_DEFAULT_POOL):
+        scaled = grid_pool(pool)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 7), scaled)
+            assert check_inheritance(m) == []

@@ -105,6 +105,16 @@ def test_subsequence_target_longer_than_every_order_is_refused(n):
         find_witness(cfg)
 
 
+@pytest.mark.parametrize(
+    "n, orders", ((2, "an order-2 matrix"), ((1, 2), "a matrix of order 1 to 2")), ids=("fixed", "range")
+)
+def test_full_target_of_no_order_is_refused(n, orders):
+    cfg = SearchConfig(n=n, pool=REAL_DEFAULT_POOL, field=Field.REAL_SYMMETRIC, target=parse_sequence("A+A+A+"))
+    with pytest.raises(ValueError) as info:
+        find_witness(cfg)
+    assert str(info.value) == f"target of length 3 cannot be the full sequence of {orders}"
+
+
 def test_forbidden_target_never_found():
     pool = tuple(GaussianRational(v) for v in (-1, 0, 1))
     for n in (2, 3):
