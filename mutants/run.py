@@ -385,6 +385,22 @@ MUTANTS = (
         "if t.underlying is (EprTerm.A if c is EprTerm.S else c)]",
         ("tests/test_classify.py::test_underlying_family_consistent_with_epr_set",),
     ),
+    # each pattern's rule is the first family naming it, and the real
+    # S,N,A window must fit inside the first n - 2 terms
+    Mutant(
+        "rule-table-last-rule-wins",
+        CLASSIFY,
+        "table.setdefault(pattern, rule)",
+        "table[pattern] = rule",
+        ("tests/test_classify.py::test_rule_assignment_matches_rederivation",),
+    ),
+    Mutant(
+        "sna-window-touches-tail",
+        CLASSIFY,
+        "range(len(terms) - 4)",
+        "range(len(terms) - 2)",
+        ("tests/test_classify.py::test_scan_real_sna_window",),
+    ),
     # the census builds a rule-predicted construction only when its
     # predicted sequence holds a missing window
     Mutant(

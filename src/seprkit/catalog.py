@@ -456,6 +456,8 @@ class CatalogReport:
 
 def verify_all(family: Optional[str] = None, witness_id: Optional[str] = None) -> CatalogReport:
     """Verify the whole catalog, one family, or one id."""
+    if family is not None and witness_id is not None:
+        raise ValueError("verify one family or one id, not both")
     if witness_id is not None:
         ids = [witness_id]
         get_record(witness_id)

@@ -2,39 +2,33 @@
 
 A pattern is *forbidden* for a field if it never occurs as a contiguous
 window of the sign sequence of any matrix over that field.  The complete
-answer at orders 2 and 3 is generated here from closed rule families:
+answer at orders 2 and 3 comes from closed rule families, in this order:
 
-Order 2, both fields: exactly A*N, NA*, NS*, S*N.
-
-Order 3, complex Hermitian - the union of four families:
-
+* ``order2-pair``, both fields: exactly A*N, NA*, NS*, S*N.
 * ``same-sign-bracket-A``: uXv with (u, v) one of (A+,A+), (A-,A-),
   (S+,A+), (S-,A-) and middle X in {A*, N, S*, S+, S-}.
 * ``same-sign-bracket-S``: uYv with (u, v) one of (A+,S+), (A-,S-),
   (S+,S+), (S-,S-) and middle Y in {A*, N, S*}.
-* ``order2-window``: any order-3 pattern containing a forbidden order-2
-  pair as a window.
+* ``order2-window``: any order-3 pattern with a forbidden order-2 window.
 * ``underlying-epr``: any pattern whose underlying coarse sequence is
   NNA, NNS or NSA.
-
-Real symmetric adds exactly nine more patterns on top of those:
-
-* ``real-underlying-NAN-NAS``: NA+Z and NA-Z for Z in {N, S*, S+, S-}.
-* ``real-NA+A*``: the single pattern NA+A*.
+* real symmetric only, nine more: ``real-underlying-NAN-NAS``, any
+  pattern with coarse sequence NAN or NAS that no family above names
+  (NA+Z and NA-Z for Z in {N, S*, S+, S-}), then ``real-NA+A*``.
 
 At the coarse (underlying) level the order-3 forbidden sets are
 {NNA, NNS, NSA} for Hermitian and additionally {NAN, NAS} over the reals.
 
-Rule labels are stable strings; when several rules match, the named rule is
-the first in the order listed above.
+Each field has one table, built at import, from each forbidden pattern to
+its rule, where the first rule listed wins.  The forbidden sets,
+``classify_sequence`` and ``scan_for_forbidden`` all read it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from itertools import product
-from typing import FrozenSet, List, NamedTuple, Optional, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Union
 
 from .sepr import EprSequence, EprTerm, SeprSequence, SeprTerm
 
@@ -83,20 +77,12 @@ class Verdict(_VerdictFields):
         return self
 
 
-def _seq(text: str) -> SeprSequence:
-    return SeprSequence.parse(text)
-
-
-def _eseq(text: str) -> EprSequence:
-    return EprSequence.parse(text)
-
-
-_ORDER2_FORBIDDEN = frozenset(map(_seq, ("A*N", "NA*", "NS*", "S*N")))
+_ORDER2_FORBIDDEN = frozenset(map(SeprSequence.parse, ("A*N", "NA*", "NS*", "S*N")))
 
 # pairs that never start the sign sequence of any Hermitian matrix
 INITIAL_FORBIDDEN_PAIRS = frozenset(
     map(
-        _seq,
+        SeprSequence.parse,
         (
             "A*A+", "A*N", "A*S+",
             "NA*", "NA+", "NS*", "NS+",
@@ -123,19 +109,17 @@ _BRACKET_S_OUTER = (
 )
 _BRACKET_S_MIDDLE = (SeprTerm.A_STAR, SeprTerm.N, SeprTerm.S_STAR)
 
-_EPR_FORBIDDEN_HERMITIAN = frozenset(map(_eseq, ("NNA", "NNS", "NSA")))
-_EPR_FORBIDDEN_REAL = _EPR_FORBIDDEN_HERMITIAN | frozenset(map(_eseq, ("NAN", "NAS")))
+_EPR_FORBIDDEN_HERMITIAN = frozenset(map(EprSequence.parse, ("NNA", "NNS", "NSA")))
+_EPR_FORBIDDEN_REAL = _EPR_FORBIDDEN_HERMITIAN | frozenset(map(EprSequence.parse, ("NAN", "NAS")))
 
-_NINE_REAL_ONLY = frozenset(
-    map(
-        _seq,
-        (
-            "NA+A*",
-            "NA+N", "NA+S*", "NA+S+", "NA+S-",
-            "NA-N", "NA-S*", "NA-S+", "NA-S-",
-        ),
+
+def _by_underlying(coarse_patterns) -> FrozenSet[SeprSequence]:
+    """Every pattern whose underlying coarse sequence is one of these."""
+    return frozenset(
+        SeprSequence(terms)
+        for coarse in coarse_patterns
+        for terms in product(*([t for t in SeprTerm if t.underlying is c] for c in coarse))
     )
-)
 
 
 _BRACKET_A_SET = frozenset(
@@ -150,36 +134,45 @@ _ORDER2_WINDOW_SET = frozenset(
     for x in SeprTerm
     for terms in ((a, b, x), (x, a, b))
 )
-_UNDERLYING_EPR_SET = frozenset(
-    SeprSequence(terms)
-    for coarse in _EPR_FORBIDDEN_HERMITIAN
-    for terms in product(*([t for t in SeprTerm if t.underlying is c] for c in coarse))
-)
+_UNDERLYING_EPR_SET = _by_underlying(_EPR_FORBIDDEN_HERMITIAN)
 
-RULE_FAMILIES = (
+_HERMITIAN_FAMILIES = (
+    (RULE_ORDER2_PAIR, _ORDER2_FORBIDDEN),
     (RULE_BRACKET_A, _BRACKET_A_SET),
     (RULE_BRACKET_S, _BRACKET_S_SET),
     (RULE_ORDER2_WINDOW, _ORDER2_WINDOW_SET),
     (RULE_UNDERLYING_EPR, _UNDERLYING_EPR_SET),
 )
+_REAL_FAMILIES = _HERMITIAN_FAMILIES + (
+    (RULE_REAL_NAN_NAS, _by_underlying(_EPR_FORBIDDEN_REAL - _EPR_FORBIDDEN_HERMITIAN)),
+    (RULE_REAL_NAPLUS_ASTAR, (SeprSequence.parse("NA+A*"),)),
+)
+
+
+def _rule_table(families) -> Dict[SeprSequence, str]:
+    """Each pattern of the families mapped to the first rule naming it."""
+    table: Dict[SeprSequence, str] = {}
+    for rule, patterns in families:
+        for pattern in patterns:
+            table.setdefault(pattern, rule)
+    return table
+
+
+_RULES = {
+    Field.HERMITIAN: _rule_table(_HERMITIAN_FAMILIES),
+    Field.REAL_SYMMETRIC: _rule_table(_REAL_FAMILIES),
+}
 
 
 def forbidden_order2(field: Field) -> FrozenSet[SeprSequence]:
     """The four order-2 forbidden patterns (identical for both fields)."""
-    del field
-    return _ORDER2_FORBIDDEN
+    return frozenset(p for p in _RULES[field] if len(p) == 2)
 
 
-@lru_cache(maxsize=None)
 def forbidden_order3(field: Field) -> FrozenSet[SeprSequence]:
     """The order-3 forbidden set: 92 patterns for Hermitian, 101 over the
     reals (the Hermitian set plus the nine real-only patterns)."""
-    hermitian = (
-        _BRACKET_A_SET | _BRACKET_S_SET | _ORDER2_WINDOW_SET | _UNDERLYING_EPR_SET
-    )
-    if field is Field.HERMITIAN:
-        return frozenset(hermitian)
-    return frozenset(hermitian | _NINE_REAL_ONLY)
+    return frozenset(p for p in _RULES[field] if len(p) == 3)
 
 
 def epr_forbidden_order3(field: Field) -> FrozenSet[EprSequence]:
@@ -194,22 +187,20 @@ def classify_sequence(pattern: SeprSequence, field: Field) -> Verdict:
     the first rule that fires."""
     if not isinstance(pattern, SeprSequence):
         raise TypeError("pattern must be a SeprSequence")
-    n = len(pattern)
-    if n == 2:
-        if pattern in _ORDER2_FORBIDDEN:
-            return Verdict(True, RULE_ORDER2_PAIR)
-        return Verdict(False)
-    if n != 3:
-        raise ValueError(f"classification supports orders 2 and 3, not {n}")
-    for rule, patterns in RULE_FAMILIES:
-        if pattern in patterns:
-            return Verdict(True, rule)
-    if field is Field.REAL_SYMMETRIC:
-        if pattern in _NINE_REAL_ONLY:
-            if pattern == _seq("NA+A*"):
-                return Verdict(True, RULE_REAL_NAPLUS_ASTAR)
-            return Verdict(True, RULE_REAL_NAN_NAS)
-    return Verdict(False)
+    if len(pattern) not in (2, 3):
+        raise ValueError(f"classification supports orders 2 and 3, got {len(pattern)}")
+    rule = _RULES[field].get(pattern)
+    return Verdict(rule is not None, rule)
+
+
+_SNA = (EprTerm.S, EprTerm.N, EprTerm.A)
+
+
+def real_sna_starts(coarse: EprSequence) -> List[int]:
+    """The 1-based starts of the window S,N,A inside the first n - 2 terms
+    of a coarse sequence, where no real symmetric matrix has it."""
+    terms = coarse.terms
+    return [p + 1 for p in range(len(terms) - 4) if terms[p : p + 3] == _SNA]
 
 
 class ForbiddenHit(NamedTuple):
@@ -232,28 +223,20 @@ def scan_for_forbidden(sequence: SeprSequence, field: Field) -> List[ForbiddenHi
     sequence computed from an actual matrix of the matching field must
     come back clean.
     """
-    hits: List[ForbiddenHit] = []
-    n = len(sequence)
-    for size in (2, 3):
-        if n < size:
-            continue
-        for pos, window in sequence.windows(size):
-            verdict = classify_sequence(window, field)
-            if verdict.forbidden:
-                hits.append(ForbiddenHit(pos, window, verdict.rule))
-    if n >= 2:
+    rules = _RULES[field]
+    hits = [
+        ForbiddenHit(pos, window, rules[window])
+        for size in (2, 3)
+        for pos, window in sequence.windows(size)
+        if window in rules
+    ]
+    if len(sequence) >= 2:
         head = sequence[0:2]
         if head in INITIAL_FORBIDDEN_PAIRS:
             hits.append(ForbiddenHit(1, head, RULE_INITIAL_PAIR))
-    if field is Field.REAL_SYMMETRIC and n >= 5:
-        coarse = sequence.underlying()
-        sna = (EprTerm.S, EprTerm.N, EprTerm.A)
-        # the window must sit inside the first n-2 terms
-        for p in range(n - 4):
-            if coarse.terms[p : p + 3] == sna:
-                hits.append(
-                    ForbiddenHit(p + 1, EprSequence(sna), RULE_REAL_SNA)
-                )
+    if field is Field.REAL_SYMMETRIC and len(sequence) >= 5:
+        sna = EprSequence(_SNA)
+        hits.extend(ForbiddenHit(p, sna, RULE_REAL_SNA) for p in real_sna_starts(sequence.underlying()))
     return hits
 
 

@@ -96,14 +96,7 @@ def cmd_compute(args) -> int:
 
 def cmd_classify(args) -> int:
     field = parse_field(args.field)
-    pattern = parse_sequence(args.sequence)
-    if len(pattern) not in (2, 3):
-        print(
-            f"error: classification supports orders 2 and 3, got {len(pattern)}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    verdict = classify_sequence(pattern, field)
+    verdict = classify_sequence(parse_sequence(args.sequence), field)
     if verdict.forbidden:
         print(f"FORBIDDEN ({field.human}): {verdict.rule}")
     else:
@@ -128,6 +121,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.family is not None and args.id is not None:
+        print("error: --family and --id are alternatives: give one or neither", file=sys.stderr)
+        return USAGE_ERROR
     try:
         report = verify_all(family=args.family, witness_id=args.id)
     except KeyError as exc:

@@ -36,10 +36,9 @@ from functools import partial
 from operator import methodcaller
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
-from .classify import Field, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
+from .classify import Field, real_sna_starts, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
 from .matrix import HermitianMatrix, MatrixFormatError, SingularMatrixError, _column_deletions, matrix_to_json
 from .sepr import (
-    EprTerm,
     SeprSequence,
     SeprTerm,
     compute_epr,
@@ -218,12 +217,14 @@ check_append_zero = partial(_check_transform, TRANSFORMS["append-zero"])
 check_append_duplicate = partial(_check_transform, TRANSFORMS["duplicate-last"])
 
 
-def check_permutation_invariance(
-    matrix: HermitianMatrix, seq: SeprSequence, rng: random.Random, samples: int = 5
-) -> List[str]:
+# random simultaneous row/column permutations tried per matrix
+PERMUTATION_SAMPLES = 5
+
+
+def check_permutation_invariance(matrix: HermitianMatrix, seq: SeprSequence, rng: random.Random) -> List[str]:
     n = matrix.n
     bad = []
-    for _ in range(samples):
+    for _ in range(PERMUTATION_SAMPLES):
         perm = rng.sample(range(1, n + 1), n)
         got = compute_sepr(matrix.permute(perm))
         if got != seq:
@@ -237,14 +238,12 @@ def check_real_sna_window(matrix: HermitianMatrix) -> List[str]:
     n = matrix.n
     if n < 5 or not matrix.is_real:
         return []
-    coarse = compute_epr(matrix)
-    sna = (EprTerm.S, EprTerm.N, EprTerm.A)
-    for p in range(n - 4):
-        if coarse.terms[p : p + 3] == sna:
-            return [
-                f"coarse S,N,A window at position {p + 1} inside first {n - 2} "
-                f"terms of a real matrix: {_describe(matrix)}"
-            ]
+    starts = real_sna_starts(compute_epr(matrix))
+    if starts:
+        return [
+            f"coarse S,N,A window at position {starts[0]} inside first {n - 2} "
+            f"terms of a real matrix: {_describe(matrix)}"
+        ]
     return []
 
 
@@ -280,12 +279,7 @@ SUITE_CHECKS = (
 )
 
 
-def run_suite(
-    matrix: HermitianMatrix,
-    field: Field,
-    rng: random.Random,
-    permutation_samples: int = 5,
-) -> Tuple[Dict[str, int], List[str]]:
+def run_suite(matrix: HermitianMatrix, field: Field, rng: random.Random) -> Tuple[Dict[str, int], List[str]]:
     """Run every applicable check on one matrix.
 
     Returns (counts, violations): counts maps check names to the number of
@@ -309,10 +303,7 @@ def run_suite(
     if TRANSFORMS["inverse"].applies(seq):
         run("inverse-relation", check_inverse_relation(matrix, seq))
     run("negation-rule", check_negation_rule(matrix, seq))
-    run(
-        "permutation-invariance",
-        check_permutation_invariance(matrix, seq, rng, permutation_samples),
-    )
+    run("permutation-invariance", check_permutation_invariance(matrix, seq, rng))
     run("append-zero", check_append_zero(matrix, seq))
     run("append-duplicate", check_append_duplicate(matrix, seq))
     if field is Field.REAL_SYMMETRIC:

@@ -263,18 +263,14 @@ class HuntReport:
         )
 
 
-def hunt_counterexamples(
-    cfg: SearchConfig, permutation_samples: int = 5
-) -> HuntReport:
+def hunt_counterexamples(cfg: SearchConfig) -> HuntReport:
     """Sample matrices per the configuration and run the full property
     suite (including the forbidden-window scan) on each."""
     report = HuntReport(field=cfg.field, mode=cfg.mode, seed=cfg.seed)
     rng = random.Random(cfg.seed ^ 0x5EB2)  # separate stream for permutations
     for m in _iter_config(cfg):
         report.samples += 1
-        counts, violations = run_suite(
-            m, cfg.field, rng, permutation_samples=permutation_samples
-        )
+        counts, violations = run_suite(m, cfg.field, rng)
         report.merge_counts(counts)
         report.violations.extend(violations)
     return report

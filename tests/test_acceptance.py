@@ -151,7 +151,7 @@ def test_criterion_5_counterexample_hunt(hermitian_hunt, real_hunt):
     cfg = SearchConfig(
         n=3, pool=pool, field=Field.REAL_SYMMETRIC, mode="exhaustive", budget=10**6
     )
-    rep = hunt_counterexamples(cfg, permutation_samples=2)
+    rep = hunt_counterexamples(cfg)
     assert rep.samples == 729
     assert rep.clean
     # exhaustive complex Hermitian 2x2 over {0, +-1, +-i}
@@ -159,7 +159,7 @@ def test_criterion_5_counterexample_hunt(hermitian_hunt, real_hunt):
     cfg = SearchConfig(
         n=2, pool=cpool, field=Field.HERMITIAN, mode="exhaustive", budget=10**6
     )
-    crep = hunt_counterexamples(cfg, permutation_samples=2)
+    crep = hunt_counterexamples(cfg)
     assert crep.samples == 45
     assert crep.clean
     _report(

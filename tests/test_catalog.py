@@ -105,6 +105,11 @@ def test_verify_all_families():
         verify_all(family="Nonexistent")
 
 
+def test_verify_all_refuses_family_with_id():
+    with pytest.raises(ValueError, match="not both"):
+        verify_all(family="VierOne", witness_id="NSFcom.1")
+
+
 def test_full_catalog_verifies_quickly():
     t0 = time.time()
     report = verify_all()

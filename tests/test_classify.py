@@ -1,9 +1,11 @@
 """The forbidden sets are checked three ways: against a literal fixture
 (transcribed independently of the generator), against a from-scratch
-re-derivation of the rule families, and through the documented counting
+re-derivation of the rule families (which also gives each pattern's
+rule, by first match), and through the documented counting
 identities (20 + 12 + 50 + 15 overlapping down to 92, plus the nine
 real-only patterns giving 101)."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -56,23 +58,34 @@ NINE_REAL_ONLY = [
 ALL_TERMS = ["A*", "A+", "A-", "N", "S*", "S+", "S-"]
 
 
-def _rederive_hermitian_order3():
-    """Independent re-derivation of the four rule families."""
-    out = set()
-    for u, v in (("A+", "A+"), ("A-", "A-"), ("S+", "A+"), ("S-", "A-")):
-        for x in ("A*", "N", "S*", "S+", "S-"):
-            out.add(u + x + v)
-    for u, v in (("A+", "S+"), ("A-", "S-"), ("S+", "S+"), ("S-", "S-")):
-        for y in ("A*", "N", "S*"):
-            out.add(u + y + v)
+def _rederive_rules(real):
+    """Independent re-derivation of the rule families: each order-2 and
+    order-3 pattern, as its tuple of term texts, mapped to the first
+    family, in the documented order, whose literal membership test holds."""
     pairs = {"A*N", "NA*", "NS*", "S*N"}
-    for t in product(ALL_TERMS, repeat=3):
-        if t[0] + t[1] in pairs or t[1] + t[2] in pairs:
-            out.add("".join(t))
-        strip = "".join(x[0] for x in t)
-        if strip in ("NNA", "NNS", "NSA"):
-            out.add("".join(t))
-    return out
+    bracket_a = {("A+", "A+"), ("A-", "A-"), ("S+", "A+"), ("S-", "A-")}
+    bracket_s = {("A+", "S+"), ("A-", "S-"), ("S+", "S+"), ("S-", "S-")}
+
+    def coarse(t):
+        return "".join(x[0] for x in t)
+
+    families = [
+        (RULE_ORDER2_PAIR, lambda t: len(t) == 2 and t[0] + t[1] in pairs),
+        (RULE_BRACKET_A, lambda t: len(t) == 3 and (t[0], t[2]) in bracket_a and t[1] in ("A*", "N", "S*", "S+", "S-")),
+        (RULE_BRACKET_S, lambda t: len(t) == 3 and (t[0], t[2]) in bracket_s and t[1] in ("A*", "N", "S*")),
+        (RULE_ORDER2_WINDOW, lambda t: len(t) == 3 and (t[0] + t[1] in pairs or t[1] + t[2] in pairs)),
+        (RULE_UNDERLYING_EPR, lambda t: coarse(t) in ("NNA", "NNS", "NSA")),
+    ]
+    if real:
+        families += [
+            (RULE_REAL_NAN_NAS, lambda t: coarse(t) in ("NAN", "NAS")),
+            (RULE_REAL_NAPLUS_ASTAR, lambda t: t == ("N", "A+", "A*")),
+        ]
+    rules = {}
+    for order in (2, 3):
+        for t in product(ALL_TERMS, repeat=order):
+            rules[t] = next((rule for rule, holds in families if holds(t)), None)
+    return rules
 
 
 def test_order2_sets():
@@ -92,7 +105,8 @@ def test_order3_hermitian_matches_fixture():
 
 def test_order3_hermitian_matches_rederivation():
     got = {str(p) for p in forbidden_order3(Field.HERMITIAN)}
-    assert got == _rederive_hermitian_order3()
+    rules = _rederive_rules(real=False)
+    assert got == {"".join(t) for t, rule in rules.items() if len(t) == 3 and rule}
 
 
 def test_order3_real_is_hermitian_plus_nine():
@@ -151,8 +165,20 @@ def test_classify_rule_precedence():
     assert classify_sequence(parse_sequence("NA+N"), Field.REAL_SYMMETRIC).rule == RULE_REAL_NAN_NAS
 
 
+def test_rule_assignment_matches_rederivation():
+    """Every one of the 49 + 343 patterns gets, in both fields, the rule
+    the literal families give it with first-match precedence."""
+    for field in Field:
+        expected = _rederive_rules(real=field is Field.REAL_SYMMETRIC)
+        assert len(expected) == 49 + 343
+        for terms, rule in expected.items():
+            assert classify_sequence(parse_sequence("".join(terms)), field) == Verdict(rule is not None, rule), terms
+    real_only = Counter(_rederive_rules(real=True).values()) - Counter(_rederive_rules(real=False).values())
+    assert real_only == {RULE_REAL_NAN_NAS: 8, RULE_REAL_NAPLUS_ASTAR: 1}
+
+
 def test_classify_rejects_other_orders():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^classification supports orders 2 and 3, got 4$"):
         classify_sequence(parse_sequence("A+A+A+A+"), Field.HERMITIAN)
     with pytest.raises(ValueError):
         classify_sequence(parse_sequence("N"), Field.HERMITIAN)

@@ -80,7 +80,9 @@ def test_classify(capsys):
     assert main(["classify", "NA+A*", "--field", "hermitian"]) == 0
     assert "NOT FORBIDDEN (hermitian)" in capsys.readouterr().out
     assert main(["classify", "A?A", "--field", "real"]) == 2
+    capsys.readouterr()
     assert main(["classify", "A+A+A+A+", "--field", "real"]) == 2
+    assert capsys.readouterr().err == "error: classification supports orders 2 and 3, got 4\n"
 
 
 def test_enumerate(capsys):
@@ -102,6 +104,14 @@ def test_catalog_verify(capsys):
     out = capsys.readouterr().out
     assert out.count("\tpass") == 2
     assert main(["catalog", "verify", "--id", "Nope.1"]) == 2
+
+
+def test_catalog_verify_refuses_family_with_id(capsys):
+    # NSFcom.1 is not in VierOne: the pair is refused, not narrowed to the id
+    assert main(["catalog", "verify", "--family", "VierOne", "--id", "NSFcom.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --family and --id are alternatives: give one or neither\n"
 
 
 def test_search_cli(capsys):

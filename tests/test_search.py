@@ -193,7 +193,7 @@ def test_hunt_exhaustive_small():
         mode="exhaustive",
         budget=10**6,
     )
-    rep = hunt_counterexamples(cfg, permutation_samples=2)
+    rep = hunt_counterexamples(cfg)
     assert rep.samples == 3**3
     assert rep.clean
 
