@@ -50,10 +50,10 @@ LEAF3 = ("tests/test_matrix.py::test_three_level_leaf_matches_oracle",)
 NON_REAL = ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
-DELETIONS = ("tests/test_matrix.py::test_deletion_branches_match_scratch_elimination",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 INHERITANCE = ("tests/test_properties.py::test_inheritance_names_the_first_wrong_cached_sign",)
 INHERITANCE_CLEAN = ("tests/test_properties.py::test_inheritance_clean_on_random_draws",)
+RANK_DROP = ("tests/test_properties.py::test_rank_drop_names_each_deletion_a_wrong_cached_sign_reaches",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
     "tests/test_search.py::test_singular_completions_emit_510_matrices",
@@ -83,6 +83,22 @@ MUTANTS = (
         "matrix._mask_signs()[: 1 << k]",
         "matrix._mask_signs()[-(1 << k) :]",
         INHERITANCE,
+    ),
+    # the rank-drop check eliminates the principal deletion of i and
+    # reads the table on the masks without i
+    Mutant(
+        "rank-drop-keeps-column-i",
+        PROPERTIES,
+        "[list(row[:i] + row[i + 1 :]) for q, row in enumerate(grid) if q != i]",
+        "[list(row) for q, row in enumerate(grid) if q != i]",
+        ("tests/test_properties.py::test_individual_checks_pass_on_catalog",),
+    ),
+    Mutant(
+        "rank-drop-reads-every-mask",
+        PROPERTIES,
+        "(mask for mask in range(len(table)) if not mask >> i & 1)",
+        "range(len(table))",
+        RANK_DROP,
     ),
     # the one-level leaf of the integer walk, caught by the inheritance
     # check alone: the hunt's own check sees faults in the walk
@@ -288,23 +304,6 @@ MUTANTS = (
         "(i, j, start[r] + t - r)",
         "(j, i, start[r] + t - r)",
         PIVOT,
-    ),
-    # the shared elimination prefix of the rank-drop check
-    Mutant(
-        "deletions-branch-after-column",
-        MATRIX,
-        "        out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))\n"
-        "        state = _eliminate(d, rows, range(j, j + 1), *state)\n",
-        "        state = _eliminate(d, rows, range(j, j + 1), *state)\n"
-        "        out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))\n",
-        DELETIONS,
-    ),
-    Mutant(
-        "deletions-branch-uncopied",
-        MATRIX,
-        "out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))",
-        "out.append(_eliminate(d, rows, range(j + 1, width), *state))",
-        DELETIONS,
     ),
     # the division by the previous pivot in the pair elimination
     Mutant(

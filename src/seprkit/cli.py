@@ -33,8 +33,8 @@ from .sepr import compute_epr, compute_sepr, parse_sequence
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
-# the largest order --order-n and --max-n may ask to generate: a sign walk
-# of an order-n matrix writes 2**n - 1 signs
+# the largest order --order-n may ask to generate: a sign walk of an
+# order-n matrix writes 2**n - 1 signs
 MAX_GENERATED_ORDER = 16
 
 def parse_pool(spec: str, field: Field):
@@ -225,15 +225,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_properties(args) -> int:
-    for flag, value in (("--samples", args.samples), ("--max-n", args.max_n)):
-        if value is not None and value < 1:
-            print(f"error: {flag}: expected an integer ≥ 1, got {value}", file=sys.stderr)
-            return USAGE_ERROR
-    if args.max_n is not None and args.max_n > MAX_GENERATED_ORDER:
-        print(f"error: --max-n: expected an integer ≤ {MAX_GENERATED_ORDER}, got {args.max_n}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.max_n is not None and (args.order_n is not None or args.mode == "exhaustive"):
-        print("error: --max-n applies only to random mode without --order-n", file=sys.stderr)
+    if args.samples < 1:
+        print(f"error: --samples: expected an integer ≥ 1, got {args.samples}", file=sys.stderr)
         return USAGE_ERROR
     field = parse_field(args.field)
     pool = parse_pool(args.pool, field)
@@ -243,7 +236,7 @@ def cmd_properties(args) -> int:
         print("error: exhaustive mode needs --order-n", file=sys.stderr)
         return USAGE_ERROR
     else:
-        n = (1, args.max_n or 6)
+        n = (1, 6)
     cfg = SearchConfig(
         n=n,
         pool=pool,
@@ -306,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("properties", help="randomized property suite / counterexample hunt")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--max-n", type=int, default=None, help="largest random order, 1:K (default 6)")
-    p.add_argument("--order-n", default=None, help="fix the matrix order (or LO:HI)")
+    p.add_argument("--order-n", default=None, help="matrix order, N or LO:HI (default 1:6)")
     _field_arg(p)
     p.add_argument("--pool", default="default")
     p.add_argument("--mode", choices=("random", "exhaustive"), default="random")

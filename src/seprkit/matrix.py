@@ -64,11 +64,7 @@ class SingularMatrixError(ValueError):
 # reads them.  The kernel returns the rank, the sign of its row swaps and
 # the last pivot: a square grid of full rank has determinant sign * last,
 # and on a nonsingular grid augmented with the identity the right half
-# ends as last * grid**-1.  The kernel also takes a column range and a
-# start state (rank, sign, last pivot), so an elimination can advance a
-# column at a time and be copied part way: _column_deletions serves every
-# deletion of a single column from a grid from one elimination, sharing
-# the columns before each deleted one.
+# ends as last * grid**-1.
 # The sign walk (_sign_walk) runs over Z and Z[i]: a depth-first walk over
 # the index sets S in lexicographic order.  It writes each set's sign into
 # a list indexed by mask, whose entries start at 0, so a set the walk
@@ -171,14 +167,12 @@ def _entrywise(grid, d, f):
     return tuple(tuple((f(a), f(b)) for a, b in row) for row in grid)
 
 
-def _eliminate_ints(rows, cols=None, rank=0, sign=1, prev=1):
+def _eliminate_ints(rows):
     """Fraction-free Gauss-Jordan elimination of an integer grid; mutates
-    ``rows``.  Returns (rank, swap sign, last pivot).  It takes the pivot
-    columns in ``cols`` (default: all) from the state (rank, sign, prev),
-    which another call may have left; every update still runs to the
-    grid's last column."""
+    ``rows``.  Returns (rank, swap sign, last pivot)."""
     width = len(rows[0]) if rows else 0
-    for c in range(width) if cols is None else cols:
+    rank, sign, prev = 0, 1, 1
+    for c in range(width):
         if rank == len(rows):
             break
         if rows[rank][c] == 0:
@@ -203,15 +197,15 @@ def _eliminate_ints(rows, cols=None, rank=0, sign=1, prev=1):
     return rank, sign, prev
 
 
-def _eliminate_pairs(rows, d, cols=None, rank=0, sign=1, prev=(1, 0)):
+def _eliminate_pairs(rows, d):
     """_eliminate_ints over Z[sqrt d], entries as (a, b) int pairs; the last
     pivot is a pair too.  Dividing by the previous pivot multiplies by its
     conjugate and divides by its norm; a real one divides directly.  A
     pivot need not be real even for d = -1: after a row swap, or in a grid
     that is not Hermitian."""
     width = len(rows[0]) if rows else 0
-    pa, pb = prev
-    for c in range(width) if cols is None else cols:
+    rank, sign, pa, pb = 0, 1, 1, 0
+    for c in range(width):
         if rank == len(rows):
             break
         if rows[rank][c] == (0, 0):
@@ -254,33 +248,10 @@ def _eliminate_pairs(rows, d, cols=None, rank=0, sign=1, prev=(1, 0)):
     return rank, sign, (pa, pb)
 
 
-def _eliminate(d, rows, cols=None, *state):
-    """(rank, swap sign, last pivot) of a grid in _scale's form, from the
-    pivot columns ``cols`` and the start state (rank, sign, last pivot) as
-    in _eliminate_ints; mutates ``rows``."""
-    return _eliminate_ints(rows, cols, *state) if d == 0 else _eliminate_pairs(rows, d, cols, *state)
-
-
-def _column_deletions(d, rows):
-    """For each column j of a grid in _scale's form, in order, the (rank,
-    swap sign, last pivot) that _eliminate returns on the grid without
-    column j; mutates ``rows``.
-
-    One elimination of the whole grid goes column by column.  Before it
-    takes column j, it copies the columns after j and finishes the copy
-    from the state reached.  An update of a column reads only that column
-    and the pivot column, so up to column j the grid without column j
-    meets the same pivots, swaps and divisions, and from there on its
-    elimination reads only the columns after j.  Each copy thus repeats
-    _eliminate on its deletion, and the columns before j are eliminated
-    once for all later deletions."""
-    width = len(rows[0])
-    state = (0, 1, 1 if d == 0 else (1, 0))
-    out = []
-    for j in range(width):
-        out.append(_eliminate(d, [row[j + 1 :] for row in rows], None, *state))
-        state = _eliminate(d, rows, range(j, j + 1), *state)
-    return out
+def _eliminate(d, rows):
+    """(rank, swap sign, last pivot) of a grid in _scale's form; mutates
+    ``rows``."""
+    return _eliminate_ints(rows) if d == 0 else _eliminate_pairs(rows, d)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,9 @@ its minor table:
 * certain pairs never start a sequence;
 * rank equals the largest order with a nonzero principal minor;
 * all nonzero minors of order rank(B) share one sign;
-* deleting one row and one column lowers rank by at most 2;
+* deleting row and column i leaves a matrix whose elimination rank is
+  the largest order of a nonzero minor on the masks without i, and at
+  least rank - 2;
 * the leading order-(n-2) principal submatrix, walked on its own,
   has the matrix's signs on its masks;
 * the sequence of the inverse is the reversed (and, for negative
@@ -37,7 +39,7 @@ from operator import methodcaller
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .classify import Field, real_sna_starts, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
-from .matrix import HermitianMatrix, MatrixFormatError, SingularMatrixError, _column_deletions, matrix_to_json
+from .matrix import HermitianMatrix, MatrixFormatError, SingularMatrixError, _eliminate, matrix_to_json
 from .sepr import (
     SeprSequence,
     SeprTerm,
@@ -85,12 +87,16 @@ def check_initial_pair(seq: SeprSequence) -> List[str]:
     return []
 
 
+def _largest_nonzero_order(table, masks) -> int:
+    """The largest order of a nonzero sign of ``table`` (indexed by mask)
+    on ``masks``."""
+    return max((mask.bit_count() for mask in masks if table[mask]), default=0)
+
+
 def check_rank_is_principal(matrix: HermitianMatrix) -> List[str]:
     r = matrix.rank()
-    largest = 0
-    for k, signs in enumerate(matrix.minor_signs_by_order(), start=1):
-        if any(s != 0 for s in signs):
-            largest = k
+    table = matrix._mask_signs()
+    largest = _largest_nonzero_order(table, range(len(table)))
     if largest != r:
         return [
             f"elimination rank {r} != largest nonsingular principal order "
@@ -110,22 +116,23 @@ def check_same_sign_at_rank(matrix: HermitianMatrix) -> List[str]:
 
 
 def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
-    n = matrix.n
-    if n < 2:
-        return []
+    """Deleting row and column i leaves a Hermitian matrix, whose rank by
+    elimination must be the largest order of a nonzero minor in the
+    matrix's table on the masks without i, and at least rank - 2.  Over Z
+    and Z[i] the elimination shares no code with the walk that wrote the
+    table, so each kernel checks the other; each bad i gets one message."""
     r = matrix.rank()
-    if r <= 2:
-        return []
-    bad = []
+    table = matrix._mask_signs()
     d, grid = matrix._d, matrix._grid
-    for i in range(n):
-        rows = [list(row) for q, row in enumerate(grid) if q != i]
-        for j, (rank, _, _) in enumerate(_column_deletions(d, rows)):
-            if rank < r - 2:
-                bad.append(
-                    f"deleting row {i + 1}, column {j + 1} dropped rank below "
-                    f"{r - 2} for {_describe(matrix)}"
-                )
+    bad = []
+    for i in range(matrix.n):
+        rank = _eliminate(d, [list(row[:i] + row[i + 1 :]) for q, row in enumerate(grid) if q != i])[0]
+        largest = _largest_nonzero_order(table, (mask for mask in range(len(table)) if not mask >> i & 1))
+        if rank != largest or rank < r - 2:
+            bad.append(
+                f"deleting row and column {i + 1} leaves elimination rank {rank}, largest "
+                f"nonsingular principal order {largest}, matrix rank {r}: {_describe(matrix)}"
+            )
     return bad
 
 

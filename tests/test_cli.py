@@ -221,9 +221,8 @@ def test_usage_errors(capsys):
     for spec in ("abc", "1:x"):
         assert main(["properties", "--field", "real", "--order-n", spec]) == 2
         assert f"error: --order-n: expected N or LO:HI, got '{spec}'" in capsys.readouterr().err
-    for flag in ("--samples", "--max-n"):
-        assert main(["properties", "--field", "real", flag, "0"]) == 2
-        assert f"error: {flag}: expected an integer ≥ 1, got 0" in capsys.readouterr().err
+    assert main(["properties", "--field", "real", "--samples", "0"]) == 2
+    assert "error: --samples: expected an integer ≥ 1, got 0" in capsys.readouterr().err
     # a sign walk writes 2**n - 1 signs, so generated orders stop at
     # MAX_GENERATED_ORDER, before any matrix is drawn
     top = MAX_GENERATED_ORDER + 1
@@ -238,8 +237,9 @@ def test_usage_errors(capsys):
         for argv in (search, ["properties", "--field", "real", "--order-n", spec]):
             assert main(argv) == 2
             assert f"error: --order-n: expected {expected}, got '{spec}'" in capsys.readouterr().err
-    assert main(["properties", "--field", "real", "--max-n", str(top)]) == 2
-    assert capsys.readouterr() == ("", f"error: --max-n: expected an integer ≤ {MAX_GENERATED_ORDER}, got {top}\n")
+    # --order-n 1:K is the only way to bound the random orders
+    assert main(["properties", "--field", "real", "--samples", "1", "--max-n", "3"]) == 2
+    assert "error: unrecognized arguments: --max-n 3" in capsys.readouterr().err
     for flag, message in (("--id", "unknown witness id 'nope'"), ("--family", "unknown family 'nope'")):
         assert main(["catalog", "verify", flag, "nope"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -250,14 +250,10 @@ def test_usage_errors(capsys):
                   ["--order-n", "3"], ["--subsequence"], ["--pool", "default"], ["--budget", "10"]):
         assert main(census + extra) == 2
         assert capsys.readouterr() == ("", f"error: {extra[0]} does not apply to --census\n")
-    # and the census's --order, or --max-n beside a fixed order, is refused too
+    # and the census's --order is refused too
     search = ["search", "--target", "NN", "--order-n", "2", "--field", "real", "--pool", "0", "--mode", "exhaustive"]
     assert main(search + ["--order", "3"]) == 2
     assert capsys.readouterr() == ("", "error: --order applies only to --census\n")
-    properties = ["properties", "--field", "real", "--samples", "2", "--max-n", "3"]
-    for extra in (["--order-n", "2"], ["--mode", "exhaustive", "--order-n", "1"]):
-        assert main(properties + extra) == 2
-        assert capsys.readouterr() == ("", "error: --max-n applies only to random mode without --order-n\n")
 
 
 def test_census_rejects_non_real_pool_for_real_field(capsys):
@@ -374,6 +370,9 @@ def test_order_n_range_of_one_order_is_that_order(capsys):
     ):
         assert main(command + ["--order-n", "2:3"]) == 2
         assert capsys.readouterr() == ("", "error: --order-n: exhaustive mode needs a fixed order, got '2:3'\n")
+    # and the hunt's default orders 1:6 are random-mode only
+    assert main(["properties", "--field", "real", "--mode", "exhaustive"]) == 2
+    assert capsys.readouterr() == ("", "error: exhaustive mode needs --order-n\n")
 
 
 def test_each_witness_is_built_once_per_process(monkeypatch, capsys):

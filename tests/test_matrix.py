@@ -499,7 +499,7 @@ def test_sign_walk_rejects_non_real_minor(case):
 @given(data=st.data())
 def test_grid_rank_matches_oracle(kind, data):
     # the elimination kernel on a rectangular grid that need not be
-    # Hermitian, as the rank-drop check's deletions give it
+    # Hermitian; in the package only inverse()'s augmented grid is one
     grid = data.draw(_grid(kind))
     n_rows, n_cols = len(grid), len(grid[0])
     largest = 0
@@ -558,43 +558,6 @@ def test_rank_drop_on_deletion_random():
             for j in range(n):
                 deleted = [list(row[:j] + row[j + 1 :]) for row in grid[:i] + grid[i + 1 :]]
                 assert matrix_module._eliminate(d, deleted)[0] >= r - 2
-
-
-@pytest.mark.parametrize("kind", sorted(_ENTRIES))
-def test_deletion_branches_match_scratch_elimination(kind):
-    # _column_deletions eliminates the columns before j once for every
-    # deletion of a later column; each branch must repeat _eliminate on the
-    # grid without column j: the same rank, swap sign and last pivot.
-    # Low-rank draws, zero rows and columns and small entries make skipped
-    # columns and row swaps common, and Gaussian swaps non-real pivots.
-    rng = random.Random(1977)
-    unit = {"real": Gauss(0), "gaussian": _I, "sqrt5": _R5}[kind]
-
-    def entry():
-        return rng.randint(-2, 2) + rng.randint(-2, 2) * unit
-
-    for _ in range(150):
-        n, style = rng.randint(2, 7), rng.choice(("dense", "low-rank", "zero-column"))
-        if style == "low-rank":
-            vs = [[entry() for _ in range(n)] for _ in range(rng.randint(1, n - 1))]
-            rows = product(list(zip(*vs)), [[v.conj() for v in row] for row in vs])
-        else:
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = entry() if kind == "sqrt5" else rng.randint(-2, 2)
-                for j in range(i + 1, n):
-                    rows[i][j] = entry()
-                    rows[j][i] = rows[i][j].conj()
-            if style == "zero-column":
-                k = rng.randrange(n)
-                for j in range(n):
-                    rows[k][j] = rows[j][k] = 0
-        m = matrix_of(rows)
-        d, grid = m._d, m._grid
-        for i in range(n):
-            shared = [list(row) for q, row in enumerate(grid) if q != i]
-            expected = [matrix_module._eliminate(d, [row[:j] + row[j + 1 :] for row in shared]) for j in range(n)]
-            assert matrix_module._column_deletions(d, shared) == expected, (style, grid, i)
 
 
 def test_same_sign_at_rank_random():

@@ -3,7 +3,6 @@ import random
 from conftest import random_hermitian
 from seprkit.catalog import build_witness, witness_ids
 from seprkit.classify import Field
-from seprkit import properties
 from seprkit.matrix import HermitianMatrix, matrix_to_json
 from seprkit.properties import (
     SUITE_CHECKS,
@@ -78,16 +77,21 @@ def test_individual_checks_pass_on_catalog():
         assert check_permutation_invariance(m, s, rng) == []
 
 
-def test_rank_drop_lists_every_deletion_in_order(monkeypatch):
-    # Negative control: with every branch of the shared elimination
-    # reporting rank 0, each of the n**2 deletions of a rank-4 matrix is a
-    # violation, listed row by row with its located message.
-    m = HermitianMatrix.diagonal([1, -1, 2, 3])
-    monkeypatch.setattr(properties, "_column_deletions", lambda d, rows: [(0, 1, 1)] * len(rows[0]))
+def test_rank_drop_names_each_deletion_a_wrong_cached_sign_reaches():
+    # Negative control: one wrong sign planted in the cached table at mask
+    # 0x6 (the minor on indices 2 and 3, truly 0) raises the largest
+    # nonzero order to 2 inside the two deletions whose masks hold 0x6,
+    # those of indices 1 and 4, while their eliminations still give rank
+    # 0 and 1.  Deleting index 2 or 3 never reads mask 0x6.
+    m = HermitianMatrix.diagonal([1, 0, 0, 0])
+    table = list(m._mask_signs())
+    assert table[0x6] == 0
+    table[0x6] = 1
+    object.__setattr__(m, "_minor_cache", table)
     assert check_rank_drop_on_deletion(m) == [
-        f"deleting row {i}, column {j} dropped rank below 2 for {matrix_to_json(m)}"
-        for i in range(1, 5)
-        for j in range(1, 5)
+        f"deleting row and column {i} leaves elimination rank {rank}, largest "
+        f"nonsingular principal order 2, matrix rank 1: {matrix_to_json(m)}"
+        for i, rank in ((1, 0), (4, 1))
     ]
 
 
