@@ -53,6 +53,8 @@ LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 INHERITANCE = ("tests/test_properties.py::test_inheritance_names_the_first_wrong_cached_sign",)
 INHERITANCE_CLEAN = ("tests/test_properties.py::test_inheritance_clean_on_random_draws",)
+PERMUTATION = ("tests/test_properties.py::test_permutation_names_the_first_wrong_cached_sign",)
+PERMUTATION_CLEAN = ("tests/test_properties.py::test_permutation_clean_on_random_draws",)
 RANK_DROP = ("tests/test_properties.py::test_rank_drop_names_each_deletion_a_wrong_cached_sign_reaches",)
 COMPLETIONS = (
     "tests/test_search.py::test_singular_completions_are_singular",
@@ -99,6 +101,22 @@ MUTANTS = (
         "(mask for mask in range(len(table)) if not mask >> i & 1)",
         "range(len(table))",
         RANK_DROP,
+    ),
+    # the permutation check compares the permuted copy's table at mask M
+    # with the matrix's table at the image of M
+    Mutant(
+        "permutation-image-from-inverse",
+        PROPERTIES,
+        "for p in perm:",
+        "for p in sorted(range(1, n + 1), key=lambda k: perm[k - 1]):",
+        PERMUTATION,
+    ),
+    Mutant(
+        "permutation-reads-own-mask",
+        PROPERTIES,
+        "if sign != table[image[mask]]:",
+        "if sign != table[mask]:",
+        PERMUTATION_CLEAN,
     ),
     # the one-level leaf of the integer walk, caught by the inheritance
     # check alone: the hunt's own check sees faults in the walk

@@ -74,7 +74,7 @@ def test_individual_checks_pass_on_catalog():
         assert check_same_sign_at_rank(m) == []
         assert check_rank_drop_on_deletion(m) == []
         assert check_inheritance(m) == []
-        assert check_permutation_invariance(m, s, rng) == []
+        assert check_permutation_invariance(m, rng) == []
 
 
 def test_rank_drop_names_each_deletion_a_wrong_cached_sign_reaches():
@@ -166,3 +166,32 @@ def test_inheritance_clean_on_random_draws():
         for _ in range(200):
             m = random_matrix(rng, rng.randint(1, 7), scaled)
             assert check_inheritance(m) == []
+
+
+def test_permutation_names_the_first_wrong_cached_sign():
+    # Negative control: random.Random(0) draws the permutation [4, 2, 1, 3],
+    # which carries mask 0x6 (indices 2 and 3) of the permuted copy to mask
+    # 0x3 (indices 2 and 1) of the matrix.  One wrong sign planted in the
+    # cached table at mask 0x3 (the leading 2 x 2 minor, -3) disagrees with
+    # the permuted walk there, and the message names both masks.
+    m = HermitianMatrix([[2, 1, 0, 1], [1, -1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 3]])
+    table = list(m._mask_signs())
+    assert table[0x3] == -1
+    table[0x3] = 1
+    object.__setattr__(m, "_minor_cache", table)
+    assert check_permutation_invariance(m, random.Random(0)) == [
+        "permutation [4, 2, 1, 3] has sign -1 at mask 0x6, the matrix's table 1 "
+        f"at mask 0x3: {matrix_to_json(m)}"
+    ]
+
+
+def test_permutation_clean_on_random_draws():
+    # Positive control: the walk of a randomly permuted copy agrees with the
+    # matrix's own walk at the image of every mask, on draws from both
+    # default pools at orders 1 to 7.
+    rng = random.Random(11)
+    for pool in (REAL_DEFAULT_POOL, COMPLEX_DEFAULT_POOL):
+        scaled = grid_pool(pool)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 7), scaled)
+            assert check_permutation_invariance(m, rng) == []
