@@ -51,6 +51,7 @@ NON_REAL = ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
+TABLE_RULES = ("tests/test_sepr.py::test_table_rules_refine_sequence_rules",)
 INHERITANCE = ("tests/test_properties.py::test_inheritance_names_the_first_wrong_cached_sign",)
 INHERITANCE_CLEAN = ("tests/test_properties.py::test_inheritance_clean_on_random_draws",)
 PERMUTATION = ("tests/test_properties.py::test_permutation_names_the_first_wrong_cached_sign",)
@@ -98,8 +99,8 @@ MUTANTS = (
     Mutant(
         "rank-drop-reads-every-mask",
         PROPERTIES,
-        "(mask for mask in range(len(table)) if not mask >> i & 1)",
-        "range(len(table))",
+        "next(mask for mask in nonzero if not mask >> i & 1)",
+        "nonzero[0]",
         RANK_DROP,
     ),
     # the permutation check compares the permuted copy's table at mask M
@@ -459,21 +460,21 @@ MUTANTS = (
         "t.rule(seq),",
         ("tests/test_search.py::test_census_transforms_match_their_rules",),
     ),
-    # the hunt's four transform checks share one comparison
+    # the hunt's four transform checks share one table comparison
     Mutant(
         "transform-check-never-fails",
         PROPERTIES,
-        "if got != expected:",
-        "if False:",
+        "if got == expected:",
+        "if True:",
         ("tests/test_properties.py::test_suite_catches_seeded_defect",),
     ),
-    # the sequence rules the property checks and the census read
+    # the sequence rules the census reads, which the table rules refine
     Mutant(
         "direct-sum-without-empty-minor",
         SEPR,
         "return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)",
         "return (frozenset(),) + tuple(t.signs for t in seq.terms)",
-        ("tests/test_sepr.py::test_direct_sum_rule_matches_engine",),
+        ("tests/test_sepr.py::test_direct_sum_rule_matches_engine", *TABLE_RULES),
     ),
     Mutant(
         "classify-signs-drops-unknown-values",
@@ -487,21 +488,50 @@ MUTANTS = (
         SEPR,
         "t.negated if k % 2 else t",
         "t if k % 2 else t.negated",
-        TRANSFORM_RULES,
+        TRANSFORM_RULES + TABLE_RULES,
     ),
     Mutant(
         "inverse-without-swap",
         SEPR,
         "    if last is SeprTerm.A_MINUS:\n",
         "    if False:\n",
-        TRANSFORM_RULES,
+        TRANSFORM_RULES + TABLE_RULES,
     ),
     Mutant(
         "duplicate-last-weakens-term-1",
         SEPR,
         "[first] + [classify_signs(t.signs | {0}) for t in rest]",
         "[classify_signs(t.signs | {0}) for t in seq.terms]",
-        TRANSFORM_RULES,
+        TRANSFORM_RULES + TABLE_RULES,
+    ),
+    # the table rules the hunt's transform checks read
+    Mutant(
+        "negation-table-negates-even-orders",
+        SEPR,
+        "-sign if mask.bit_count() & 1 else sign",
+        "sign if mask.bit_count() & 1 else -sign",
+        TABLE_RULES,
+    ),
+    Mutant(
+        "append-zero-table-repeats-the-table",
+        SEPR,
+        "return table + [0] * len(table)",
+        "return table + table",
+        TABLE_RULES,
+    ),
+    Mutant(
+        "duplicate-last-table-keeps-both-copies",
+        SEPR,
+        "return table + table[h:] + [0] * h",
+        "return table + table[h:] + table[h:]",
+        TABLE_RULES,
+    ),
+    Mutant(
+        "inverse-table-ignores-determinant-sign",
+        SEPR,
+        "return table[::-1] if table[-1] > 0 else [-sign for sign in reversed(table)]",
+        "return table[::-1]",
+        TABLE_RULES,
     ),
 )
 

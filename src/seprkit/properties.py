@@ -5,9 +5,11 @@ Each check inspects one matrix and returns a list of violation messages
 mathematically guaranteed, so any violation indicates a defect in the
 exact arithmetic, the minor enumeration, or the classification logic.
 The transform checks and the census in ``search`` read one table,
-``TRANSFORMS``, which pairs each transform with the rule of ``sepr``
-that predicts its sequence from the parent's sequence alone, never from
-its minor table:
+``TRANSFORMS``, which pairs each transform with two rules of ``sepr``:
+the hunt compares the built matrix's walked sign table with the table
+rule applied to the operand's walked table, and the census predicts the
+built matrix's sequence from the operand's sequence by the sequence rule.
+The checks:
 
 * the last term of a sequence is always A+, A- or N;
 * two consecutive N terms force N forever after;
@@ -19,13 +21,14 @@ its minor table:
   least rank - 2;
 * the leading order-(n-2) principal submatrix, walked on its own,
   has the matrix's signs on its masks;
-* the sequence of the inverse is the reversed (and, for negative
-  determinant, sign-swapped) sequence;
-* negating the matrix swaps + and - exactly on odd orders;
+* the minor of the inverse at a mask is the minor at its complement
+  times the determinant's sign;
+* negating the matrix negates exactly the odd-order minors;
 * a simultaneous row/column permutation carries the minor at each mask
   to the matrix's minor at the mask's image;
-* bordering with a zero row/column weakens every A to S and appends N;
-* duplicating the last row/column does the same from the second term on;
+* bordering with a zero row/column keeps every minor and adds zero ones;
+* duplicating the last row/column repeats every minor that holds the last
+  index with the copy in its place, and zeroes those that hold both;
 * over the reals, the coarse S,N,A window never fits in the first n-2
   terms;
 * no forbidden window ever appears;
@@ -36,20 +39,32 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import compress
 from operator import methodcaller
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from .classify import Field, real_sna_starts, scan_for_forbidden, INITIAL_FORBIDDEN_PAIRS
-from .matrix import HermitianMatrix, MatrixFormatError, SingularMatrixError, _eliminate, matrix_to_json
+from .matrix import (
+    HermitianMatrix,
+    MatrixFormatError,
+    SingularMatrixError,
+    _eliminate,
+    _order_masks,
+    matrix_to_json,
+)
 from .sepr import (
     SeprSequence,
     SeprTerm,
+    append_zero_table,
     compute_epr,
     compute_sepr,
     direct_sum_rule,
     duplicate_last_rule,
+    duplicate_last_table,
     inverse_rule,
+    inverse_table,
     negation_rule,
+    negation_table,
 )
 
 
@@ -88,16 +103,10 @@ def check_initial_pair(seq: SeprSequence) -> List[str]:
     return []
 
 
-def _largest_nonzero_order(table, masks) -> int:
-    """The largest order of a nonzero sign of ``table`` (indexed by mask)
-    on ``masks``."""
-    return max((mask.bit_count() for mask in masks if table[mask]), default=0)
-
-
 def check_rank_is_principal(matrix: HermitianMatrix) -> List[str]:
     r = matrix.rank()
     table = matrix._mask_signs()
-    largest = _largest_nonzero_order(table, range(len(table)))
+    largest = max(map(int.bit_count, compress(range(len(table)), table)))
     if largest != r:
         return [
             f"elimination rank {r} != largest nonsingular principal order "
@@ -110,7 +119,8 @@ def check_same_sign_at_rank(matrix: HermitianMatrix) -> List[str]:
     r = matrix.rank()
     if r == 0:
         return []
-    signs = {s for s in matrix.minor_signs_by_order()[r - 1] if s != 0}
+    table = matrix._mask_signs()
+    signs = {table[mask] for mask in _order_masks(matrix.n)[r - 1]} - {0}
     if len(signs) > 1:
         return [f"mixed signs among order-{r} (rank) minors of {_describe(matrix)}"]
     return []
@@ -121,14 +131,18 @@ def check_rank_drop_on_deletion(matrix: HermitianMatrix) -> List[str]:
     elimination must be the largest order of a nonzero minor in the
     matrix's table on the masks without i, and at least rank - 2.  Over Z
     and Z[i] the elimination shares no code with the walk that wrote the
-    table, so each kernel checks the other; each bad i gets one message."""
+    table, so each kernel checks the other; each bad i gets one message.
+    The nonzero masks are sorted once, largest order first, so the first
+    one without i has the largest order (mask 0, the empty minor, lacks
+    every i)."""
     r = matrix.rank()
     table = matrix._mask_signs()
+    nonzero = sorted(compress(range(len(table)), table), key=int.bit_count, reverse=True)
     d, grid = matrix._d, matrix._grid
     bad = []
     for i in range(matrix.n):
         rank = _eliminate(d, [list(row[:i] + row[i + 1 :]) for q, row in enumerate(grid) if q != i])[0]
-        largest = _largest_nonzero_order(table, (mask for mask in range(len(table)) if not mask >> i & 1))
+        largest = next(mask for mask in nonzero if not mask >> i & 1).bit_count()
         if rank != largest or rank < r - 2:
             bad.append(
                 f"deleting row and column {i + 1} leaves elimination rank {rank}, largest "
@@ -165,15 +179,17 @@ def not_invertible(last: SeprTerm, where: str) -> str:
 
 
 class Transform(NamedTuple):
-    """A matrix transform whose sequence a rule of ``sepr`` predicts from
-    its operand's sequence alone.  ``build`` looks its HermitianMatrix
-    method up when called, so a patched or wrapped method is the one run."""
+    """A matrix transform whose sign table a rule of ``sepr`` predicts from
+    its operand's table, and whose sequence another predicts from its
+    operand's sequence alone.  ``build`` looks its HermitianMatrix method
+    up when called, so a patched or wrapped method is the one run."""
 
     check: str  # the hunt's check name
     tag: str  # the census's source tag
     build: Callable[[HermitianMatrix], HermitianMatrix]
-    rule: Callable[[SeprSequence], SeprSequence]
-    message: str  # the hunt's violation, formatted with got, expected and matrix
+    rule: Callable[[SeprSequence], SeprSequence]  # the census's prediction
+    table: Callable[[list], list]  # the hunt's prediction
+    image: str  # the built matrix, as the hunt's violation names it
     applies: Callable[[SeprSequence], bool] = lambda seq: True
 
 
@@ -184,20 +200,18 @@ TRANSFORMS: Dict[str, Transform] = {
     t.tag: t
     for t in (
         Transform(
-            "negation-rule", "negate", methodcaller("negate"), negation_rule,
-            "negated matrix gave {got}, expected {expected}: {matrix}",
+            "negation-rule", "negate", methodcaller("negate"), negation_rule, negation_table, "negated matrix"
         ),
         Transform(
             "append-zero", "append-zero", lambda m: m.direct_sum(HermitianMatrix.zero(1)),
-            lambda seq: direct_sum_rule(seq, _ZERO_1), "zero append gave {got}, expected {expected}: {matrix}",
+            lambda seq: direct_sum_rule(seq, _ZERO_1), append_zero_table, "zero-appended matrix",
         ),
         Transform(
             "append-duplicate", "duplicate-last", methodcaller("duplicate_last"), duplicate_last_rule,
-            "last-row duplication gave {got}, expected {expected}: {matrix}",
+            duplicate_last_table, "last-row duplicate",
         ),
         Transform(
-            "inverse-relation", "inverse", methodcaller("inverse"), inverse_rule,
-            "inverse sequence {got} != expected {expected} for {matrix}",
+            "inverse-relation", "inverse", methodcaller("inverse"), inverse_rule, inverse_table, "inverse",
             lambda seq: seq.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS),
         ),
     )
@@ -205,18 +219,24 @@ TRANSFORMS: Dict[str, Transform] = {
 
 
 def _check_transform(transform: Transform, matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
-    """The transformed matrix's sequence is the rule's prediction from seq."""
+    """The built matrix's walked sign table is the table rule applied to
+    the matrix's own walked table; ``seq`` only says whether the transform
+    applies.  The two walks check each other, and the first differing mask
+    is reported."""
     if not transform.applies(seq):
         return []
     try:
         image = transform.build(matrix)
     except SingularMatrixError:
         return [not_invertible(seq.terms[-1], _describe(matrix))]
-    got = compute_sepr(image)
-    expected = transform.rule(seq)
-    if got != expected:
-        return [transform.message.format(got=got, expected=expected, matrix=_describe(matrix))]
-    return []
+    got, expected = image._mask_signs(), transform.table(matrix._mask_signs())
+    if got == expected:
+        return []
+    mask = next(m for m, (g, e) in enumerate(zip(got, expected)) if g != e)
+    return [
+        f"{transform.image} has sign {got[mask]} at mask {mask:#x}, the table rule gives "
+        f"{expected[mask]}: {_describe(matrix)}"
+    ]
 
 
 check_inverse_relation = partial(_check_transform, TRANSFORMS["inverse"])

@@ -32,8 +32,9 @@ catalog bases it climbs a fixed ladder of transforms, sweeps,
 duplicate-last constructions, det = 0 completions and direct sums (see
 attainability_census), so its report depends on nothing but the order
 and the field.  Transforms and duplicate-last constructions are predicted
-by the rules of seprkit.properties.TRANSFORMS, the table the hunt's
-transform checks read, and direct sums by seprkit.sepr's direct_sum_rule.
+by the sequence rules of seprkit.properties.TRANSFORMS, the table whose
+table rules the hunt's transform checks read, and direct sums by
+seprkit.sepr's direct_sum_rule.
 All pass one gate: each prediction is scanned for forbidden windows, and a
 matrix is built and walked only when its prediction holds a pattern still
 missing.  Every witness the census reports is a matrix it built and walked.

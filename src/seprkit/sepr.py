@@ -37,6 +37,19 @@ no matrix at hand (signs_0 = {+} is the empty minor):
   and the others are B's, so every later term gains 0; the top minor is 0.
 
 Bordering with a zero row and column is the direct sum with the sequence N.
+
+Each law holds minor by minor before any summary is taken, so it also maps
+the operand's sign table T (indexed by mask, bit i for index i + 1, with
+T[0] = 1 the empty minor) to the built matrix's table:
+
+* negation: T(M) (-1)^|M|;
+* bordering with a zero: T on the masks without the new index, 0 on the
+  masks with it;
+* duplicating the last row and column: T on the masks without the copy;
+  a mask with the copy but not the original reads T at the mask with the
+  original in its place, and a mask with both is 0;
+* inverse, by Jacobi's identity det(B^-1[a]) det(B) = det(B[a']): the mask
+  M reads T(full - M) T(full), full the mask of every index.
 """
 
 from __future__ import annotations
@@ -274,7 +287,8 @@ def parse_sequence(text: str) -> SeprSequence:
 
 
 # ---------------------------------------------------------------------------
-# transform rules: a built matrix's sequence from the sequences of its parts
+# transform rules: a built matrix's sequence from the sequences of its parts,
+# and its sign table from its operand's
 # ---------------------------------------------------------------------------
 
 
@@ -295,9 +309,19 @@ def direct_sum_rule(a: SeprSequence, b: SeprSequence) -> SeprSequence:
     )
 
 
+def append_zero_table(table: list) -> list:
+    """The sign table of B bordered with a zero row and column, from B's."""
+    return table + [0] * len(table)
+
+
 def negation_rule(seq: SeprSequence) -> SeprSequence:
     """The sequence of -B: + and - swap on odd orders."""
     return SeprSequence(t.negated if k % 2 else t for k, t in enumerate(seq.terms, start=1))
+
+
+def negation_table(table: list) -> list:
+    """The sign table of -B from B's: the sign at M times (-1)^|M|."""
+    return [-sign if mask.bit_count() & 1 else sign for mask, sign in enumerate(table)]
 
 
 def inverse_rule(seq: SeprSequence) -> SeprSequence:
@@ -312,8 +336,22 @@ def inverse_rule(seq: SeprSequence) -> SeprSequence:
     return SeprSequence(front[::-1] + [last])
 
 
+def inverse_table(table: list) -> list:
+    """The sign table of B^-1 from B's, for B nonsingular: the sign at the
+    complement of each mask, times the determinant's sign."""
+    return table[::-1] if table[-1] > 0 else [-sign for sign in reversed(table)]
+
+
 def duplicate_last_rule(seq: SeprSequence) -> SeprSequence:
     """The sequence of B with its last row and column duplicated: term 1
     kept, 0 added to every later term's signs, then N."""
     first, *rest = seq.terms
     return SeprSequence([first] + [classify_signs(t.signs | {0}) for t in rest] + [SeprTerm.N])
+
+
+def duplicate_last_table(table: list) -> list:
+    """The sign table of B with its last row and column duplicated, from
+    B's: a mask with the copy reads the original's mask, 0 if it holds
+    both."""
+    h = len(table) // 2
+    return table + table[h:] + [0] * h

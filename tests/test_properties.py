@@ -21,7 +21,7 @@ from seprkit.properties import (
     run_suite,
 )
 from seprkit.search import COMPLEX_DEFAULT_POOL, REAL_DEFAULT_POOL, grid_pool, random_matrix
-from seprkit.sepr import SeprSequence, compute_sepr, parse_sequence
+from seprkit.sepr import compute_sepr, parse_sequence
 
 
 def test_transform_oracles_on_known_matrices():
@@ -37,12 +37,25 @@ def test_transform_oracles_on_known_matrices():
     assert check_append_duplicate(i2, compute_sepr(i2)) == []
 
 
+def _plant(matrix, mask, sign):
+    """A fresh copy of ``matrix`` whose cached sign table reads ``sign`` at
+    ``mask``, which the true table does not."""
+    copy = HermitianMatrix._of(matrix._d, matrix._scale, matrix._grid)
+    table = list(copy._mask_signs())
+    assert table[mask] != sign
+    table[mask] = sign
+    object.__setattr__(copy, "_minor_cache", table)
+    return copy
+
+
 def test_violation_on_sqrt5_matrix_names_it():
     # an irrational Q(sqrt 5) entry has no JSON form, so a violation names
-    # the matrix by its repr instead of failing to describe it
-    m = build_witness("VierFour.9")
-    (message,) = check_append_duplicate(m, SeprSequence.parse("A+A+A+A+"))
-    assert message.startswith("last-row duplication gave S*S*S*S+N, expected A+S+S+S+N: ")
+    # the matrix by its repr instead of failing to describe it; the wrong
+    # sign is planted in a copy, never in the catalog's cached witness
+    w = build_witness("VierFour.9")
+    m = _plant(w, 0x2, 1)
+    (message,) = check_append_duplicate(m, compute_sepr(w))
+    assert message.startswith("last-row duplicate has sign -1 at mask 0x2, the table rule gives 1: ")
     assert message.endswith(repr(m))
 
 
@@ -135,11 +148,40 @@ def test_suite_random_small():
 
 
 def test_suite_catches_seeded_defect():
-    """Negative control: a wrong 'claimed' sequence trips the oracles."""
-    m = HermitianMatrix.diagonal([1, -1, -1, 0])
-    wrong = parse_sequence("S*S*S-N")
-    assert check_append_zero(m, wrong) != []
-    assert check_negation_rule(m, wrong) != []
+    # Negative control: one wrong sign planted in the cached table at mask
+    # 0x3 (the leading 2 x 2 minor, -3) makes every table rule predict 1
+    # where the built matrix's own walk has -1 on that mask; the inverse
+    # reads it at the complement 0xc, times the negative determinant's sign.
+    m = _plant(HermitianMatrix([[2, 1, 0, 1], [1, -1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 3]]), 0x3, 1)
+    seq = parse_sequence("S*S*A-A-")
+    described = matrix_to_json(m)
+    assert check_negation_rule(m, seq) == [
+        f"negated matrix has sign -1 at mask 0x3, the table rule gives 1: {described}"
+    ]
+    assert check_append_zero(m, seq) == [
+        f"zero-appended matrix has sign -1 at mask 0x3, the table rule gives 1: {described}"
+    ]
+    assert check_append_duplicate(m, seq) == [
+        f"last-row duplicate has sign -1 at mask 0x3, the table rule gives 1: {described}"
+    ]
+    assert check_inverse_relation(m, seq) == [
+        f"inverse has sign 1 at mask 0xc, the table rule gives -1: {described}"
+    ]
+
+
+def test_transform_tables_clean_on_random_draws():
+    # Positive control: each built matrix's walk agrees with its table rule
+    # applied to the operand's walk, on draws from both default pools at
+    # orders 1 to 7.
+    rng = random.Random(11)
+    checks = (check_negation_rule, check_append_zero, check_append_duplicate, check_inverse_relation)
+    for pool in (REAL_DEFAULT_POOL, COMPLEX_DEFAULT_POOL):
+        scaled = grid_pool(pool)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 7), scaled)
+            seq = compute_sepr(m)
+            for check in checks:
+                assert check(m, seq) == []
 
 
 def test_inheritance_names_the_first_wrong_cached_sign():

@@ -7,20 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import Gauss, matrix_of, random_hermitian
-from seprkit.matrix import HermitianMatrix
+from seprkit.matrix import HermitianMatrix, _order_masks, _signs_by_order
 from seprkit.sepr import (
     EprSequence,
     SeprSequence,
     SeprTerm,
     SequenceParseError,
+    append_zero_table,
     classify_signs,
     compute_epr,
     compute_sepr,
     direct_sum_rule,
     duplicate_last_rule,
+    duplicate_last_table,
     inverse_rule,
+    inverse_table,
     negation_rule,
+    negation_table,
     parse_sequence,
+    sepr_terms,
 )
 
 sepr_sequences = st.lists(st.sampled_from(list(SeprTerm)), min_size=1, max_size=8).map(
@@ -203,3 +208,33 @@ def test_append_zero_is_the_direct_sum_with_n():
     zero = SeprSequence((SeprTerm.N,))
     for s, m in reached.items():
         assert direct_sum_rule(s, zero) == compute_sepr(m.direct_sum(HermitianMatrix.zero(1)))
+
+
+def _sequence(table):
+    """The sequence that summarises a sign table indexed by mask."""
+    return SeprSequence(sepr_terms(_signs_by_order(table, len(table).bit_length() - 1)))
+
+
+def test_table_rules_refine_sequence_rules():
+    # On arbitrary sign tables, realizable or not, each table rule's table
+    # summarises to the sequence rule applied to the operand's sequence.
+    # Each order's signs are drawn from one term's sign set, so any term
+    # can occur at any order.
+    rng = random.Random(811)
+    zero = SeprSequence((SeprTerm.N,))
+    determinants = set()
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        table = [1] * (1 << n)
+        for masks in _order_masks(n):
+            signs = sorted(rng.choice(list(SeprTerm)).signs)
+            for mask in masks:
+                table[mask] = rng.choice(signs)
+        seq = _sequence(table)
+        assert _sequence(negation_table(table)) == negation_rule(seq)
+        assert _sequence(append_zero_table(table)) == direct_sum_rule(seq, zero)
+        assert _sequence(duplicate_last_table(table)) == duplicate_last_rule(seq)
+        if table[-1]:
+            assert _sequence(inverse_table(table)) == inverse_rule(seq)
+            determinants.add(table[-1])
+    assert determinants == {1, -1}
