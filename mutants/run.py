@@ -437,6 +437,22 @@ MUTANTS = (
         "if True:",
         ("tests/test_search.py::test_sweep_keeps_the_first_canonical_grid_of_each_sequence",),
     ),
+    # the sweep and absorb() summarise each distinct sign table once; a
+    # repeated table still reports its forbidden windows under its source
+    Mutant(
+        "sweep-summarises-every-grid",
+        SEARCH,
+        "        tables.add(table)\n",
+        "",
+        ("tests/test_search.py::test_sweep_summarises_each_distinct_table_once",),
+    ),
+    Mutant(
+        "census-repeat-drops-violations",
+        SEARCH,
+        "            s, bad = graded[table]\n",
+        "            return\n",
+        ("tests/test_search.py::test_census_reports_a_forbidden_window_per_repeated_table",),
+    ),
     # every rule-predicted census construction passes one gate, which
     # scans its prediction for forbidden windows
     Mutant(

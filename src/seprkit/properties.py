@@ -267,11 +267,12 @@ def check_permutation_invariance(matrix: HermitianMatrix, rng: random.Random) ->
     return []
 
 
-def check_real_sna_window(matrix: HermitianMatrix) -> List[str]:
+def check_real_sna_window(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
     n = matrix.n
     if n < 5 or not matrix.is_real:
         return []
-    starts = real_sna_starts(compute_epr(matrix))
+    # underlying-consistency pins seq.underlying() to compute_epr(matrix)
+    starts = real_sna_starts(seq.underlying())
     if starts:
         return [
             f"coarse S,N,A window at position {starts[0]} inside first {n - 2} "
@@ -340,7 +341,7 @@ def run_suite(matrix: HermitianMatrix, field: Field, rng: random.Random) -> Tupl
     run("append-zero", check_append_zero(matrix, seq))
     run("append-duplicate", check_append_duplicate(matrix, seq))
     if field is Field.REAL_SYMMETRIC:
-        run("real-SNA-window", check_real_sna_window(matrix))
+        run("real-SNA-window", check_real_sna_window(matrix, seq))
     run("scan-clean", check_scan_clean(seq, field, matrix))
     run("underlying-consistency", check_underlying_consistency(matrix, seq))
     return counts, violations

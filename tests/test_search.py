@@ -304,6 +304,26 @@ def test_sweep_grids_walk_raw_as_their_matrices(order, field, monkeypatch):
         assert m._mask_signs() == search._sign_walk(grid, d)
 
 
+# (distinct sign tables, sequences) of the order-3 canonical grids, of
+# which there are 1,575 real and 200 Hermitian
+SWEEP_TABLES = {Field.REAL_SYMMETRIC: (149, 62), Field.HERMITIAN: (76, 42)}
+
+
+@pytest.mark.parametrize("field", Field, ids=lambda f: f.name)
+def test_sweep_summarises_each_distinct_table_once(field, monkeypatch):
+    # a grid whose sign table was already met cannot bring a new sequence,
+    # so the sweep summarises each table once
+    summarised, terms = [], search.sepr_terms
+
+    def counting(signs_by_order):
+        summarised.append(signs_by_order)
+        return terms(signs_by_order)
+
+    monkeypatch.setattr(search, "sepr_terms", counting)
+    sequences = full_sequence_sweep(3, field)
+    assert (len(summarised), len(sequences)) == SWEEP_TABLES[field]
+
+
 @pytest.mark.parametrize("order", (1, 2, 3))
 @pytest.mark.parametrize("field", Field, ids=lambda f: f.name)
 def test_sweep_keeps_the_first_canonical_grid_of_each_sequence(order, field):
@@ -406,3 +426,17 @@ def test_census_scans_direct_sum_predictions(monkeypatch):
     assert any(
         v.startswith(f"forbidden pattern {bad} predicted in {bad} for construction:direct-sum(") for v in rep.violations
     )
+
+
+def test_census_reports_a_forbidden_window_per_repeated_table(monkeypatch):
+    # absorb grades each distinct sign table once, yet a matrix repeating
+    # a table with a forbidden window is still a violation naming its own
+    # source; A+A-N declared forbidden stands for a failing engine
+    bad = parse_sequence("A+A-N")
+    forbidden = forbidden_order3(Field.REAL_SYMMETRIC) | {bad}
+    monkeypatch.setattr(search, "forbidden_order3", lambda field: forbidden)
+    rep = attainability_census(3, Field.REAL_SYMMETRIC)
+    holding = [m for m in singular_completions() if compute_sepr(m) == bad]  # order 3: one window
+    assert len(holding) > len({tuple(m._mask_signs()) for m in holding})  # a table repeats
+    message = f"forbidden pattern {bad} appeared in {bad} from construction:det-zero-completion"
+    assert rep.violations.count(message) == len(holding)
