@@ -343,6 +343,22 @@ MUTANTS = (
             "tests/test_matrix.py::test_json_loader_matches_scalar_construction",
         ),
     ),
+    # the JSON loader parses each distinct text of a document once: a parse
+    # stored under another text, or a part that is no string used as a key
+    Mutant(
+        "loader-memo-stores-under-wrong-text",
+        MATRIX,
+        "got = ratios[part] = parse_ratio(part)",
+        'got = ratios[part.lstrip("-")] = parse_ratio(part)',
+        ("tests/test_matrix.py::test_json_loader_repeated_texts_match_per_cell_parse",),
+    ),
+    Mutant(
+        "loader-memo-keys-every-part",
+        MATRIX,
+        "if not isinstance(part, str):",
+        "if False:",
+        ("tests/test_cli.py::test_compute_list_valued_part_is_a_located_usage_error",),
+    ),
     # the test oracles' own Q(sqrt d) field: a broken oracle must fail the
     # fixed-case oracle tests
     Mutant(
@@ -491,6 +507,14 @@ MUTANTS = (
         "return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)",
         "return (frozenset(),) + tuple(t.signs for t in seq.terms)",
         ("tests/test_sepr.py::test_direct_sum_rule_matches_engine", *TABLE_RULES),
+    ),
+    # the coarse terms count each order's zeros
+    Mutant(
+        "epr-terms-all-zero-reads-S",
+        SEPR,
+        "            terms.append(EprTerm.N)\n",
+        "            terms.append(EprTerm.S)\n",
+        ("tests/test_sepr.py::test_epr_terms_count_zeros_order_by_order",),
     ),
     Mutant(
         "classify-signs-drops-unknown-values",

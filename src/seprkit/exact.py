@@ -162,13 +162,14 @@ class GaussianRational:
 I = GaussianRational(0, 1)
 
 
-def parse_gaussian_ratios(pair) -> tuple[tuple[int, int], tuple[int, int]]:
+def parse_gaussian_ratios(pair, parse=parse_ratio) -> tuple[tuple[int, int], tuple[int, int]]:
     """The real and imaginary parts, as :func:`parse_ratio` pairs, of the
     serialized form of a Gaussian rational: a [re, im] pair of rational
-    strings."""
+    strings.  ``parse`` reads each part; the matrix loader passes a memo
+    of :func:`parse_ratio`."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ScalarParseError(f"expected a [re, im] pair, got {pair!r}")
-    return parse_ratio(pair[0]), parse_ratio(pair[1])
+    return parse(pair[0]), parse(pair[1])
 
 
 def format_gaussian(z: GaussianRational) -> list:

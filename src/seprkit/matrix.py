@@ -35,6 +35,7 @@ from .exact import (
     Sqrt5Rational,
     format_gaussian,
     parse_gaussian_ratios,
+    parse_ratio,
     ScalarParseError,
 )
 
@@ -679,9 +680,10 @@ class HermitianMatrix:
 
         A zero left on the left half's diagonal means a pivot column was
         skipped: the matrix is singular, and SingularMatrixError is raised.
-        Otherwise the right half R == D * grid**-1, with D the last pivot;
-        since grid == scale * self, the inverse is scale * R / D.  Its grid
-        is scale * R * sign(D) over |D| for a real D, and otherwise
+        Otherwise the right half R == D * grid**-1, with D = da + db*sqrt(d)
+        the last pivot; since grid == scale * self, the inverse is
+        scale * R / D.  Its grid is scale * R * sign(da) over |da| for a
+        real D (db = 0, as always when d = 0), and otherwise
         scale * R * conj(D) * sign(N) over |N|, N = D * conj(D) the norm.
         """
         d, scale, n = self._d, self._scale, self.n
@@ -690,10 +692,10 @@ class HermitianMatrix:
         _, _, last = _eliminate(d, work)
         if any(row[i] == zero for i, row in enumerate(work)):
             raise SingularMatrixError("matrix is singular; no exact inverse")
-        if d == 0:
-            k = scale if last > 0 else -scale
-            return self._of(0, abs(last), tuple(tuple(k * v for v in row[n:]) for row in work))
-        da, db = last
+        da, db = last if d else (last, 0)
+        if not db:
+            k = scale if da > 0 else -scale
+            return self._of(d, abs(da), _entrywise([row[n:] for row in work], d, lambda v: k * v))
         nrm = da * da - d * db * db
         ca, cb = (scale * da, -scale * db) if nrm > 0 else (-scale * da, scale * db)
         grid = tuple(tuple((a * ca + d * b * cb, a * cb + b * ca) for a, b in row[n:]) for row in work)
@@ -785,6 +787,19 @@ def matrix_from_json_dict(doc) -> HermitianMatrix:
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixFormatError(f'"entries" must be a list of {n} rows')
+    # each distinct rational text of this document, parsed once: a mirror
+    # cell repeats its partner's real part, and "0" is every diagonal
+    # cell's imaginary part
+    ratios = {}
+
+    def ratio(part):
+        if not isinstance(part, str):  # no key; parse_ratio names its type
+            return parse_ratio(part)
+        got = ratios.get(part)
+        if got is None:
+            got = ratios[part] = parse_ratio(part)
+        return got
+
     parts = []
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != n:
@@ -792,7 +807,7 @@ def matrix_from_json_dict(doc) -> HermitianMatrix:
         parsed = []
         for j, cell in enumerate(row):
             try:
-                parsed.append(parse_gaussian_ratios(cell))
+                parsed.append(parse_gaussian_ratios(cell, ratio))
             except ScalarParseError as exc:
                 raise MatrixFormatError(f"entry ({i + 1},{j + 1}): {exc}") from exc
         parts.append(parsed)

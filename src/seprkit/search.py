@@ -395,8 +395,9 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     return found
 
 
-def singular_completions() -> Iterator[HermitianMatrix]:
-    """Singular real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]]:
+def singular_completions() -> Iterator[Tuple[int, tuple]]:
+    """Singular real symmetric 3x3 matrices [[x,a,b],[a,y,c],[b,c,z]], as
+    the (scale, grid) of each in _scale's form, with no matrix built:
     x, y and a over REAL_DEFAULT_POOL, b and c over its nonnegative values,
     and z solved for.  Laplace expansion along row 3 gives
     det B = z (xy - a^2) - (x c^2 + y b^2 - 2abc), linear in z, so each
@@ -409,7 +410,8 @@ def singular_completions() -> Iterator[HermitianMatrix]:
     (x, b) with (y, c).  Each only reorders the principal minors and leaves
     z unchanged, and the pool is closed under negation, so every sequence
     of the unreduced 5^5 domain is reached (510 matrices, not 2,700).
-    Deterministic; distinct tuples give distinct matrices.
+    Deterministic; distinct tuples give distinct matrices, and
+    HermitianMatrix._of(0, scale, grid) builds one.
     """
     ints = sorted(int(v.re) for v in REAL_DEFAULT_POOL)
     nonnegative = [v for v in ints if v >= 0]
@@ -421,7 +423,7 @@ def singular_completions() -> Iterator[HermitianMatrix]:
         if den < 0:
             num, den = -num, -den
         grid = ((x * den, a * den, b * den), (a * den, y * den, c * den), (b * den, c * den, num))
-        yield HermitianMatrix._of(0, den, grid)
+        yield den, grid
 
 
 def _census_bases(field: Field) -> List[Tuple[str, HermitianMatrix]]:
@@ -493,16 +495,18 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     is solved from det = 0 (see singular_completions);
     (5) direct sums of the sequences recorded so far (see _direct_sums).
 
-    absorb() grades a walked matrix by its own sign walk.  Rungs 1, 3 and
-    5 predict each sequence by a rule of TRANSFORMS or by direct_sum_rule
-    and pass one gate, offer(): a forbidden window in the prediction is a
-    violation naming the source, the matrix is built only when the
-    prediction holds a missing window, an inverse the engine refuses
-    although the sequence ends in A+ or A- is a violation, and a built
-    matrix is absorbed.
-    absorb() summarises each distinct sign table once (rung 4's 510
-    completions hold 40): a repeated table can witness nothing new, so it
-    only reports the forbidden windows cached with it, each as a violation
+    absorb() grades the sign table of a matrix's or a grid's own walk.
+    Rungs 1, 3 and 5 predict each sequence by a rule of TRANSFORMS or by
+    direct_sum_rule and pass one gate, offer(): a forbidden window in the
+    prediction is a violation naming the source, the matrix is built only
+    when the prediction holds a missing window, an inverse the engine
+    refuses although the sequence ends in A+ or A- is a violation, and a
+    built matrix is absorbed.
+    absorb() summarises each distinct sign table once, and calls its
+    build() only for a table whose sequence no recorded matrix holds yet
+    (rung 4 walks 510 completion grids, which hold 40 tables, and builds
+    2 matrices): a repeated table can witness nothing new, so it only
+    reports the forbidden windows cached with it, each as a violation
     naming its own source.
     Patterns still missing are reported open, never impossible.
     """
@@ -518,13 +522,13 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     # sign table -> (its sequence, the forbidden windows of that sequence)
     graded: Dict[tuple, Tuple[SeprSequence, List[SeprSequence]]] = {}
 
-    def absorb(source: str, matrix: HermitianMatrix):
-        table = tuple(matrix._mask_signs())
+    def absorb(source: str, table: tuple, build: Callable[[], HermitianMatrix]):
         if table in graded:
             s, bad = graded[table]
         else:
-            s, bad = compute_sepr(matrix), []
-            recorded.setdefault(s, matrix)
+            s, bad = SeprSequence(sepr_terms(_signs_by_order(table, len(table).bit_length() - 1))), []
+            if s not in recorded:
+                recorded[s] = build()
             for _, w in s.windows(order):
                 if w in forbidden:
                     bad.append(w)
@@ -533,6 +537,9 @@ def attainability_census(order: int, field: Field) -> CensusReport:
                     found[w] = source
             graded[table] = s, bad
         violations.extend(f"forbidden pattern {w} appeared in {s} from {source}" for w in bad)
+
+    def absorb_matrix(source: str, matrix: HermitianMatrix):
+        absorb(source, tuple(matrix._mask_signs()), lambda: matrix)
 
     def offer(source: str, predicted: SeprSequence, build: Callable[[], HermitianMatrix], counter=None):
         windows = [w for _, w in predicted.windows(order)]
@@ -547,11 +554,11 @@ def attainability_census(order: int, field: Field) -> CensusReport:
                 return
             if counter is not None:
                 budgets[counter] += 1
-            absorb(source, matrix)
+            absorb_matrix(source, matrix)
 
     bases = _census_bases(field)
     for label, m in bases:
-        absorb(label, m)
+        absorb_matrix(label, m)
     for construction in (t for label, base in bases for t in _derived_matrices(label, base)):
         if not missing:
             break
@@ -567,7 +574,7 @@ def attainability_census(order: int, field: Field) -> CensusReport:
         for m in sweeps[-1].values():
             if not missing:
                 break
-            absorb(f"search:exhaustive-{order}x{order}", m)
+            absorb_matrix(f"search:exhaustive-{order}x{order}", m)
 
     # a sweep matrix's duplicate-last construction, indexed by the pattern
     # its predicted sequence starts with (real sweep first)
@@ -584,11 +591,12 @@ def attainability_census(order: int, field: Field) -> CensusReport:
         if pattern in index:
             offer(*index[pattern])
 
-    for m in singular_completions():
+    for den, grid in singular_completions():
         if not missing:
             break
         budgets["completions-tried"] += 1
-        absorb("construction:det-zero-completion", m)
+        table = tuple(_sign_walk(grid, 0))
+        absorb("construction:det-zero-completion", table, partial(HermitianMatrix._of, 0, den, grid))
 
     for construction in _direct_sums(recorded):
         if not missing:

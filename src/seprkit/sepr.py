@@ -262,6 +262,22 @@ def sepr_terms(signs_by_order) -> tuple:
     return tuple(map(classify_signs, signs_by_order))
 
 
+def epr_terms(signs_by_order) -> tuple:
+    """The coarse all/some/none terms of the sequence whose order-k minors
+    have the signs signs_by_order[k - 1], from a count of each order's
+    zero minors (not by stripping the sign-refined terms)."""
+    terms = []
+    for signs in signs_by_order:
+        zeros = signs.count(0)
+        if zeros == len(signs):
+            terms.append(EprTerm.N)
+        elif zeros == 0:
+            terms.append(EprTerm.A)
+        else:
+            terms.append(EprTerm.S)
+    return tuple(terms)
+
+
 def compute_sepr(matrix: HermitianMatrix) -> SeprSequence:
     """The full sign-refined sequence of the matrix, one term per order."""
     return SeprSequence(sepr_terms(matrix.minor_signs_by_order()))
@@ -270,16 +286,7 @@ def compute_sepr(matrix: HermitianMatrix) -> SeprSequence:
 def compute_epr(matrix: HermitianMatrix) -> EprSequence:
     """The coarse all/some/none sequence, computed directly from the minors
     (not by stripping the sign-refined sequence)."""
-    terms = []
-    for signs in matrix.minor_signs_by_order():
-        zeros = signs.count(0)
-        if zeros == len(signs):
-            terms.append(EprTerm.N)
-        elif zeros == 0:
-            terms.append(EprTerm.A)
-        else:
-            terms.append(EprTerm.S)
-    return EprSequence(terms)
+    return EprSequence(epr_terms(matrix.minor_signs_by_order()))
 
 
 def parse_sequence(text: str) -> SeprSequence:

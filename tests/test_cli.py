@@ -53,6 +53,18 @@ def test_compute_bad_file(tmp_path, capsys):
     assert main(["compute", str(path)]) == 2
 
 
+def test_compute_list_valued_part_is_a_located_usage_error(tmp_path, capsys):
+    # only string parts are memo keys: a list part after repeated valid
+    # texts still reaches the scalar grammar's error, never a TypeError
+    path = tmp_path / "list.json"
+    row = [["1", "0"], ["1", "0"], ["1", "0"]]
+    path.write_text(json.dumps({"n": 3, "entries": [row, row, [["1", "0"], [["1"], "0"], ["1", "0"]]]}))
+    assert main(["compute", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entry (3,2): expected a rational string, got list (offset 0)\n"
+
+
 def test_compute_unreadable_path(tmp_path, capsys):
     # a directory or a missing file is a located usage error, not a traceback
     missing = tmp_path / "missing.json"

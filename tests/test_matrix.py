@@ -24,13 +24,15 @@ from conftest import (
 )
 from seprkit.catalog import build_witness
 from seprkit import matrix as matrix_module
-from seprkit.exact import GaussianRational, I, Sqrt5Rational, parse_rational
+from seprkit.exact import GaussianRational, I, Sqrt5Rational, parse_gaussian_ratios, parse_rational
 from seprkit.matrix import (
     HermitianMatrix,
     MatrixFormatError,
     SingularMatrixError,
+    _scale_ratios,
     load_matrix,
     matrix_from_json,
+    matrix_from_json_dict,
     matrix_to_json,
 )
 
@@ -731,6 +733,56 @@ def test_json_loader_rejects():
         matrix_from_json("not json")
     with pytest.raises(MatrixFormatError):
         matrix_from_json('{"n": true, "entries": [[["1","0"]]]}')
+
+
+# few texts, so a document repeats most of them; "2/4" and "1/2" are one
+# value in two texts, and each text's negation is in the list as well
+_REPEATED_TEXTS = ["0", "-0", "1", "-1", "2", "-2", "1/2", "-1/2", "2/4", "-2/4", "3/6", "-3/6"]
+
+
+def _negated_text(text):
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _repeated_text_document(rng, n, real):
+    """An order-n document drawn from _REPEATED_TEXTS: each mirror cell
+    repeats its partner's real text and negates its imaginary text."""
+    cells = [[None] * n for _ in range(n)]
+    for i in range(n):
+        cells[i][i] = [rng.choice(_REPEATED_TEXTS), "0"]
+        for j in range(i + 1, n):
+            re, im = rng.choice(_REPEATED_TEXTS), "0" if real else rng.choice(_REPEATED_TEXTS)
+            cells[i][j], cells[j][i] = [re, im], [re, _negated_text(im)]
+    return {"n": n, "entries": cells}
+
+
+@pytest.mark.parametrize("real", (True, False), ids=("real", "hermitian"))
+def test_json_loader_repeated_texts_match_per_cell_parse(real):
+    # the loader parses each distinct text once per document; its grid
+    # must be the one a plain parse of every cell gives
+    rng = random.Random(4242 + real)
+    for _ in range(60):
+        doc = _repeated_text_document(rng, rng.randint(1, 7), real)
+        got = matrix_from_json_dict(doc)
+        parts = [[parse_gaussian_ratios(cell) for cell in row] for row in doc["entries"]]
+        expected = HermitianMatrix._of(*_scale_ratios(0, parts))
+        assert (got._d, got._scale, got._grid) == (expected._d, expected._scale, expected._grid)
+        assert got.is_real is (real or not any(im for row in parts for _, (im, _) in row))
+
+
+def test_json_loader_locates_a_malformed_last_cell_after_repeats():
+    # every cell before the last repeats valid texts already parsed
+    n = 6
+    cells = [[["1", "0"] if i == j else ["-1/2", "1" if i < j else "-1"] for j in range(n)] for i in range(n)]
+    for bad, message in (("1x", "malformed rational '1x' (offset 1)"), ("-1/0", "zero denominator in '-1/0' (offset 3)")):
+        cells[-1][-1] = [bad, "0"]
+        with pytest.raises(MatrixFormatError) as err:
+            matrix_from_json_dict({"n": n, "entries": cells})
+        assert str(err.value) == f"entry (6,6): {message}"
+    cells[-1][-1] = ["1", ["1"]]  # a part that is no string is no memo key
+    with pytest.raises(MatrixFormatError) as err:
+        matrix_from_json_dict({"n": n, "entries": cells})
+    assert str(err.value) == "entry (6,6): expected a rational string, got list (offset 0)"
 
 
 @st.composite

@@ -229,7 +229,8 @@ def test_generators_emit_canonical_grids(pool):
 
 
 def test_singular_completions_are_singular():
-    for m in singular_completions():
+    for den, grid in singular_completions():
+        m = HermitianMatrix._of(0, den, grid)
         assert oracle_det(lift(m.entries)) == 0
         _assert_canonical(m)
 
@@ -254,7 +255,7 @@ def test_completions_reach_every_sequence_of_the_full_enumeration():
     # the sign flips and the index swap only reorder principal minors, so
     # the reduced domain reaches exactly the unreduced domain's sequences,
     # among them the two order-3 patterns the census takes from this rung
-    got = {str(compute_sepr(m)) for m in singular_completions()}
+    got = {str(compute_sepr(HermitianMatrix._of(0, den, grid))) for den, grid in singular_completions()}
     assert got == {str(compute_sepr(m)) for m in _fraction_completions(REAL_DEFAULT_POOL)}
     assert {"A+A-N", "A-A-N"} <= got
 
@@ -436,7 +437,8 @@ def test_census_reports_a_forbidden_window_per_repeated_table(monkeypatch):
     forbidden = forbidden_order3(Field.REAL_SYMMETRIC) | {bad}
     monkeypatch.setattr(search, "forbidden_order3", lambda field: forbidden)
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
-    holding = [m for m in singular_completions() if compute_sepr(m) == bad]  # order 3: one window
+    completions = [HermitianMatrix._of(0, den, grid) for den, grid in singular_completions()]
+    holding = [m for m in completions if compute_sepr(m) == bad]  # order 3: one window
     assert len(holding) > len({tuple(m._mask_signs()) for m in holding})  # a table repeats
     message = f"forbidden pattern {bad} appeared in {bad} from construction:det-zero-completion"
     assert rep.violations.count(message) == len(holding)

@@ -10,6 +10,7 @@ from conftest import Gauss, matrix_of, random_hermitian
 from seprkit.matrix import HermitianMatrix, _order_masks, _signs_by_order
 from seprkit.sepr import (
     EprSequence,
+    EprTerm,
     SeprSequence,
     SeprTerm,
     SequenceParseError,
@@ -20,6 +21,7 @@ from seprkit.sepr import (
     direct_sum_rule,
     duplicate_last_rule,
     duplicate_last_table,
+    epr_terms,
     inverse_rule,
     inverse_table,
     negation_rule,
@@ -79,6 +81,24 @@ def test_compute_epr_examples():
     assert str(compute_epr(HermitianMatrix.diagonal([1, -1, -1, 0]))) == "SSSN"
     assert str(compute_epr(HermitianMatrix.zero(2))) == "NN"
     assert str(compute_epr(HermitianMatrix.identity(3))) == "AAA"
+
+
+def test_epr_terms_count_zeros_order_by_order():
+    # the coarse terms come from each order's zero count, on lists of any
+    # mix (all zero, none zero, some zero) and on walked matrices
+    rng = random.Random(608)
+    for _ in range(200):
+        pools = rng.choices(([0], [1, -1], [0, 1, -1]), k=rng.randint(1, 5))
+        lists = [[rng.choice(pool) for _ in range(rng.randint(1, 6))] for pool in pools]
+        expected = tuple(
+            EprTerm.N if all(v == 0 for v in signs) else EprTerm.A if 0 not in signs else EprTerm.S for signs in lists
+        )
+        assert epr_terms(lists) == expected
+    for _ in range(40):
+        m = random_hermitian(rng, rng.randint(1, 5), real=bool(rng.getrandbits(1)))
+        signs = m.minor_signs_by_order()
+        assert EprSequence(epr_terms(signs)) == compute_epr(m) == SeprSequence(sepr_terms(signs)).underlying()
+    assert [str(t) for t in epr_terms(HermitianMatrix.diagonal([1, -1, 0]).minor_signs_by_order())] == ["S", "S", "N"]
 
 
 def test_diagonal_sepr_against_subset_product_oracle():
