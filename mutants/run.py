@@ -516,6 +516,14 @@ MUTANTS = (
         "            terms.append(EprTerm.S)\n",
         ("tests/test_sepr.py::test_epr_terms_count_zeros_order_by_order",),
     ),
+    # compute_sepr and compute_epr share one split of the sign table
+    Mutant(
+        "by-order-lists-not-cached",
+        MATRIX,
+        'object.__setattr__(self, "_by_order", cached)',
+        "pass",
+        ("tests/test_sepr.py::test_compute_sepr_and_epr_split_the_table_once",),
+    ),
     Mutant(
         "classify-signs-drops-unknown-values",
         SEPR,

@@ -29,7 +29,7 @@ from .search import (
     find_witness,
     hunt_counterexamples,
 )
-from .sepr import EprSequence, SeprSequence, epr_terms, parse_sequence, sepr_terms
+from .sepr import compute_epr, compute_sepr, parse_sequence
 
 USAGE_ERROR = 2
 VERIFICATION_FAILURE = 1
@@ -86,8 +86,8 @@ def cmd_compute(args) -> int:
         if field is Field.REAL_SYMMETRIC and not matrix.is_real:
             print("error: --field real given for a non-real matrix", file=sys.stderr)
             return USAGE_ERROR
-    signs = matrix.minor_signs_by_order()
-    seq, coarse = SeprSequence(sepr_terms(signs)), EprSequence(epr_terms(signs))
+    seq = compute_sepr(matrix)
+    coarse = compute_epr(matrix)
     hits = scan_for_forbidden(seq, field)
     shown = "none" if not hits else "; ".join(str(h) for h in hits)
     print(f"epr: {coarse} / sepr: {seq} / forbidden windows: {shown}")

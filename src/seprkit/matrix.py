@@ -558,7 +558,7 @@ class HermitianMatrix:
     and the conjugate-symmetry invariant.
     """
 
-    __slots__ = ("n", "_d", "_scale", "_grid", "_rank", "_minor_cache")
+    __slots__ = ("n", "_d", "_scale", "_grid", "_rank", "_minor_cache", "_by_order")
 
     def __init__(self, rows: Sequence[Sequence]):
         self._adopt(*_scale(rows))
@@ -598,7 +598,7 @@ class HermitianMatrix:
                             f"entry ({i + 1},{j + 1}) is not the conjugate of entry "
                             f"({j + 1},{i + 1}): Hermitian invariant violated"
                         )
-        state = {"n": n, "_d": d, "_scale": scale, "_grid": grid, "_rank": None, "_minor_cache": None}
+        state = {"n": n, "_d": d, "_scale": scale, "_grid": grid, "_rank": None, "_minor_cache": None, "_by_order": None}
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -662,8 +662,13 @@ class HermitianMatrix:
 
     def minor_signs_by_order(self):
         """List indexed by k-1: signs of all order-k principal minors in
-        lexicographic subset order."""
-        return _signs_by_order(self._mask_signs(), self.n)
+        lexicographic subset order (cached, like the table it is read
+        from, so compute_sepr and compute_epr split the table once)."""
+        cached = self._by_order
+        if cached is None:
+            cached = _signs_by_order(self._mask_signs(), self.n)
+            object.__setattr__(self, "_by_order", cached)
+        return cached
 
     # -- rank and inverse ---------------------------------------------------
 

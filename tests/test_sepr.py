@@ -101,6 +101,20 @@ def test_epr_terms_count_zeros_order_by_order():
     assert [str(t) for t in epr_terms(HermitianMatrix.diagonal([1, -1, 0]).minor_signs_by_order())] == ["S", "S", "N"]
 
 
+def test_compute_sepr_and_epr_split_the_table_once(monkeypatch):
+    # seprkit compute prints both sequences: the second summary reads the
+    # per-order lists the first one cached on the matrix
+    import seprkit.matrix
+
+    calls = []
+    split = seprkit.matrix._signs_by_order
+    monkeypatch.setattr(seprkit.matrix, "_signs_by_order", lambda table, n: calls.append(n) or split(table, n))
+    m = HermitianMatrix.diagonal([1, -1, 0])
+    assert (str(compute_sepr(m)), str(compute_epr(m))) == ("S*S-N", "SSN")
+    assert calls == [3]
+    assert m.minor_signs_by_order() is m.minor_signs_by_order()
+
+
 def test_diagonal_sepr_against_subset_product_oracle():
     rng = random.Random(55)
     for _ in range(30):
