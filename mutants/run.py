@@ -508,21 +508,29 @@ MUTANTS = (
         "return (frozenset(),) + tuple(t.signs for t in seq.terms)",
         ("tests/test_sepr.py::test_direct_sum_rule_matches_engine", *TABLE_RULES),
     ),
-    # the coarse terms count each order's zeros
+    # the coarse terms read each order's sign set
     Mutant(
         "epr-terms-all-zero-reads-S",
         SEPR,
-        "            terms.append(EprTerm.N)\n",
-        "            terms.append(EprTerm.S)\n",
-        ("tests/test_sepr.py::test_epr_terms_count_zeros_order_by_order",),
+        "s: EprTerm.N if s == {0}",
+        "s: EprTerm.S if s == {0}",
+        ("tests/test_sepr.py::test_epr_terms_read_each_orders_sign_set",),
     ),
-    # compute_sepr and compute_epr share one split of the sign table
+    # compute_sepr and compute_epr share one summary of the sign table
     Mutant(
-        "by-order-lists-not-cached",
+        "sign-sets-not-cached",
         MATRIX,
-        'object.__setattr__(self, "_by_order", cached)',
+        'object.__setattr__(self, "_sets", cached)',
         "pass",
         ("tests/test_sepr.py::test_compute_sepr_and_epr_split_the_table_once",),
+    ),
+    # a chunk of the table is read at the popcount of its index
+    Mutant(
+        "sign-sets-chunk-base-is-index",
+        MATRIX,
+        "enumerate(getters, index.bit_count())",
+        "enumerate(getters, index)",
+        ("tests/test_matrix.py::test_sign_sets_match_popcount_reference",),
     ),
     Mutant(
         "classify-signs-drops-unknown-values",

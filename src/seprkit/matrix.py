@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
@@ -532,20 +532,27 @@ def _pivot2_pairs(block, a, bits, child, prev, psign, table):
 
 
 @lru_cache(maxsize=None)
-def _order_masks(n):
-    """Per order k = 1..n, the bitmasks of the k-subsets of range(n) in
-    lexicographic order."""
-    return tuple(
-        tuple(sum(1 << i for i in subset) for subset in combinations(range(n), k))
-        for k in range(1, n + 1)
-    )
+def _chunk_getters(c):
+    """Per order k = 0..c, one itemgetter of the k-bit masks below 2**c.
+    Each names its first mask twice, so a lone mask comes back in a tuple."""
+    orders = [[mask for mask in range(1 << c) if mask.bit_count() == k] for k in range(c + 1)]
+    return tuple(itemgetter(*masks, masks[0]) for masks in orders)
 
 
-def _signs_by_order(table, n):
-    """List indexed by k-1: the signs of a sign table (indexed by mask, as
-    _sign_walk returns it) for the order-k index sets of range(n), in
-    lexicographic subset order."""
-    return [list(map(table.__getitem__, masks)) for masks in _order_masks(n)]
+def _sign_sets(table):
+    """Tuple indexed by k-1: the set of signs a sign table (indexed by
+    mask, as _sign_walk returns it) holds on the order-k masks.  The table
+    is read in chunks of 2**c masks, c = min(n, 10): a mask's order is the
+    popcount of its offset in the chunk plus that of the chunk's index."""
+    n = len(table).bit_length() - 1
+    c = min(n, 10)
+    getters = _chunk_getters(c)
+    sets = [frozenset()] * (n + 1)
+    for index in range(len(table) >> c):
+        chunk = table[index << c : (index + 1) << c]
+        for k, get in enumerate(getters, index.bit_count()):
+            sets[k] |= frozenset(get(chunk))
+    return tuple(sets[1:])
 
 
 class HermitianMatrix:
@@ -558,7 +565,7 @@ class HermitianMatrix:
     and the conjugate-symmetry invariant.
     """
 
-    __slots__ = ("n", "_d", "_scale", "_grid", "_rank", "_minor_cache", "_by_order")
+    __slots__ = ("n", "_d", "_scale", "_grid", "_rank", "_minor_cache", "_sets")
 
     def __init__(self, rows: Sequence[Sequence]):
         self._adopt(*_scale(rows))
@@ -598,7 +605,7 @@ class HermitianMatrix:
                             f"entry ({i + 1},{j + 1}) is not the conjugate of entry "
                             f"({j + 1},{i + 1}): Hermitian invariant violated"
                         )
-        state = {"n": n, "_d": d, "_scale": scale, "_grid": grid, "_rank": None, "_minor_cache": None, "_by_order": None}
+        state = {"n": n, "_d": d, "_scale": scale, "_grid": grid, "_rank": None, "_minor_cache": None, "_sets": None}
         for name, value in state.items():
             object.__setattr__(self, name, value)
 
@@ -660,14 +667,14 @@ class HermitianMatrix:
             object.__setattr__(self, "_minor_cache", cached)
         return cached
 
-    def minor_signs_by_order(self):
-        """List indexed by k-1: signs of all order-k principal minors in
-        lexicographic subset order (cached, like the table it is read
-        from, so compute_sepr and compute_epr split the table once)."""
-        cached = self._by_order
+    def minor_sign_sets(self):
+        """Tuple indexed by k-1: the set of signs the order-k principal
+        minors take (cached, like the table it is read from, so
+        compute_sepr and compute_epr summarise the table once)."""
+        cached = self._sets
         if cached is None:
-            cached = _signs_by_order(self._mask_signs(), self.n)
-            object.__setattr__(self, "_by_order", cached)
+            cached = _sign_sets(self._mask_signs())
+            object.__setattr__(self, "_sets", cached)
         return cached
 
     # -- rank and inverse ---------------------------------------------------

@@ -49,7 +49,6 @@ from .matrix import (
     MatrixFormatError,
     SingularMatrixError,
     _eliminate,
-    _order_masks,
     matrix_to_json,
 )
 from .sepr import (
@@ -119,9 +118,7 @@ def check_same_sign_at_rank(matrix: HermitianMatrix) -> List[str]:
     r = matrix.rank()
     if r == 0:
         return []
-    table = matrix._mask_signs()
-    signs = {table[mask] for mask in _order_masks(matrix.n)[r - 1]} - {0}
-    if len(signs) > 1:
+    if len(matrix.minor_sign_sets()[r - 1] - {0}) > 1:
         return [f"mixed signs among order-{r} (rank) minors of {_describe(matrix)}"]
     return []
 

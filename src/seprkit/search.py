@@ -53,7 +53,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, 
 from .catalog import build_witness, get_record, witness_ids
 from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
-from .matrix import HermitianMatrix, SingularMatrixError, _scale, _sign_walk, _signs_by_order
+from .matrix import HermitianMatrix, SingularMatrixError, _scale, _sign_sets, _sign_walk
 from .properties import TRANSFORMS, not_invertible, run_suite
 from .sepr import SeprSequence, compute_sepr, direct_sum_rule, sepr_terms
 
@@ -387,7 +387,7 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
         if table in tables:
             continue
         tables.add(table)
-        terms = sepr_terms(_signs_by_order(table, order))
+        terms = sepr_terms(_sign_sets(table))
         if terms not in seen:
             seen.add(terms)
             m = HermitianMatrix._of(d, scale, grid)
@@ -526,7 +526,7 @@ def attainability_census(order: int, field: Field) -> CensusReport:
         if table in graded:
             s, bad = graded[table]
         else:
-            s, bad = SeprSequence(sepr_terms(_signs_by_order(table, len(table).bit_length() - 1))), []
+            s, bad = SeprSequence(sepr_terms(_sign_sets(table))), []
             if s not in recorded:
                 recorded[s] = build()
             for _, w in s.windows(order):

@@ -240,6 +240,8 @@ class SeprSequence(_TermSequence):
 
 
 _TERM_BY_SIGNS = {signs: term for term, signs in _SIGNS.items()}
+# the coarse term of each sign set, read from the signs themselves
+_EPR_BY_SIGNS = {s: EprTerm.N if s == {0} else EprTerm.A if 0 not in s else EprTerm.S for s in _TERM_BY_SIGNS}
 
 
 def classify_signs(signs) -> SeprTerm:
@@ -256,37 +258,29 @@ def classify_signs(signs) -> SeprTerm:
     return term
 
 
-def sepr_terms(signs_by_order) -> tuple:
-    """The terms of the sequence whose order-k minors have the signs
-    signs_by_order[k - 1], as minor_signs_by_order lists them."""
-    return tuple(map(classify_signs, signs_by_order))
+def sepr_terms(sign_sets) -> tuple:
+    """The terms of the sequence whose order-k minors take the signs
+    sign_sets[k - 1], as HermitianMatrix.minor_sign_sets gives them."""
+    return tuple(map(classify_signs, sign_sets))
 
 
-def epr_terms(signs_by_order) -> tuple:
+def epr_terms(sign_sets) -> tuple:
     """The coarse all/some/none terms of the sequence whose order-k minors
-    have the signs signs_by_order[k - 1], from a count of each order's
-    zero minors (not by stripping the sign-refined terms)."""
-    terms = []
-    for signs in signs_by_order:
-        zeros = signs.count(0)
-        if zeros == len(signs):
-            terms.append(EprTerm.N)
-        elif zeros == 0:
-            terms.append(EprTerm.A)
-        else:
-            terms.append(EprTerm.S)
-    return tuple(terms)
+    take the signs sign_sets[k - 1]: N for {0}, A for a set without 0 and
+    S otherwise, read from the minors' signs (not by stripping the
+    sign-refined terms)."""
+    return tuple(map(_EPR_BY_SIGNS.__getitem__, sign_sets))
 
 
 def compute_sepr(matrix: HermitianMatrix) -> SeprSequence:
     """The full sign-refined sequence of the matrix, one term per order."""
-    return SeprSequence(sepr_terms(matrix.minor_signs_by_order()))
+    return SeprSequence(sepr_terms(matrix.minor_sign_sets()))
 
 
 def compute_epr(matrix: HermitianMatrix) -> EprSequence:
     """The coarse all/some/none sequence, computed directly from the minors
     (not by stripping the sign-refined sequence)."""
-    return EprSequence(epr_terms(matrix.minor_signs_by_order()))
+    return EprSequence(epr_terms(matrix.minor_sign_sets()))
 
 
 def parse_sequence(text: str) -> SeprSequence:

@@ -198,14 +198,15 @@ def oracle_principal_minor(matrix: HermitianMatrix, subset, det=oracle_det):
     return det([[entries[i][j] for j in subset] for i in subset])
 
 
-def oracle_signs_by_order(matrix: HermitianMatrix, det=oracle_det):
-    """The signs of all principal minors per order, in lexicographic subset
-    order, via the oracle only."""
-    n = matrix.n
-    return [
-        [sign(oracle_principal_minor(matrix, s, det)) for s in combinations(range(n), k)]
-        for k in range(1, n + 1)
-    ]
+def oracle_sign_table(matrix: HermitianMatrix, det=oracle_det):
+    """The sign of every principal minor by the determinant oracle ``det``,
+    indexed by mask (bit i for index i); index 0 is the empty minor, 1."""
+    entries = lift(matrix.entries)
+    table = [1] * (1 << matrix.n)
+    for k in range(1, matrix.n + 1):
+        for subset in combinations(range(matrix.n), k):
+            table[sum(1 << i for i in subset)] = sign(det([[entries[i][j] for j in subset] for i in subset]))
+    return table
 
 
 def random_hermitian(rng: random.Random, n: int, *, real: bool, scale: int = 2) -> HermitianMatrix:

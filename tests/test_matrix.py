@@ -17,10 +17,9 @@ from conftest import (
     matrix_of,
     oracle_det,
     oracle_principal_minor,
-    oracle_signs_by_order,
+    oracle_sign_table,
     product,
     random_hermitian,
-    sign,
 )
 from seprkit.catalog import build_witness
 from seprkit import matrix as matrix_module
@@ -30,6 +29,7 @@ from seprkit.matrix import (
     MatrixFormatError,
     SingularMatrixError,
     _scale_ratios,
+    _sign_sets,
     load_matrix,
     matrix_from_json,
     matrix_from_json_dict,
@@ -65,19 +65,17 @@ def test_determinant_examples():
     # exact determinants are the oracle's; the engine gives their signs
     m = HermitianMatrix([[GaussianRational(0), I], [-I, GaussianRational(0)]])
     assert oracle_principal_minor(m, (0, 1)) == -1
-    assert m.minor_signs_by_order()[-1] == [-1]
-    assert HermitianMatrix.zero(3).minor_signs_by_order()[-1] == [0]
+    assert m._mask_signs()[-1] == -1
+    assert HermitianMatrix.zero(3)._mask_signs()[-1] == 0
     assert oracle_principal_minor(F_VIER_ONE, (0, 1, 2, 3)) == 57
-    assert F_VIER_ONE.minor_signs_by_order()[-1] == [1]
+    assert F_VIER_ONE._mask_signs()[-1] == 1
 
 
 def test_all_principal_minors_examples():
     d = HermitianMatrix.diagonal([1, -1, -1, 0])
-    signs = d.minor_signs_by_order()
-    # diagonal subset-product oracle, in lexicographic subset order
+    # diagonal subset-product oracle, mask by mask
     vals = [1, -1, -1, 0]
-    for k in range(1, 5):
-        assert signs[k - 1] == [prod(vals[i] for i in subset) for subset in combinations(range(4), k)]
+    assert d._mask_signs() == [prod(v for i, v in enumerate(vals) if mask >> i & 1) for mask in range(16)]
 
 
 def test_minors_match_oracle_random():
@@ -85,7 +83,7 @@ def test_minors_match_oracle_random():
     for _ in range(25):
         n = rng.randint(1, 4)
         m = random_hermitian(rng, n, real=bool(rng.getrandbits(1)))
-        assert m.minor_signs_by_order() == oracle_signs_by_order(m)
+        assert m._mask_signs() == oracle_sign_table(m)
 
 
 def test_fractional_entries_minors_match_oracle():
@@ -102,7 +100,7 @@ def test_fractional_entries_minors_match_oracle():
                 rows[i][j] = v
                 rows[j][i] = v.conjugate()
         m = HermitianMatrix(rows)
-        assert m.minor_signs_by_order() == oracle_signs_by_order(m)
+        assert m._mask_signs() == oracle_sign_table(m)
 
 
 # Entries of the three scalar kinds the integer engines cover: real
@@ -165,9 +163,9 @@ def _grid(draw, kind):
 @given(data=st.data())
 def test_minor_engine_matches_oracle(kind, data):
     m = data.draw(_hermitian(kind))
-    expected = oracle_signs_by_order(m)
-    assert m.minor_signs_by_order() == expected
-    assert m.rank() == max((k for k, row in enumerate(expected, 1) if any(row)), default=0)
+    expected = oracle_sign_table(m)
+    assert m._mask_signs() == expected
+    assert m.rank() == max(mask.bit_count() for mask, s in enumerate(expected) if s)
 
 
 @st.composite
@@ -188,17 +186,6 @@ def _negative_singular_prefix(draw, kind, orders, entries):
     return matrix_of(rows)
 
 
-def _oracle_sign_table(m, det=oracle_det):
-    """The sign of every principal minor by the determinant oracle ``det``,
-    indexed by mask; index 0 is the empty minor, 1."""
-    entries = lift(m.entries)
-    table = [1] * (1 << m.n)
-    for k in range(1, m.n + 1):
-        for subset in combinations(range(m.n), k):
-            table[sum(1 << i for i in subset)] = sign(det([[entries[i][j] for j in subset] for i in subset]))
-    return table
-
-
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
 @pytest.mark.parametrize(
     "orders, examples, det", [((1, 5), 60, oracle_det), ((6, 7), 20, elimination_det)], ids=["n1-5", "n6-7"]
@@ -215,7 +202,7 @@ def test_sign_table_matches_oracle(kind, orders, examples, det):
     @settings(max_examples=examples, deadline=None, phases=phases)
     @given(m=st.one_of(_hermitian(kind, diagonals, orders, entries), _negative_singular_prefix(kind, orders, entries)))
     def check(m):
-        assert m._mask_signs() == _oracle_sign_table(m, det)
+        assert m._mask_signs() == oracle_sign_table(m, det)
 
     check()
 
@@ -228,8 +215,35 @@ def test_sign_table_below_negative_singular_prefix():
     # det[1], and {1, 2, 3, 4} comes from the first pivot's block, whose
     # entries are divided by (det[1])**2.
     m = HermitianMatrix([[-1, 1, 1, 1], [1, -1, 0, 1], [1, 0, -1, -1], [1, 1, -1, -1]])
-    assert m._mask_signs() == _oracle_sign_table(m)
-    assert m.minor_signs_by_order() == [[-1, -1, -1, -1], [0, 0, 0, 1, 0, 0], [1, 1, 0, 1], [0]]
+    assert m._mask_signs() == oracle_sign_table(m)
+    assert m._mask_signs() == [1, -1, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, 1, 0]
+
+
+def _popcount_sign_sets(table):
+    """Per order k = 1..n, the set of a sign table's signs on the masks of
+    k bits, each mask placed by its own popcount."""
+    sets = [set() for _ in range(len(table).bit_length() - 1)]
+    for mask in range(1, len(table)):
+        sets[mask.bit_count() - 1].add(table[mask])
+    return sets
+
+
+def test_sign_sets_match_popcount_reference():
+    # Above order 10 a table is read in chunks of 2**10 masks, each offset
+    # by the popcount of the chunk's index.  Each order draws its signs from
+    # its own nonempty subset of {-1, 0, 1}, so a chunk read at the wrong
+    # order shows.  Orders 1..13 include n = 1 and the chunks' lone masks
+    # (order 0 and order c of a chunk), which a one-argument itemgetter
+    # would return bare.
+    rng = random.Random(1013)
+    pools = [(-1,), (0,), (1,), (-1, 0), (-1, 1), (0, 1), (-1, 0, 1)]
+    for n in [*range(1, 14)] * 20:
+        orders = [rng.choice(pools) for _ in range(n + 1)]
+        table = [1] + [rng.choice(orders[mask.bit_count()]) for mask in range(1, 1 << n)]
+        assert list(_sign_sets(table)) == _popcount_sign_sets(table)
+    walked = [random_hermitian(rng, 11, real=True), random_hermitian(rng, 12, real=False)]
+    for m in [*walked, HermitianMatrix.diagonal([1, -1, 0, 1] * 3)]:
+        assert list(m.minor_sign_sets()) == _popcount_sign_sets(m._mask_signs())
 
 
 _I, _R5 = Gauss(0, 1), Root5(0, 1)
@@ -277,7 +291,7 @@ def test_sign_table_of_hollow_matrices(kind, data):
     # 2 x 2 pivot with each partner, and the pivots' reduced blocks often
     # have zero diagonal entries again.
     m = data.draw(_hollow(kind))
-    assert m._mask_signs() == _oracle_sign_table(m, elimination_det)
+    assert m._mask_signs() == oracle_sign_table(m, elimination_det)
 
 
 def _congruence(rows, unit):
@@ -324,7 +338,7 @@ def test_two_by_two_pivot_matches_oracle(case, kind):
     # is not walked, and checks one elimination per principal submatrix.
     rows, facts = _PIVOT_CASES[case]
     m = _congruence(rows, _UNITS[kind])
-    expected = _oracle_sign_table(m, elimination_det)
+    expected = oracle_sign_table(m, elimination_det)
     assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
     assert m._mask_signs() == expected
 
@@ -363,7 +377,7 @@ def test_two_level_leaf_matches_oracle(rows):
     # index 2 only feeds three-level leaves.  The Q(sqrt 5) matrices are not
     # walked: they check one elimination per principal submatrix.
     m = matrix_of(rows)
-    assert m._mask_signs() == _oracle_sign_table(m)
+    assert m._mask_signs() == oracle_sign_table(m)
 
 
 # Each real or Gaussian case takes the three-level leaf on a nonsingular
@@ -422,7 +436,7 @@ _LEAF3_CASES = {
 def test_three_level_leaf_matches_oracle(case):
     rows, facts = _LEAF3_CASES[case]
     m = matrix_of(rows)
-    expected = _oracle_sign_table(m)
+    expected = oracle_sign_table(m)
     assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
     assert m._mask_signs() == expected
 
@@ -546,8 +560,8 @@ def test_rank_is_principal_random():
     for _ in range(40):
         n = rng.randint(1, 6)
         m = random_hermitian(rng, n, real=bool(rng.getrandbits(1)))
-        expected = oracle_signs_by_order(m, elimination_det)
-        assert m.rank() == max((k for k, row in enumerate(expected, 1) if any(row)), default=0)
+        expected = oracle_sign_table(m, elimination_det)
+        assert m.rank() == max(mask.bit_count() for mask, s in enumerate(expected) if s)
 
 
 def test_rank_drop_on_deletion_random():
@@ -570,7 +584,7 @@ def test_same_sign_at_rank_random():
         r = m.rank()
         if r == 0:
             continue
-        signs = {s for s in oracle_signs_by_order(m, elimination_det)[r - 1] if s}
+        signs = {s for mask, s in enumerate(oracle_sign_table(m, elimination_det)) if s and mask.bit_count() == r}
         assert len(signs) == 1
 
 

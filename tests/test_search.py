@@ -316,9 +316,9 @@ def test_sweep_summarises_each_distinct_table_once(field, monkeypatch):
     # so the sweep summarises each table once
     summarised, terms = [], search.sepr_terms
 
-    def counting(signs_by_order):
-        summarised.append(signs_by_order)
-        return terms(signs_by_order)
+    def counting(sign_sets):
+        summarised.append(sign_sets)
+        return terms(sign_sets)
 
     monkeypatch.setattr(search, "sepr_terms", counting)
     sequences = full_sequence_sweep(3, field)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import Gauss, matrix_of, random_hermitian
-from seprkit.matrix import HermitianMatrix, _order_masks, _signs_by_order
+from conftest import Gauss, matrix_of, oracle_sign_table, random_hermitian
+from seprkit.matrix import HermitianMatrix, _sign_sets
 from seprkit.sepr import (
     EprSequence,
     EprTerm,
@@ -83,36 +83,44 @@ def test_compute_epr_examples():
     assert str(compute_epr(HermitianMatrix.identity(3))) == "AAA"
 
 
-def test_epr_terms_count_zeros_order_by_order():
-    # the coarse terms come from each order's zero count, on lists of any
-    # mix (all zero, none zero, some zero) and on walked matrices
+def test_epr_terms_read_each_orders_sign_set():
+    # the coarse term of an order is N for the signs {0}, A for signs
+    # without 0 and S otherwise, on every sign set and on walked matrices,
+    # whose sign tables are checked mask by mask against the oracle
+    sign_sets = [frozenset(s) for s in ({-1}, {0}, {1}, {-1, 0}, {-1, 1}, {0, 1}, {-1, 0, 1})]
     rng = random.Random(608)
     for _ in range(200):
-        pools = rng.choices(([0], [1, -1], [0, 1, -1]), k=rng.randint(1, 5))
-        lists = [[rng.choice(pool) for _ in range(rng.randint(1, 6))] for pool in pools]
-        expected = tuple(
-            EprTerm.N if all(v == 0 for v in signs) else EprTerm.A if 0 not in signs else EprTerm.S for signs in lists
-        )
-        assert epr_terms(lists) == expected
+        sets = rng.choices(sign_sets, k=rng.randint(1, 5))
+        expected = tuple(EprTerm.N if s == {0} else EprTerm.A if 0 not in s else EprTerm.S for s in sets)
+        assert epr_terms(sets) == expected
     for _ in range(40):
         m = random_hermitian(rng, rng.randint(1, 5), real=bool(rng.getrandbits(1)))
-        signs = m.minor_signs_by_order()
-        assert EprSequence(epr_terms(signs)) == compute_epr(m) == SeprSequence(sepr_terms(signs)).underlying()
-    assert [str(t) for t in epr_terms(HermitianMatrix.diagonal([1, -1, 0]).minor_signs_by_order())] == ["S", "S", "N"]
+        table = oracle_sign_table(m)
+        assert m._mask_signs() == table
+        expected = tuple(
+            EprTerm.N if not any(s for mask, s in enumerate(table) if mask.bit_count() == k)
+            else EprTerm.A if all(s for mask, s in enumerate(table) if mask.bit_count() == k)
+            else EprTerm.S
+            for k in range(1, m.n + 1)
+        )
+        sets = m.minor_sign_sets()
+        assert epr_terms(sets) == expected
+        assert EprSequence(expected) == compute_epr(m) == SeprSequence(sepr_terms(sets)).underlying()
+    assert [str(t) for t in epr_terms(HermitianMatrix.diagonal([1, -1, 0]).minor_sign_sets())] == ["S", "S", "N"]
 
 
 def test_compute_sepr_and_epr_split_the_table_once(monkeypatch):
     # seprkit compute prints both sequences: the second summary reads the
-    # per-order lists the first one cached on the matrix
+    # sign sets the first one cached on the matrix
     import seprkit.matrix
 
     calls = []
-    split = seprkit.matrix._signs_by_order
-    monkeypatch.setattr(seprkit.matrix, "_signs_by_order", lambda table, n: calls.append(n) or split(table, n))
+    split = seprkit.matrix._sign_sets
+    monkeypatch.setattr(seprkit.matrix, "_sign_sets", lambda table: calls.append(len(table)) or split(table))
     m = HermitianMatrix.diagonal([1, -1, 0])
     assert (str(compute_sepr(m)), str(compute_epr(m))) == ("S*S-N", "SSN")
-    assert calls == [3]
-    assert m.minor_signs_by_order() is m.minor_signs_by_order()
+    assert calls == [8]
+    assert m.minor_sign_sets() is m.minor_sign_sets()
 
 
 def test_diagonal_sepr_against_subset_product_oracle():
@@ -246,7 +254,7 @@ def test_append_zero_is_the_direct_sum_with_n():
 
 def _sequence(table):
     """The sequence that summarises a sign table indexed by mask."""
-    return SeprSequence(sepr_terms(_signs_by_order(table, len(table).bit_length() - 1)))
+    return SeprSequence(sepr_terms(_sign_sets(table)))
 
 
 def test_table_rules_refine_sequence_rules():
@@ -260,10 +268,10 @@ def test_table_rules_refine_sequence_rules():
     for _ in range(1000):
         n = rng.randint(1, 8)
         table = [1] * (1 << n)
-        for masks in _order_masks(n):
+        for k in range(1, n + 1):
             signs = sorted(rng.choice(list(SeprTerm)).signs)
-            for mask in masks:
-                table[mask] = rng.choice(signs)
+            for subset in combinations(range(n), k):
+                table[sum(1 << i for i in subset)] = rng.choice(signs)
         seq = _sequence(table)
         assert _sequence(negation_table(table)) == negation_rule(seq)
         assert _sequence(append_zero_table(table)) == direct_sum_rule(seq, zero)
