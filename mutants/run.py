@@ -528,8 +528,8 @@ MUTANTS = (
     Mutant(
         "sign-sets-chunk-base-is-index",
         MATRIX,
-        "enumerate(getters, index.bit_count())",
-        "enumerate(getters, index)",
+        "enumerate(getters, index.bit_count() - 1)",
+        "enumerate(getters, index - 1)",
         ("tests/test_matrix.py::test_sign_sets_match_popcount_reference",),
     ),
     Mutant(

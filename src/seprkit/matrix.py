@@ -543,16 +543,17 @@ def _sign_sets(table):
     """Tuple indexed by k-1: the set of signs a sign table (indexed by
     mask, as _sign_walk returns it) holds on the order-k masks.  The table
     is read in chunks of 2**c masks, c = min(n, 10): a mask's order is the
-    popcount of its offset in the chunk plus that of the chunk's index."""
+    popcount of its offset in the chunk plus that of the chunk's index.
+    Chunk 0, the only one holding the empty minor, is read in place."""
     n = len(table).bit_length() - 1
     c = min(n, 10)
     getters = _chunk_getters(c)
-    sets = [frozenset()] * (n + 1)
-    for index in range(len(table) >> c):
+    sets = [frozenset(get(table)) for get in getters[1:]] + [frozenset()] * (n - c)
+    for index in range(1, len(table) >> c):
         chunk = table[index << c : (index + 1) << c]
-        for k, get in enumerate(getters, index.bit_count()):
+        for k, get in enumerate(getters, index.bit_count() - 1):
             sets[k] |= frozenset(get(chunk))
-    return tuple(sets[1:])
+    return tuple(sets)
 
 
 class HermitianMatrix:
