@@ -51,7 +51,7 @@ NON_REAL = ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
-TABLE_RULES = ("tests/test_sepr.py::test_table_rules_refine_sequence_rules",)
+DIRECT_SUM_RULE = ("tests/test_sepr.py::test_direct_sum_rule_matches_engine",)
 INHERITANCE = ("tests/test_properties.py::test_inheritance_names_the_first_wrong_cached_sign",)
 INHERITANCE_CLEAN = ("tests/test_properties.py::test_inheritance_clean_on_random_draws",)
 PERMUTATION = ("tests/test_properties.py::test_permutation_names_the_first_wrong_cached_sign",)
@@ -449,7 +449,7 @@ MUTANTS = (
     Mutant(
         "sweep-keeps-last-grid",
         SEARCH,
-        "if terms not in seen:",
+        "if text not in found:",
         "if True:",
         ("tests/test_search.py::test_sweep_keeps_the_first_canonical_grid_of_each_sequence",),
     ),
@@ -484,12 +484,12 @@ MUTANTS = (
         ),
     ),
     # the transforms of a base's negation are predicted from the negation's
-    # sequence, not the base's
+    # table, not the base's
     Mutant(
         "census-transform-of-unnegated",
         SEARCH,
-        "t.rule(s),",
-        "t.rule(seq),",
+        "t.table(operand_table)",
+        "t.table(table)",
         ("tests/test_search.py::test_census_transforms_match_their_rules",),
     ),
     # the hunt's four transform checks share one table comparison
@@ -499,14 +499,6 @@ MUTANTS = (
         "if got == expected:",
         "if True:",
         ("tests/test_properties.py::test_suite_catches_seeded_defect",),
-    ),
-    # the sequence rules the census reads, which the table rules refine
-    Mutant(
-        "direct-sum-without-empty-minor",
-        SEPR,
-        "return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)",
-        "return (frozenset(),) + tuple(t.signs for t in seq.terms)",
-        ("tests/test_sepr.py::test_direct_sum_rule_matches_engine", *TABLE_RULES),
     ),
     # the coarse terms read each order's sign set
     Mutant(
@@ -539,55 +531,41 @@ MUTANTS = (
         "term = _TERM_BY_SIGNS.get(present & {-1, 0, 1})",
         ("tests/test_sepr.py::test_classify_rejects_values_other_than_signs",),
     ),
+    # the table rules that the hunt's transform checks and the census read
     Mutant(
-        "negation-swaps-even-orders",
+        "direct-sum-table-operands-swapped",
         SEPR,
-        "t.negated if k % 2 else t",
-        "t if k % 2 else t.negated",
-        TRANSFORM_RULES + TABLE_RULES,
+        "[y * x for y in b for x in a]",
+        "[y * x for x in a for y in b]",
+        DIRECT_SUM_RULE,
     ),
     Mutant(
-        "inverse-without-swap",
+        "direct-sum-table-ignores-second-operand",
         SEPR,
-        "    if last is SeprTerm.A_MINUS:\n",
-        "    if False:\n",
-        TRANSFORM_RULES + TABLE_RULES,
+        "[y * x for y in b for x in a]",
+        "[x for y in b for x in a]",
+        DIRECT_SUM_RULE,
     ),
-    Mutant(
-        "duplicate-last-weakens-term-1",
-        SEPR,
-        "[first] + [classify_signs(t.signs | {0}) for t in rest]",
-        "[classify_signs(t.signs | {0}) for t in seq.terms]",
-        TRANSFORM_RULES + TABLE_RULES,
-    ),
-    # the table rules the hunt's transform checks read
     Mutant(
         "negation-table-negates-even-orders",
         SEPR,
         "-sign if mask.bit_count() & 1 else sign",
         "sign if mask.bit_count() & 1 else -sign",
-        TABLE_RULES,
-    ),
-    Mutant(
-        "append-zero-table-repeats-the-table",
-        SEPR,
-        "return table + [0] * len(table)",
-        "return table + table",
-        TABLE_RULES,
+        TRANSFORM_RULES,
     ),
     Mutant(
         "duplicate-last-table-keeps-both-copies",
         SEPR,
         "return table + table[h:] + [0] * h",
         "return table + table[h:] + table[h:]",
-        TABLE_RULES,
+        TRANSFORM_RULES,
     ),
     Mutant(
         "inverse-table-ignores-determinant-sign",
         SEPR,
         "return table[::-1] if table[-1] > 0 else [-sign for sign in reversed(table)]",
         "return table[::-1]",
-        TABLE_RULES,
+        TRANSFORM_RULES,
     ),
 )
 

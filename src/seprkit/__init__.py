@@ -10,7 +10,6 @@ attaining target patterns.  All arithmetic is exact.
 from .exact import (
     GaussianRational,
     I,
-    Rational,
     Sqrt5Rational,
     format_rational,
     parse_rational,

@@ -67,12 +67,11 @@ def parse_field(text: str) -> Field:
         raise ValueError(f"--field: {exc}") from None
 
 
-def _field_arg(parser, required=True, default=None):
+def _field_arg(parser):
     parser.add_argument(
         "--field",
         type=str,
-        required=required,
-        default=default,
+        required=True,
         help="matrix field: 'hermitian' (complex) or 'real' (real symmetric)",
     )
 

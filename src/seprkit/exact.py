@@ -7,10 +7,6 @@ a Q(sqrt 5) value also gives its certified sign.  They do no field
 arithmetic.  Both are immutable with structural equality, so they can be
 shared freely (including across threads) and used as dict keys.
 
-``Rational`` is an alias for :class:`fractions.Fraction`, which already
-guarantees the invariants we need: arbitrary-precision integers, positive
-denominator, and storage in lowest terms.
-
 Scalar text has one grammar, ``['-'] digits ['/' digits]``, read by
 :func:`parse_ratio` into an unreduced ``(numerator, denominator)`` pair.
 :func:`parse_rational` and :func:`parse_pool_token` build exact scalars
@@ -23,8 +19,6 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-
-Rational = Fraction
 
 
 class ScalarParseError(ValueError):

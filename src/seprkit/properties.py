@@ -5,10 +5,10 @@ Each check inspects one matrix and returns a list of violation messages
 mathematically guaranteed, so any violation indicates a defect in the
 exact arithmetic, the minor enumeration, or the classification logic.
 The transform checks and the census in ``search`` read one table,
-``TRANSFORMS``, which pairs each transform with two rules of ``sepr``:
-the hunt compares the built matrix's walked sign table with the table
+``TRANSFORMS``, which pairs each transform with its table rule in
+``sepr``: the hunt compares the built matrix's walked sign table with the
 rule applied to the operand's walked table, and the census predicts the
-built matrix's sequence from the operand's sequence by the sequence rule.
+built matrix's sequence by summarising that rule's table.
 The checks:
 
 * the last term of a sequence is always A+, A- or N;
@@ -54,15 +54,11 @@ from .matrix import (
 from .sepr import (
     SeprSequence,
     SeprTerm,
-    append_zero_table,
     compute_epr,
     compute_sepr,
-    direct_sum_rule,
-    duplicate_last_rule,
+    direct_sum_table,
     duplicate_last_table,
-    inverse_rule,
     inverse_table,
-    negation_rule,
     negation_table,
 )
 
@@ -176,39 +172,37 @@ def not_invertible(last: SeprTerm, where: str) -> str:
 
 
 class Transform(NamedTuple):
-    """A matrix transform whose sign table a rule of ``sepr`` predicts from
-    its operand's table, and whose sequence another predicts from its
-    operand's sequence alone.  ``build`` looks its HermitianMatrix method
-    up when called, so a patched or wrapped method is the one run."""
+    """A matrix transform whose sign table a table rule of ``sepr``
+    predicts from its operand's table; the hunt compares that table with
+    the built matrix's walk, and the census summarises it.  ``build`` looks
+    its HermitianMatrix method up when called, so a patched or wrapped
+    method is the one run."""
 
     check: str  # the hunt's check name
     tag: str  # the census's source tag
     build: Callable[[HermitianMatrix], HermitianMatrix]
-    rule: Callable[[SeprSequence], SeprSequence]  # the census's prediction
-    table: Callable[[list], list]  # the hunt's prediction
+    table: Callable[[list], list]  # the table rule
     image: str  # the built matrix, as the hunt's violation names it
     applies: Callable[[SeprSequence], bool] = lambda seq: True
 
 
-_ZERO_1 = SeprSequence((SeprTerm.N,))  # the sequence of the 1x1 zero matrix
+_ZERO_1 = [1, 0]  # the sign table of the 1x1 zero matrix
 
 # The rule-predicted transforms, keyed by census tag, in the census's order.
 TRANSFORMS: Dict[str, Transform] = {
     t.tag: t
     for t in (
-        Transform(
-            "negation-rule", "negate", methodcaller("negate"), negation_rule, negation_table, "negated matrix"
-        ),
+        Transform("negation-rule", "negate", methodcaller("negate"), negation_table, "negated matrix"),
         Transform(
             "append-zero", "append-zero", lambda m: m.direct_sum(HermitianMatrix.zero(1)),
-            lambda seq: direct_sum_rule(seq, _ZERO_1), append_zero_table, "zero-appended matrix",
+            lambda table: direct_sum_table(table, _ZERO_1), "zero-appended matrix",
         ),
         Transform(
-            "append-duplicate", "duplicate-last", methodcaller("duplicate_last"), duplicate_last_rule,
-            duplicate_last_table, "last-row duplicate",
+            "append-duplicate", "duplicate-last", methodcaller("duplicate_last"), duplicate_last_table,
+            "last-row duplicate",
         ),
         Transform(
-            "inverse-relation", "inverse", methodcaller("inverse"), inverse_rule, inverse_table, "inverse",
+            "inverse-relation", "inverse", methodcaller("inverse"), inverse_table, "inverse",
             lambda seq: seq.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS),
         ),
     )

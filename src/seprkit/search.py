@@ -31,10 +31,10 @@ The attainability census draws no random matrix: after its stock and
 catalog bases it climbs a fixed ladder of transforms, sweeps,
 duplicate-last constructions, det = 0 completions and direct sums (see
 attainability_census), so its report depends on nothing but the order
-and the field.  Transforms and duplicate-last constructions are predicted
-by the sequence rules of seprkit.properties.TRANSFORMS, the table whose
-table rules the hunt's transform checks read, and direct sums by
-seprkit.sepr's direct_sum_rule.
+and the field.  Each construction is predicted by summarising a table
+rule's table: transforms and duplicate-last constructions by the rules of
+seprkit.properties.TRANSFORMS, which the hunt's transform checks also
+read, and direct sums by seprkit.sepr's direct_sum_table.
 All pass one gate: each prediction is scanned for forbidden windows, and a
 matrix is built and walked only when its prediction holds a pattern still
 missing.  Every witness the census reports is a matrix it built and walked.
@@ -53,9 +53,9 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, 
 from .catalog import build_witness, get_record, witness_ids
 from .classify import Field, all_patterns, forbidden_order2, forbidden_order3
 from .exact import GaussianRational, I
-from .matrix import HermitianMatrix, SingularMatrixError, _scale, _sign_sets, _sign_walk
+from .matrix import HermitianMatrix, SingularMatrixError, _scale, _sign_walk
 from .properties import TRANSFORMS, not_invertible, run_suite
-from .sepr import SeprSequence, compute_sepr, direct_sum_rule, sepr_terms
+from .sepr import SeprSequence, compute_sepr, direct_sum_table, table_sequence
 
 DEFAULT_SEED = 1729
 
@@ -357,12 +357,11 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     upper entry over the whole pool, in odometer order.  The first
     canonical grid with a given sequence represents it.  A grid is graded
     by the signs of its own _sign_walk, with no matrix built; only the
-    first grid of each sequence becomes a HermitianMatrix, whose
-    compute_sepr gives the sequence's text.  Each distinct sign table is
-    summarised once: a grid whose table was already met cannot bring a new
-    sequence and is skipped.  At order 3 the sweep walks 1,575 real and
-    200 Hermitian grids, which hold 149 and 76 tables and give 62 and 42
-    sequences.
+    first grid of each sequence becomes a HermitianMatrix.  Each distinct
+    sign table is summarised once: a grid whose table was already met
+    cannot bring a new sequence and is skipped.  At order 3 the sweep
+    walks 1,575 real and 200 Hermitian grids, which hold 149 and 76 tables
+    and give 62 and 42 sequences.
 
     The reduction is exact because of _sweep_pool's closed pools,
     {-2..2} and {0, +-1, +-i}: each is closed under conjugation and under
@@ -381,17 +380,15 @@ def full_sequence_sweep(order: int, field: Field) -> Dict[str, HermitianMatrix]:
     first_row = tuple(p for v, p in zip(pool, pairs) if v.im == 0 and v.re >= 0)
     choices = [first_row] * (order - 1) + [pairs] * ((order - 1) * (order - 2) // 2)
     found: Dict[str, HermitianMatrix] = {}
-    tables, seen = set(), set()
+    tables = set()
     for grid in _grid_tuples(combinations_with_replacement(diag_values, order), choices):
         table = tuple(_sign_walk(grid, d))
         if table in tables:
             continue
         tables.add(table)
-        terms = sepr_terms(_sign_sets(table))
-        if terms not in seen:
-            seen.add(terms)
-            m = HermitianMatrix._of(d, scale, grid)
-            found[str(compute_sepr(m))] = m
+        text = str(table_sequence(table))
+        if text not in found:
+            found[text] = HermitianMatrix._of(d, scale, grid)
     return found
 
 
@@ -441,17 +438,22 @@ def _derived_matrices(
 ) -> Iterator[Tuple[str, SeprSequence, Callable[[], HermitianMatrix]]]:
     """The TRANSFORMS of a base as (source, predicted sequence, build): its
     negation, then the other transforms of the base and of its negation, in
-    the table's order.  Each sequence follows from the base's walked
-    sequence by the table's rules; build() makes the matrix, negating the
-    base at most once."""
-    seq = compute_sepr(matrix)
+    the table's order.  Each sequence summarises a table rule applied to
+    the base's walked sign table or to the negation's table of it; build()
+    makes the matrix, negating the base at most once."""
+    table = matrix._mask_signs()
     negate = TRANSFORMS["negate"]
-    negated_seq, negated = negate.rule(seq), cache(partial(negate.build, matrix))
+    negated_table, negated = negate.table(table), cache(partial(negate.build, matrix))
+    negated_seq = table_sequence(negated_table)
     yield f"transform:{negate.tag}({label})", negated_seq, negated
-    for prefix, s, operand in (("", seq, lambda: matrix), (f"{negate.tag}:", negated_seq, negated)):
+    for prefix, operand_table, seq, operand in (
+        ("", table, table_sequence(table), lambda: matrix),
+        (f"{negate.tag}:", negated_table, negated_seq, negated),
+    ):
         for t in TRANSFORMS.values():
-            if t is not negate and t.applies(s):
-                yield f"transform:{t.tag}({prefix}{label})", t.rule(s), lambda t=t, operand=operand: t.build(operand())
+            if t is not negate and t.applies(seq):
+                predicted = table_sequence(t.table(operand_table))
+                yield f"transform:{t.tag}({prefix}{label})", predicted, lambda t=t, operand=operand: t.build(operand())
 
 
 # Longest direct sum the census walks.  A*A*A*, the one pattern no earlier
@@ -468,8 +470,9 @@ def _direct_sums(
 ) -> Iterator[Tuple[str, SeprSequence, Callable[[], HermitianMatrix]]]:
     """Direct sums a (+) b of the recorded sequences as (source, predicted
     sequence, build): unordered pairs by increasing total length up to
-    MAX_SUM_ORDER, then by (length, text) of a and b.  Each sequence is
-    predicted by direct_sum_rule; build() sums the recorded matrices."""
+    MAX_SUM_ORDER, then by (length, text) of a and b.  Each sequence
+    summarises direct_sum_table of the recorded matrices' sign tables;
+    build() sums the recorded matrices."""
     by_length: Dict[int, List[SeprSequence]] = {}
     for s in sorted(recorded, key=str):
         by_length.setdefault(len(s), []).append(s)
@@ -478,8 +481,9 @@ def _direct_sums(
             left, right = by_length.get(na, []), by_length.get(total - na, [])
             for i, a in enumerate(left):
                 for b in right[i:] if left is right else right:
-                    source = f"construction:direct-sum({a},{b})"
-                    yield source, direct_sum_rule(a, b), partial(recorded[a].direct_sum, recorded[b])
+                    ma, mb = recorded[a], recorded[b]
+                    predicted = table_sequence(direct_sum_table(ma._mask_signs(), mb._mask_signs()))
+                    yield f"construction:direct-sum({a},{b})", predicted, partial(ma.direct_sum, mb)
 
 
 def attainability_census(order: int, field: Field) -> CensusReport:
@@ -496,8 +500,9 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     (5) direct sums of the sequences recorded so far (see _direct_sums).
 
     absorb() grades the sign table of a matrix's or a grid's own walk.
-    Rungs 1, 3 and 5 predict each sequence by a rule of TRANSFORMS or by
-    direct_sum_rule and pass one gate, offer(): a forbidden window in the
+    Rungs 1, 3 and 5 predict each sequence by summarising a table rule of
+    TRANSFORMS or direct_sum_table, applied to the operands' walked sign
+    tables, and pass one gate, offer(): a forbidden window in the
     prediction is a violation naming the source, the matrix is built only
     when the prediction holds a missing window, an inverse the engine
     refuses although the sequence ends in A+ or A- is a violation, and a
@@ -526,7 +531,7 @@ def attainability_census(order: int, field: Field) -> CensusReport:
         if table in graded:
             s, bad = graded[table]
         else:
-            s, bad = SeprSequence(sepr_terms(_sign_sets(table))), []
+            s, bad = table_sequence(table), []
             if s not in recorded:
                 recorded[s] = build()
             for _, w in s.windows(order):
@@ -582,7 +587,7 @@ def attainability_census(order: int, field: Field) -> CensusReport:
     index = {}
     for sweep in sweeps:
         for text, m in sweep.items():
-            predicted = duplicate.rule(compute_sepr(m))
+            predicted = table_sequence(duplicate.table(m._mask_signs()))
             source = f"construction:{duplicate.tag}(base={text})"
             index.setdefault(predicted[:order], (source, predicted, partial(duplicate.build, m)))
     for pattern in sorted(missing, key=str):

@@ -19,37 +19,27 @@ of the order-k minors nonzero) is the "underlying" sequence.  Throughout,
 
 Each term stands for the set of signs its minors take (``SeprTerm.signs``):
 A* = {+, -}, A+ = {+}, A- = {-}, N = {0}, S* = {0, +, -}, S+ = {0, +},
-S- = {0, -}, and ``classify_signs`` maps a sign set back to its term.  The
-sequence of a matrix built from others therefore follows from theirs, with
-no matrix at hand (signs_0 = {+} is the empty minor):
+S- = {0, -}, and ``classify_signs`` maps a sign set back to its term.
 
-* direct sum: an order-k principal minor of A (+) B is the product of an
-  order-i minor of A and an order-(k - i) minor of B, and every such pair
-  occurs, so term k has the signs {x y : x in signs_i(A), y in
-  signs_(k-i)(B)};
-* negation: an order-k minor of -B is (-1)^k times that of B, so + and -
-  swap on odd orders;
-* inverse: det(B^-1[a]) = det(B[a']) / det(B) for the complement a' of a,
-  so term k of B^-1 is term n - k of B, swapped when det(B) < 0, and the
-  last term is kept;
-* duplicating the last row and column: order-1 minors are diagonal entries,
-  one repeated; from order 2 on, the minors containing both copies vanish
-  and the others are B's, so every later term gains 0; the top minor is 0.
+A sign table T lists the signs of a matrix's principal minors indexed by
+mask, bit i for index i + 1, with T[0] = 1 the empty minor;
+``table_sequence`` summarises it.  Each transform law holds minor by minor,
+so one table rule per transform maps the operands' tables to the built
+matrix's, and the built matrix's sequence is the summary of that table:
 
-Bordering with a zero row and column is the direct sum with the sequence N.
-
-Each law holds minor by minor before any summary is taken, so it also maps
-the operand's sign table T (indexed by mask, bit i for index i + 1, with
-T[0] = 1 the empty minor) to the built matrix's table:
-
-* negation: T(M) (-1)^|M|;
-* bordering with a zero: T on the masks without the new index, 0 on the
-  masks with it;
+* direct sum A (+) B, B's indices after A's: the mask M_A | M_B reads
+  T_A(M_A) T_B(M_B), every minor of a block-diagonal matrix being the
+  product of its blocks' minors;
+* bordering with a zero row and column: the direct sum with [1, 0], the
+  table of the 1 x 1 zero matrix;
+* negation: an order-k minor of -B is (-1)^k times that of B, so M reads
+  T(M) (-1)^|M|;
 * duplicating the last row and column: T on the masks without the copy;
   a mask with the copy but not the original reads T at the mask with the
   original in its place, and a mask with both is 0;
-* inverse, by Jacobi's identity det(B^-1[a]) det(B) = det(B[a']): the mask
-  M reads T(full - M) T(full), full the mask of every index.
+* inverse, by Jacobi's identity det(B^-1[a]) det(B) = det(B[a']) for the
+  complement a' of a: the mask M reads T(full - M) T(full), full the mask
+  of every index.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Optional
 
-from .matrix import HermitianMatrix
+from .matrix import HermitianMatrix, _sign_sets
 
 
 class SequenceParseError(ValueError):
@@ -97,11 +87,6 @@ class SeprTerm(Enum):
     @property
     def underlying(self) -> EprTerm:
         return EprTerm(self.value[0])
-
-    @property
-    def negated(self) -> "SeprTerm":
-        """Swap + and - superscripts; * and N are fixed."""
-        return classify_signs(-x for x in _SIGNS[self])
 
     @property
     def signs(self) -> frozenset:
@@ -166,11 +151,6 @@ class _TermSequence:
 
     def __repr__(self):
         return f"{type(self).__name__}({str(self)!r})"
-
-    def __lt__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return str(self) < str(other)
 
     @classmethod
     def parse(cls, text: str):
@@ -288,36 +268,19 @@ def parse_sequence(text: str) -> SeprSequence:
 
 
 # ---------------------------------------------------------------------------
-# transform rules: a built matrix's sequence from the sequences of its parts,
-# and its sign table from its operand's
+# table rules: a built matrix's sign table from its operands' tables
 # ---------------------------------------------------------------------------
 
 
-def _sign_sets(seq: SeprSequence) -> tuple:
-    """signs_0, ..., signs_n of a sequence; the empty minor is 1."""
-    return (frozenset((1,)),) + tuple(t.signs for t in seq.terms)
+def table_sequence(table) -> SeprSequence:
+    """The sequence that summarises a sign table indexed by mask."""
+    return SeprSequence(sepr_terms(_sign_sets(table)))
 
 
-def direct_sum_rule(a: SeprSequence, b: SeprSequence) -> SeprSequence:
-    """The sequence of A (+) B, for A with sequence a and B with b."""
-    sa, sb = _sign_sets(a), _sign_sets(b)
-    n, m = len(a), len(b)
-    return SeprSequence(
-        classify_signs(
-            {x * y for i in range(max(0, k - m), min(k, n) + 1) for x in sa[i] for y in sb[k - i]}
-        )
-        for k in range(1, n + m + 1)
-    )
-
-
-def append_zero_table(table: list) -> list:
-    """The sign table of B bordered with a zero row and column, from B's."""
-    return table + [0] * len(table)
-
-
-def negation_rule(seq: SeprSequence) -> SeprSequence:
-    """The sequence of -B: + and - swap on odd orders."""
-    return SeprSequence(t.negated if k % 2 else t for k, t in enumerate(seq.terms, start=1))
+def direct_sum_table(a: list, b: list) -> list:
+    """The sign table of A (+) B from A's and B's, B's indices after A's:
+    the sign at a mask is A's sign on its low bits times B's on the rest."""
+    return [y * x for y in b for x in a]
 
 
 def negation_table(table: list) -> list:
@@ -325,29 +288,10 @@ def negation_table(table: list) -> list:
     return [-sign if mask.bit_count() & 1 else sign for mask, sign in enumerate(table)]
 
 
-def inverse_rule(seq: SeprSequence) -> SeprSequence:
-    """The sequence of B^-1: the terms before the last reversed, swapped
-    when the last term is A-, then the last term.  A sequence ending in
-    neither A+ nor A- has no inverse (ValueError)."""
-    *front, last = seq.terms
-    if last not in (SeprTerm.A_PLUS, SeprTerm.A_MINUS):
-        raise ValueError(f"a sequence ending in {last} belongs to no invertible matrix")
-    if last is SeprTerm.A_MINUS:
-        front = [t.negated for t in front]
-    return SeprSequence(front[::-1] + [last])
-
-
 def inverse_table(table: list) -> list:
     """The sign table of B^-1 from B's, for B nonsingular: the sign at the
     complement of each mask, times the determinant's sign."""
     return table[::-1] if table[-1] > 0 else [-sign for sign in reversed(table)]
-
-
-def duplicate_last_rule(seq: SeprSequence) -> SeprSequence:
-    """The sequence of B with its last row and column duplicated: term 1
-    kept, 0 added to every later term's signs, then N."""
-    first, *rest = seq.terms
-    return SeprSequence([first] + [classify_signs(t.signs | {0}) for t in rest] + [SeprTerm.N])
 
 
 def duplicate_last_table(table: list) -> list:

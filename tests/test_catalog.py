@@ -15,7 +15,7 @@ from seprkit.catalog import (
 from seprkit.classify import Field, scan_for_forbidden
 from seprkit.exact import GaussianRational, Sqrt5Rational
 from seprkit.matrix import HermitianMatrix
-from seprkit.sepr import SeprTerm, compute_sepr, parse_sequence
+from seprkit.sepr import SeprTerm, classify_signs, compute_sepr, parse_sequence
 
 EXPECTED_FAMILY_SIZES = {
     "VierOne": 10,
@@ -168,7 +168,7 @@ def test_inverse_defined_witnesses_link_to_base():
 
         expected = SeprSequence(front + [last])
         if last is SeprTerm.A_MINUS:
-            expected = SeprSequence([t.negated for t in front] + [last])
+            expected = SeprSequence([classify_signs(-x for x in t.signs) for t in front] + [last])
         assert s_inv == expected, wid
 
 

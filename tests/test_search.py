@@ -27,7 +27,7 @@ from seprkit.search import (
     _derived_matrices,
     _sweep_pool,
 )
-from seprkit.sepr import compute_sepr, parse_sequence
+from seprkit.sepr import classify_signs, compute_sepr, parse_sequence, table_sequence
 
 
 def test_config_validation():
@@ -164,7 +164,7 @@ def test_negation_closure_of_found_witness():
     hit = find_witness(cfg)
     assert hit is not None
     negged = compute_sepr(hit.matrix.negate())
-    expected = [t.negated if j % 2 == 0 else t for j, t in enumerate(hit.sepr.terms)]
+    expected = [classify_signs(-x for x in t.signs) if j % 2 == 0 else t for j, t in enumerate(hit.sepr.terms)]
     assert list(negged.terms) == expected
 
 
@@ -314,13 +314,13 @@ SWEEP_TABLES = {Field.REAL_SYMMETRIC: (149, 62), Field.HERMITIAN: (76, 42)}
 def test_sweep_summarises_each_distinct_table_once(field, monkeypatch):
     # a grid whose sign table was already met cannot bring a new sequence,
     # so the sweep summarises each table once
-    summarised, terms = [], search.sepr_terms
+    summarised, summarise = [], search.table_sequence
 
-    def counting(sign_sets):
-        summarised.append(sign_sets)
-        return terms(sign_sets)
+    def counting(table):
+        summarised.append(table)
+        return summarise(table)
 
-    monkeypatch.setattr(search, "sepr_terms", counting)
+    monkeypatch.setattr(search, "table_sequence", counting)
     sequences = full_sequence_sweep(3, field)
     assert (len(summarised), len(sequences)) == SWEEP_TABLES[field]
 
@@ -408,11 +408,17 @@ def test_census_reports_a_failed_inverse(monkeypatch, capsys):
     assert "violation: last term A+ but matrix not invertible: transform:inverse(" in err
 
 
+# A*A*N, the first forbidden real order-3 pattern: both signs on orders 1
+# and 2, and a zero top minor
+BAD_TABLE = [1, 1, -1, 1, 1, -1, 1, 0]
+
+
 def test_census_scans_predictions_for_forbidden_windows(monkeypatch):
     # a prediction is checked for forbidden windows even when its matrix
     # is never built
     bad = min(forbidden_order3(Field.REAL_SYMMETRIC), key=str)
-    negate = TRANSFORMS["negate"]._replace(rule=lambda seq: bad)
+    assert table_sequence(BAD_TABLE) == bad
+    negate = TRANSFORMS["negate"]._replace(table=lambda table: BAD_TABLE)
     monkeypatch.setattr(search, "TRANSFORMS", {**TRANSFORMS, "negate": negate})
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert f"forbidden pattern {bad} predicted in {bad} for transform:negate(stock:O1)" in rep.violations
@@ -422,7 +428,8 @@ def test_census_scans_direct_sum_predictions(monkeypatch):
     # direct sums pass the same gate as the transforms: a forbidden
     # window in a sum's prediction is a violation naming the sum
     bad = min(forbidden_order3(Field.REAL_SYMMETRIC), key=str)
-    monkeypatch.setattr(search, "direct_sum_rule", lambda a, b: bad)
+    assert table_sequence(BAD_TABLE) == bad
+    monkeypatch.setattr(search, "direct_sum_table", lambda a, b: BAD_TABLE)
     rep = attainability_census(3, Field.REAL_SYMMETRIC)
     assert any(
         v.startswith(f"forbidden pattern {bad} predicted in {bad} for construction:direct-sum(") for v in rep.violations

@@ -7,27 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import Gauss, matrix_of, oracle_sign_table, random_hermitian
-from seprkit.matrix import HermitianMatrix, _sign_sets
+from seprkit.catalog import build_witness
+from seprkit.matrix import HermitianMatrix, SingularMatrixError
 from seprkit.sepr import (
     EprSequence,
     EprTerm,
     SeprSequence,
     SeprTerm,
     SequenceParseError,
-    append_zero_table,
     classify_signs,
     compute_epr,
     compute_sepr,
-    direct_sum_rule,
-    duplicate_last_rule,
+    direct_sum_table,
     duplicate_last_table,
     epr_terms,
-    inverse_rule,
     inverse_table,
-    negation_rule,
     negation_table,
     parse_sequence,
     sepr_terms,
+    table_sequence,
 )
 
 sepr_sequences = st.lists(st.sampled_from(list(SeprTerm)), min_size=1, max_size=8).map(
@@ -216,67 +214,45 @@ def _random_block(rng, n, *, real):
 
 @pytest.mark.parametrize("real", (True, False), ids=("real", "hermitian"))
 def test_direct_sum_rule_matches_engine(real):
+    # the table rule gives the walked table of A (+) B mask by mask, and
+    # its summary is the sum's sequence: for two blocks of one field, then
+    # for a real block beside the Q(sqrt 5) witness VierFour.9 (real) or
+    # beside a Gaussian block (hermitian), in both orders
     rng = random.Random(808 + real)
-    for _ in range(600):
-        a = _random_block(rng, rng.randint(1, 4), real=real)
-        b = _random_block(rng, rng.randint(1, 4), real=real)
-        assert direct_sum_rule(compute_sepr(a), compute_sepr(b)) == compute_sepr(a.direct_sum(b))
+    pairs = [
+        (_random_block(rng, rng.randint(1, 4), real=real), _random_block(rng, rng.randint(1, 4), real=real))
+        for _ in range(600)
+    ]
+    root5 = build_witness("VierFour.9")
+    for _ in range(100):
+        block = _random_block(rng, rng.randint(1, 4), real=True)
+        other = root5 if real else _random_block(rng, rng.randint(1, 4), real=False)
+        pairs += [(block, other), (other, block)]
+    for a, b in pairs:
+        image = a.direct_sum(b)
+        predicted = direct_sum_table(a._mask_signs(), b._mask_signs())
+        assert predicted == image._mask_signs()
+        assert table_sequence(predicted) == compute_sepr(image)
+    assert {a._d for a, _ in pairs} == ({0, 5} if real else {0, -1})
 
 
 @pytest.mark.parametrize("real", (True, False), ids=("real", "hermitian"))
 def test_transform_rules_match_engine(real):
+    # each transform's table rule, applied to the operand's walked sign
+    # table, gives the built matrix's walked table mask by mask; bordering
+    # with a zero is the direct sum with [1, 0], the 1 x 1 zero's table
     rng = random.Random(809 + real)
-    inverted = set()
+    determinants = set()
     for _ in range(200):
         m = _random_block(rng, rng.randint(1, 5), real=real)
-        s = compute_sepr(m)
-        assert negation_rule(s) == compute_sepr(m.negate())
-        assert duplicate_last_rule(s) == compute_sepr(m.duplicate_last())
-        if s.terms[-1] is SeprTerm.N:
-            with pytest.raises(ValueError):
-                inverse_rule(s)
-        else:
-            assert inverse_rule(s) == compute_sepr(m.inverse())
-            inverted.add(s.terms[-1])
-    assert inverted == {SeprTerm.A_PLUS, SeprTerm.A_MINUS}
-
-
-def test_append_zero_is_the_direct_sum_with_n():
-    rng = random.Random(810)
-    reached = {}
-    for _ in range(300):
-        m = _random_block(rng, rng.randint(1, 5), real=bool(rng.getrandbits(1)))
-        reached.setdefault(compute_sepr(m), m)
-    zero = SeprSequence((SeprTerm.N,))
-    for s, m in reached.items():
-        assert direct_sum_rule(s, zero) == compute_sepr(m.direct_sum(HermitianMatrix.zero(1)))
-
-
-def _sequence(table):
-    """The sequence that summarises a sign table indexed by mask."""
-    return SeprSequence(sepr_terms(_sign_sets(table)))
-
-
-def test_table_rules_refine_sequence_rules():
-    # On arbitrary sign tables, realizable or not, each table rule's table
-    # summarises to the sequence rule applied to the operand's sequence.
-    # Each order's signs are drawn from one term's sign set, so any term
-    # can occur at any order.
-    rng = random.Random(811)
-    zero = SeprSequence((SeprTerm.N,))
-    determinants = set()
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        table = [1] * (1 << n)
-        for k in range(1, n + 1):
-            signs = sorted(rng.choice(list(SeprTerm)).signs)
-            for subset in combinations(range(n), k):
-                table[sum(1 << i for i in subset)] = rng.choice(signs)
-        seq = _sequence(table)
-        assert _sequence(negation_table(table)) == negation_rule(seq)
-        assert _sequence(append_zero_table(table)) == direct_sum_rule(seq, zero)
-        assert _sequence(duplicate_last_table(table)) == duplicate_last_rule(seq)
+        table = m._mask_signs()
+        assert negation_table(table) == m.negate()._mask_signs()
+        assert direct_sum_table(table, [1, 0]) == m.direct_sum(HermitianMatrix.zero(1))._mask_signs()
+        assert duplicate_last_table(table) == m.duplicate_last()._mask_signs()
         if table[-1]:
-            assert _sequence(inverse_table(table)) == inverse_rule(seq)
+            assert inverse_table(table) == m.inverse()._mask_signs()
             determinants.add(table[-1])
+        else:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
     assert determinants == {1, -1}
