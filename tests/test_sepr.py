@@ -256,3 +256,17 @@ def test_transform_rules_match_engine(real):
             with pytest.raises(SingularMatrixError):
                 m.inverse()
     assert determinants == {1, -1}
+
+
+def test_append_zero_is_the_direct_sum_with_n():
+    # bordering with a zero row and column is the direct sum with N: the
+    # summary of the direct sum with [1, 0], the 1 x 1 zero's table, is the
+    # bordered matrix's sequence, for one matrix of each sequence reached
+    rng = random.Random(810)
+    reached = {}
+    for _ in range(300):
+        m = _random_block(rng, rng.randint(1, 5), real=bool(rng.getrandbits(1)))
+        reached.setdefault(compute_sepr(m), m)
+    for m in reached.values():
+        bordered = compute_sepr(m.direct_sum(HermitianMatrix.zero(1)))
+        assert table_sequence(direct_sum_table(m._mask_signs(), [1, 0])) == bordered
