@@ -69,15 +69,15 @@ MUTANTS = (
     Mutant(
         "inheritance-never-fails",
         PROPERTIES,
-        "if walked != stored:",
-        "if False:",
+        "if n < 3:",
+        "if True:",
         INHERITANCE,
     ),
     Mutant(
         "inheritance-rereads-the-cache",
         PROPERTIES,
-        "fresh, cached = sub._mask_signs(),",
-        "fresh, cached = matrix._mask_signs(),",
+        'submatrix", sub._mask_signs(),',
+        'submatrix", matrix._mask_signs()[: 1 << k],',
         INHERITANCE,
     ),
     Mutant(
@@ -104,19 +104,27 @@ MUTANTS = (
         RANK_DROP,
     ),
     # the permutation check compares the permuted copy's table at mask M
-    # with the matrix's table at the image of M
+    # with the matrix's table at the image of M, which sepr's permutation
+    # rule reads
     Mutant(
         "permutation-image-from-inverse",
-        PROPERTIES,
+        SEPR,
         "for p in perm:",
-        "for p in sorted(range(1, n + 1), key=lambda k: perm[k - 1]):",
+        "for p in sorted(range(1, len(perm) + 1), key=lambda k: perm[k - 1]):",
         PERMUTATION,
+    ),
+    Mutant(
+        "permutation-table-inverts-the-image",
+        SEPR,
+        "return [table[mask] for mask in image]",
+        "return [table[image.index(mask)] for mask in range(len(table))]",
+        TRANSFORM_RULES,
     ),
     Mutant(
         "permutation-reads-own-mask",
         PROPERTIES,
-        "if sign != table[image[mask]]:",
-        "if sign != table[mask]:",
+        "permutation_table(matrix._mask_signs(), perm)",
+        "matrix._mask_signs()",
         PERMUTATION_CLEAN,
     ),
     # the one-level leaf of the integer walk, caught by the inheritance
@@ -492,7 +500,7 @@ MUTANTS = (
         "t.table(table)",
         ("tests/test_search.py::test_census_transforms_match_their_rules",),
     ),
-    # the hunt's four transform checks share one table comparison
+    # the hunt's two-walk checks share one table comparison
     Mutant(
         "transform-check-never-fails",
         PROPERTIES,

@@ -51,10 +51,16 @@ def parse_ratio(text: str) -> tuple[int, int]:
         m = _RATIONAL_RE.match(text)
         raise ScalarParseError(f"malformed rational {text!r}", m.end() if m else 0)
     sign, num, den = m.groups()
-    den = int(den) if den is not None else 1
+    at = len(sign)
+    try:
+        value = int(num)
+        at += len(num) + 1
+        den = int(den) if den is not None else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise ScalarParseError(str(exc), at) from None
     if den == 0:
-        raise ScalarParseError(f"zero denominator in {text!r}", len(sign) + len(num) + 1)
-    return (-int(num) if sign else int(num)), den
+        raise ScalarParseError(f"zero denominator in {text!r}", at)
+    return (-value if sign else value), den
 
 
 def parse_rational(text: str) -> Fraction:

@@ -830,7 +830,7 @@ def matrix_from_json_dict(doc) -> HermitianMatrix:
 def matrix_from_json(text: str) -> HermitianMatrix:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number literal too long for int()
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     return matrix_from_json_dict(doc)
 

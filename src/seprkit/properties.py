@@ -4,11 +4,13 @@ Each check inspects one matrix and returns a list of violation messages
 (empty means the property held).  The checks encode facts that are
 mathematically guaranteed, so any violation indicates a defect in the
 exact arithmetic, the minor enumeration, or the classification logic.
-The transform checks and the census in ``search`` read one table,
-``TRANSFORMS``, which pairs each transform with its table rule in
-``sepr``: the hunt compares the built matrix's walked sign table with the
-rule applied to the operand's walked table, and the census predicts the
-built matrix's sequence by summarising that rule's table.
+The two-walk checks (inheritance, permutation, transforms) share one
+comparison: a walked image's sign table against the table a rule gives,
+reported at the first differing mask in one message form.  The transform
+checks and the census in ``search`` read one table, ``TRANSFORMS``, which
+pairs each transform with its table rule in ``sepr`` and reads from the
+operand's sign table whether it applies; the census predicts the built
+matrix's sequence by summarising that rule's table.
 The checks:
 
 * the last term of a sequence is always A+, A- or N;
@@ -54,12 +56,14 @@ from .matrix import (
 from .sepr import (
     SeprSequence,
     SeprTerm,
+    classify_signs,
     compute_epr,
     compute_sepr,
     direct_sum_table,
     duplicate_last_table,
     inverse_table,
     negation_table,
+    permutation_table,
 )
 
 
@@ -70,6 +74,15 @@ def _describe(matrix: HermitianMatrix) -> str:
         return matrix_to_json(matrix)
     except MatrixFormatError:
         return repr(matrix)
+
+
+def _compare(name: str, got: list, expected: list, matrix: HermitianMatrix) -> List[str]:
+    """The two-walk checks' one comparison of the image ``name``'s walked
+    table with a rule's: [] if equal, else the first differing mask."""
+    if got == expected:
+        return []
+    m = next(i for i, (g, e) in enumerate(zip(got, expected)) if g != e)
+    return [f"{name} has sign {got[m]} at mask {m:#x}, the table rule gives {expected[m]}: {_describe(matrix)}"]
 
 
 def check_last_term(seq: SeprSequence) -> List[str]:
@@ -149,20 +162,13 @@ def check_inheritance(matrix: HermitianMatrix) -> List[str]:
     has the matrix's signs on the masks without index n - 1 or n: its
     minors are principal minors of the matrix.  The two walks reach a mask
     through different leaves and pivots, so a fault in the walk shows as
-    a mismatch; the first differing mask is reported."""
+    a mismatch."""
     n = matrix.n
     if n < 3:
         return []
     k = n - 2
     sub = HermitianMatrix._of(matrix._d, matrix._scale, tuple(row[:k] for row in matrix._grid[:k]))
-    fresh, cached = sub._mask_signs(), matrix._mask_signs()[: 1 << k]
-    for mask, (walked, stored) in enumerate(zip(fresh, cached)):
-        if walked != stored:
-            return [
-                f"leading order-{k} submatrix walked alone has sign {walked} at mask {mask:#x}, "
-                f"the matrix's table {stored}: {_describe(matrix)}"
-            ]
-    return []
+    return _compare(f"leading order-{k} submatrix", sub._mask_signs(), matrix._mask_signs()[: 1 << k], matrix)
 
 
 def not_invertible(last: SeprTerm, where: str) -> str:
@@ -183,7 +189,7 @@ class Transform(NamedTuple):
     build: Callable[[HermitianMatrix], HermitianMatrix]
     table: Callable[[list], list]  # the table rule
     image: str  # the built matrix, as the hunt's violation names it
-    applies: Callable[[SeprSequence], bool] = lambda seq: True
+    applies: Callable[[list], bool] = lambda table: True  # given the operand's table
 
 
 _ZERO_1 = [1, 0]  # the sign table of the 1x1 zero matrix
@@ -203,31 +209,23 @@ TRANSFORMS: Dict[str, Transform] = {
         ),
         Transform(
             "inverse-relation", "inverse", methodcaller("inverse"), inverse_table, "inverse",
-            lambda seq: seq.terms[-1] in (SeprTerm.A_PLUS, SeprTerm.A_MINUS),
+            lambda table: table[-1] != 0,
         ),
     )
 }
 
 
-def _check_transform(transform: Transform, matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
+def _check_transform(transform: Transform, matrix: HermitianMatrix) -> List[str]:
     """The built matrix's walked sign table is the table rule applied to
-    the matrix's own walked table; ``seq`` only says whether the transform
-    applies.  The two walks check each other, and the first differing mask
-    is reported."""
-    if not transform.applies(seq):
+    the matrix's own walked table; the two walks check each other."""
+    table = matrix._mask_signs()
+    if not transform.applies(table):
         return []
     try:
         image = transform.build(matrix)
     except SingularMatrixError:
-        return [not_invertible(seq.terms[-1], _describe(matrix))]
-    got, expected = image._mask_signs(), transform.table(matrix._mask_signs())
-    if got == expected:
-        return []
-    mask = next(m for m, (g, e) in enumerate(zip(got, expected)) if g != e)
-    return [
-        f"{transform.image} has sign {got[mask]} at mask {mask:#x}, the table rule gives "
-        f"{expected[mask]}: {_describe(matrix)}"
-    ]
+        return [not_invertible(classify_signs((table[-1],)), _describe(matrix))]
+    return _compare(transform.image, image._mask_signs(), transform.table(table), matrix)
 
 
 check_inverse_relation = partial(_check_transform, TRANSFORMS["inverse"])
@@ -238,24 +236,12 @@ check_append_duplicate = partial(_check_transform, TRANSFORMS["duplicate-last"])
 
 def check_permutation_invariance(matrix: HermitianMatrix, rng: random.Random) -> List[str]:
     """A simultaneous row/column permutation carries the minor at mask M to
-    the matrix's minor at the image of M, the mask of the permuted indices.
-    One permuted copy drawn from ``rng`` is walked and compared with the
-    matrix's table mask by mask; the walk reaches each mask through another
-    pivot order, so the two walks check each other.  The first differing
-    mask is reported."""
-    n = matrix.n
-    perm = rng.sample(range(1, n + 1), n)
-    image = [0]
-    for p in perm:
-        image += [low | 1 << (p - 1) for low in image]
-    table = matrix._mask_signs()
-    for mask, sign in enumerate(matrix.permute(perm)._mask_signs()):
-        if sign != table[image[mask]]:
-            return [
-                f"permutation {perm} has sign {sign} at mask {mask:#x}, the matrix's table "
-                f"{table[image[mask]]} at mask {image[mask]:#x}: {_describe(matrix)}"
-            ]
-    return []
+    the matrix's minor at the image of M (``sepr.permutation_table``).  One
+    permuted copy drawn from ``rng`` is walked; the walk reaches each mask
+    through another pivot order, so the two walks check each other."""
+    perm = rng.sample(range(1, matrix.n + 1), matrix.n)
+    expected = permutation_table(matrix._mask_signs(), perm)
+    return _compare(f"permutation {perm}", matrix.permute(perm)._mask_signs(), expected, matrix)
 
 
 def check_real_sna_window(matrix: HermitianMatrix, seq: SeprSequence) -> List[str]:
@@ -325,12 +311,12 @@ def run_suite(matrix: HermitianMatrix, field: Field, rng: random.Random) -> Tupl
     run("same-sign-at-rank", check_same_sign_at_rank(matrix))
     run("rank-drop-on-deletion", check_rank_drop_on_deletion(matrix))
     run("inheritance", check_inheritance(matrix))
-    if TRANSFORMS["inverse"].applies(seq):
-        run("inverse-relation", check_inverse_relation(matrix, seq))
-    run("negation-rule", check_negation_rule(matrix, seq))
+    if TRANSFORMS["inverse"].applies(matrix._mask_signs()):
+        run("inverse-relation", check_inverse_relation(matrix))
+    run("negation-rule", check_negation_rule(matrix))
     run("permutation-invariance", check_permutation_invariance(matrix, rng))
-    run("append-zero", check_append_zero(matrix, seq))
-    run("append-duplicate", check_append_duplicate(matrix, seq))
+    run("append-zero", check_append_zero(matrix))
+    run("append-duplicate", check_append_duplicate(matrix))
     if field is Field.REAL_SYMMETRIC:
         run("real-SNA-window", check_real_sna_window(matrix, seq))
     run("scan-clean", check_scan_clean(seq, field, matrix))

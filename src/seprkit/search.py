@@ -444,14 +444,10 @@ def _derived_matrices(
     table = matrix._mask_signs()
     negate = TRANSFORMS["negate"]
     negated_table, negated = negate.table(table), cache(partial(negate.build, matrix))
-    negated_seq = table_sequence(negated_table)
-    yield f"transform:{negate.tag}({label})", negated_seq, negated
-    for prefix, operand_table, seq, operand in (
-        ("", table, table_sequence(table), lambda: matrix),
-        (f"{negate.tag}:", negated_table, negated_seq, negated),
-    ):
+    yield f"transform:{negate.tag}({label})", table_sequence(negated_table), negated
+    for prefix, operand_table, operand in (("", table, lambda: matrix), (f"{negate.tag}:", negated_table, negated)):
         for t in TRANSFORMS.values():
-            if t is not negate and t.applies(seq):
+            if t is not negate and t.applies(operand_table):
                 predicted = table_sequence(t.table(operand_table))
                 yield f"transform:{t.tag}({prefix}{label})", predicted, lambda t=t, operand=operand: t.build(operand())
 

@@ -39,7 +39,9 @@ matrix's, and the built matrix's sequence is the summary of that table:
   original in its place, and a mask with both is 0;
 * inverse, by Jacobi's identity det(B^-1[a]) det(B) = det(B[a']) for the
   complement a' of a: the mask M reads T(full - M) T(full), full the mask
-  of every index.
+  of every index;
+* simultaneous row/column permutation by p: the mask M reads T at its
+  image, the mask of the indices p(i) for i in M.
 """
 
 from __future__ import annotations
@@ -300,3 +302,12 @@ def duplicate_last_table(table: list) -> list:
     both."""
     h = len(table) // 2
     return table + table[h:] + [0] * h
+
+
+def permutation_table(table: list, perm) -> list:
+    """The sign table of B.permute(perm) from B's: the sign at the image of
+    each mask, the mask of the indices perm[i] (1-based) for i in it."""
+    image = [0]
+    for p in perm:
+        image += [low | 1 << (p - 1) for low in image]
+    return [table[mask] for mask in image]

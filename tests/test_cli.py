@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -63,6 +64,23 @@ def test_compute_list_valued_part_is_a_located_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: entry (3,2): expected a rational string, got list (offset 0)\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads any number of digits")
+def test_compute_over_long_digit_string_is_a_located_usage_error(tmp_path, capsys):
+    # more digits than int() converts is a scalar error at its own cell,
+    # and a JSON number literal of that size is invalid JSON, not a crash
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[["1", "0"], [big, "0"]], [[big, "0"], ["2", "0"]]]}))
+    assert main(["compute", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: entry (1,2): Exceeds the limit")
+    assert captured.err.endswith(" (offset 0)\n")
+    path.write_text(f'{{"n": 1, "entries": [[[{big}, "0"]]]}}')
+    assert main(["compute", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: Exceeds the limit")
 
 
 def test_compute_unreadable_path(tmp_path, capsys):
@@ -198,6 +216,25 @@ def test_census_stdout_pinned(order, field, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == CENSUS_STDOUT_SHA256[order, field]
     assert captured.err == CENSUS_STDERR[order, field]
+
+
+# sha256 of the clean hunt stdout, `properties --samples 200 --order-n
+# 1:6`, per field and seed: the per-check counts, the inverse-relation
+# count among them, and the zero violations
+HUNT_STDOUT_SHA256 = {
+    ("hermitian", "1729"): "a1482fba0de3387e41e8759e8add04ee430a1c1093e9fa78572c7665325a13b5",
+    ("hermitian", "7"): "d825356367735dcb607de4cd0d1f4bbd227922e6983778c92d47603113df5f58",
+    ("real", "1729"): "281bcf67f015ca03b062df897a9227840f66e8eae7e331071cbf4656fe709fdf",
+    ("real", "7"): "a2a9428b7e23ee5d13c4f497de85b651cbb0bc459e0d63b3bf356f7a5eaf80a3",
+}
+
+
+@pytest.mark.parametrize("field, seed", HUNT_STDOUT_SHA256)
+def test_hunt_stdout_pinned(field, seed, capsys):
+    hunt = ["properties", "--field", field, "--samples", "200", "--order-n", "1:6", "--seed", seed]
+    assert main(hunt) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HUNT_STDOUT_SHA256[field, seed]
 
 
 def test_census_ignores_seed(capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,16 @@ def test_rational_grammar_rejects(bad, offset):
     with pytest.raises(ScalarParseError) as err:
         parse_rational(bad)
     assert err.value.offset == offset
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() reads any number of digits")
+def test_rational_grammar_locates_over_long_digits():
+    # more digits than int() converts is a grammar error at those digits
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    for text, offset in ((big, 0), (f"-{big}/3", 1), (f"-3/{big}", 3)):
+        with pytest.raises(ScalarParseError) as err:
+            parse_rational(text)
+        assert err.value.offset == offset
 
 
 def test_gaussian_pair_serialization():

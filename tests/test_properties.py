@@ -3,7 +3,7 @@ import random
 from conftest import random_hermitian
 from seprkit.catalog import build_witness, witness_ids
 from seprkit.classify import Field
-from seprkit.matrix import HermitianMatrix, matrix_to_json
+from seprkit.matrix import HermitianMatrix, SingularMatrixError, matrix_to_json
 from seprkit.properties import (
     SUITE_CHECKS,
     TRANSFORMS,
@@ -21,7 +21,7 @@ from seprkit.properties import (
     run_suite,
 )
 from seprkit.search import COMPLEX_DEFAULT_POOL, REAL_DEFAULT_POOL, grid_pool, random_matrix
-from seprkit.sepr import compute_sepr, parse_sequence
+from seprkit.sepr import compute_sepr
 
 
 def test_transform_oracles_on_known_matrices():
@@ -30,11 +30,11 @@ def test_transform_oracles_on_known_matrices():
     assert str(compute_sepr(d)) == "A*A*A+"
     appended = d.direct_sum(HermitianMatrix.zero(1))
     assert str(compute_sepr(appended)) == "S*S*S+N"
-    assert check_append_zero(d, compute_sepr(d)) == []
+    assert check_append_zero(d) == []
     # duplicating the last row/column keeps the first term
     i2 = HermitianMatrix.identity(2)
     assert str(compute_sepr(i2.duplicate_last())) == "A+S+N"
-    assert check_append_duplicate(i2, compute_sepr(i2)) == []
+    assert check_append_duplicate(i2) == []
 
 
 def _plant(matrix, mask, sign):
@@ -54,7 +54,7 @@ def test_violation_on_sqrt5_matrix_names_it():
     # sign is planted in a copy, never in the catalog's cached witness
     w = build_witness("VierFour.9")
     m = _plant(w, 0x2, 1)
-    (message,) = check_append_duplicate(m, compute_sepr(w))
+    (message,) = check_append_duplicate(m)
     assert message.startswith("last-row duplicate has sign -1 at mask 0x2, the table rule gives 1: ")
     assert message.endswith(repr(m))
 
@@ -62,18 +62,29 @@ def test_violation_on_sqrt5_matrix_names_it():
 def test_negation_rule_example():
     m = build_witness("NSFreal.2")  # sequence A-NS+NA-
     assert str(compute_sepr(m.negate())) == "A+NS-NA+"
-    assert check_negation_rule(m, compute_sepr(m)) == []
+    assert check_negation_rule(m) == []
 
 
 def test_inverse_branches_on_witnesses():
     # positive-determinant branch: plain reversal
     m = build_witness("Complex.3")  # NA-S*A+
     assert str(compute_sepr(m.inverse())) == "S*A-NA+"
-    assert check_inverse_relation(m, compute_sepr(m)) == []
+    assert check_inverse_relation(m) == []
     # negative-determinant branch: reversal plus sign swap
     m = build_witness("VierOne.7")  # A+S*A*A-
     assert str(compute_sepr(m.inverse())) == "A*S*A-A-"
-    assert check_inverse_relation(m, compute_sepr(m)) == []
+    assert check_inverse_relation(m) == []
+
+
+def test_inverse_check_reports_a_refused_inverse(monkeypatch):
+    # an inverse the engine refuses although the determinant's sign, read
+    # from the table, is nonzero is a violation naming the last term
+    def refuse(self):
+        raise SingularMatrixError("matrix is singular")
+
+    m = build_witness("VierOne.7")  # A+S*A*A-
+    monkeypatch.setattr(HermitianMatrix, "inverse", refuse)
+    assert check_inverse_relation(m) == [f"last term A- but matrix not invertible: {matrix_to_json(m)}"]
 
 
 def test_individual_checks_pass_on_catalog():
@@ -128,8 +139,7 @@ def test_transform_table_feeds_the_suite():
     # it applies to: a nonsingular matrix gets all four
     assert {t.check for t in TRANSFORMS.values()} <= set(SUITE_CHECKS)
     m = HermitianMatrix.diagonal([1, -1, 2])
-    seq = compute_sepr(m)
-    assert all(t.applies(seq) for t in TRANSFORMS.values())
+    assert all(t.applies(m._mask_signs()) for t in TRANSFORMS.values())
     counts, violations = run_suite(m, Field.REAL_SYMMETRIC, random.Random(5))
     assert violations == []
     assert [counts[t.check] for t in TRANSFORMS.values()] == [1, 1, 1, 1]
@@ -153,18 +163,17 @@ def test_suite_catches_seeded_defect():
     # where the built matrix's own walk has -1 on that mask; the inverse
     # reads it at the complement 0xc, times the negative determinant's sign.
     m = _plant(HermitianMatrix([[2, 1, 0, 1], [1, -1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 3]]), 0x3, 1)
-    seq = parse_sequence("S*S*A-A-")
     described = matrix_to_json(m)
-    assert check_negation_rule(m, seq) == [
+    assert check_negation_rule(m) == [
         f"negated matrix has sign -1 at mask 0x3, the table rule gives 1: {described}"
     ]
-    assert check_append_zero(m, seq) == [
+    assert check_append_zero(m) == [
         f"zero-appended matrix has sign -1 at mask 0x3, the table rule gives 1: {described}"
     ]
-    assert check_append_duplicate(m, seq) == [
+    assert check_append_duplicate(m) == [
         f"last-row duplicate has sign -1 at mask 0x3, the table rule gives 1: {described}"
     ]
-    assert check_inverse_relation(m, seq) == [
+    assert check_inverse_relation(m) == [
         f"inverse has sign 1 at mask 0xc, the table rule gives -1: {described}"
     ]
 
@@ -179,23 +188,22 @@ def test_transform_tables_clean_on_random_draws():
         scaled = grid_pool(pool)
         for _ in range(200):
             m = random_matrix(rng, rng.randint(1, 7), scaled)
-            seq = compute_sepr(m)
             for check in checks:
-                assert check(m, seq) == []
+                assert check(m) == []
 
 
 def test_inheritance_names_the_first_wrong_cached_sign():
     # Negative control: one wrong sign planted in the cached table at mask
     # 0x3 (the leading 2 x 2 minor, -3) disagrees with the fresh walk of
-    # the leading order-2 submatrix, and the message names that mask.
+    # the leading order-2 submatrix, and the message names that mask in
+    # the form every two-walk check shares.
     m = HermitianMatrix([[2, 1, 0, 1], [1, -1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 3]])
     table = list(m._mask_signs())
     assert table[0x3] == -1
     table[0x3] = 1
     object.__setattr__(m, "_minor_cache", table)
     assert check_inheritance(m) == [
-        "leading order-2 submatrix walked alone has sign -1 at mask 0x3, "
-        f"the matrix's table 1: {matrix_to_json(m)}"
+        f"leading order-2 submatrix has sign -1 at mask 0x3, the table rule gives 1: {matrix_to_json(m)}"
     ]
 
 
@@ -215,15 +223,15 @@ def test_permutation_names_the_first_wrong_cached_sign():
     # which carries mask 0x6 (indices 2 and 3) of the permuted copy to mask
     # 0x3 (indices 2 and 1) of the matrix.  One wrong sign planted in the
     # cached table at mask 0x3 (the leading 2 x 2 minor, -3) disagrees with
-    # the permuted walk there, and the message names both masks.
+    # the permuted walk there; the message names the permuted copy's mask
+    # in the form every two-walk check shares.
     m = HermitianMatrix([[2, 1, 0, 1], [1, -1, 1, 0], [0, 1, 0, 1], [1, 0, 1, 3]])
     table = list(m._mask_signs())
     assert table[0x3] == -1
     table[0x3] = 1
     object.__setattr__(m, "_minor_cache", table)
     assert check_permutation_invariance(m, random.Random(0)) == [
-        "permutation [4, 2, 1, 3] has sign -1 at mask 0x6, the matrix's table 1 "
-        f"at mask 0x3: {matrix_to_json(m)}"
+        f"permutation [4, 2, 1, 3] has sign -1 at mask 0x6, the table rule gives 1: {matrix_to_json(m)}"
     ]
 
 

@@ -24,6 +24,7 @@ from seprkit.sepr import (
     inverse_table,
     negation_table,
     parse_sequence,
+    permutation_table,
     sepr_terms,
     table_sequence,
 )
@@ -240,12 +241,15 @@ def test_direct_sum_rule_matches_engine(real):
 def test_transform_rules_match_engine(real):
     # each transform's table rule, applied to the operand's walked sign
     # table, gives the built matrix's walked table mask by mask; bordering
-    # with a zero is the direct sum with [1, 0], the 1 x 1 zero's table
-    rng = random.Random(809 + real)
+    # with a zero is the direct sum with [1, 0], the 1 x 1 zero's table,
+    # and the permutation is drawn from its own generator
+    rng, perms = random.Random(809 + real), random.Random(909 + real)
     determinants = set()
     for _ in range(200):
         m = _random_block(rng, rng.randint(1, 5), real=real)
         table = m._mask_signs()
+        perm = perms.sample(range(1, m.n + 1), m.n)
+        assert permutation_table(table, perm) == m.permute(perm)._mask_signs()
         assert negation_table(table) == m.negate()._mask_signs()
         assert direct_sum_table(table, [1, 0]) == m.direct_sum(HermitianMatrix.zero(1))._mask_signs()
         assert duplicate_last_table(table) == m.duplicate_last()._mask_signs()
