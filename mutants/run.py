@@ -49,6 +49,7 @@ LEAF = ("tests/test_matrix.py::test_two_level_leaf_matches_oracle",)
 LEAF3 = ("tests/test_matrix.py::test_three_level_leaf_matches_oracle",)
 NON_REAL = ("tests/test_matrix.py::test_sign_walk_rejects_non_real_minor",)
 PIVOT = ("tests/test_matrix.py::test_two_by_two_pivot_matches_oracle",)
+ZERO_LEAF = ("tests/test_matrix.py::test_zero_pivot_leaf_matches_oracle",)
 LARGE_BLOCKS = ("tests/test_matrix.py::test_large_blocks_agree_across_kernels",)
 TRANSFORM_RULES = ("tests/test_sepr.py::test_transform_rules_match_engine",)
 DIRECT_SUM_RULE = ("tests/test_sepr.py::test_direct_sum_rule_matches_engine",)
@@ -331,6 +332,45 @@ MUTANTS = (
         "(i, j, start[r] + t - r)",
         "(j, i, start[r] + t - r)",
         PIVOT,
+    ),
+    # the zero-pivot leaves of the sign walk: a single takes -sign(det S),
+    # a Z[i] pair reads Re(u_q C_qr conj u_r), the triple takes sign(det S),
+    # and each C_xx is checked for a nonzero imaginary part before any sign
+    Mutant(
+        "zero-leaf-int-single-sign",
+        MATRIX,
+        "q, r = bits[-2], bits[-1]\n                    table[child | q] = -psign if uq else 0",
+        "q, r = bits[-2], bits[-1]\n                    table[child | q] = psign if uq else 0",
+        ZERO_LEAF,
+    ),
+    Mutant(
+        "zero-leaf-pair-unconjugated",
+        MATRIX,
+        "pa, pb = qa * ra + qb * rb, qb * ra - qa * rb",
+        "pa, pb = qa * ra - qb * rb, qb * ra + qa * rb",
+        ZERO_LEAF,
+    ),
+    Mutant(
+        "zero-leaf-int-triple-sign",
+        MATRIX,
+        "table[child | q] = -psign if uq else 0\n"
+        "                    table[child | q | r] = (mqr > 0) - (mqr < 0)\n"
+        "                    table[child | q | t] = (mqt > 0) - (mqt < 0)\n"
+        "                    table[child | q | r | t] = ((mqrt > 0) - (mqrt < 0)) * psign\n",
+        "table[child | q] = -psign if uq else 0\n"
+        "                    table[child | q | r] = (mqr > 0) - (mqr < 0)\n"
+        "                    table[child | q | t] = (mqt > 0) - (mqt < 0)\n"
+        "                    table[child | q | r | t] = (mqrt > 0) - (mqrt < 0)\n",
+        ZERO_LEAF,
+    ),
+    Mutant(
+        "zero-leaf-nonreal-unchecked",
+        MATRIX,
+        "                    if xb or yb or zb:\n"
+        "                        for diagonal in (xa, xb), (ya, yb), (za, zb):\n"
+        "                            _sign(diagonal, -1)\n",
+        "",
+        NON_REAL,
     ),
     # the division by the previous pivot in the pair elimination
     Mutant(

@@ -78,7 +78,7 @@ class SingularMatrixError(ValueError):
 # one comprehension over _step(m, a), the cached index triples of (r, t),
 # (a, r) and (a, t) for each entry (r, t) of the child's block, so a step
 # pays no per-row setup, slicing or zip.  A singular child S+a (B[a, a] = 0)
-# with two or more later positions has no block, so the walk takes a 2 x 2
+# with four or more later positions has no block, so the walk takes a 2 x 2
 # pivot instead (Bunch and Kaufman, 1977).  Each partner w of a, a later
 # position with B[a, w] != 0, makes T = S+a+w nonsingular:
 # det T * det S = -B[a, w] B[w, a], so det T has the sign opposite to
@@ -104,6 +104,15 @@ class SingularMatrixError(ValueError):
 # so S+a+x takes sign(N_xx) * sign(det S), a pair V sign(det N[V]) *
 # sign(det[S+a]) and S+a+q+r+t sign(det N) * sign(det S).  Only det S and
 # det[S+a] divide, so the leaf holds when some N_xx = 0 as well.
+# A singular child S+a followed by exactly two or three positions is a
+# zero-pivot leaf, signed with no block, no division and no recursion.  By
+# Sylvester's identity det B[{a} + V] = (det S)**|V| det[S+a+V], and with
+# u_x = B[a, x], C = B on the later positions and B[a, a] = 0,
+# det B[{a} + V] = -u adj(C[V]) u*.  So S+a+x takes -sign(det S) when
+# u_x != 0 and 0 otherwise; a pair {x, y} takes the sign of
+# 2 Re(u_x C_xy conj u_y) - C_xx |u_y|**2 - C_yy |u_x|**2, since
+# (det S)**2 > 0; and S+a+q+r+t takes sign(det S) times the sign of
+# -u adj(C) u*.  When u = 0 every such set is singular and keeps its 0.
 # A 2 x 2 pivot builds T's block the same way, in one comprehension over
 # _pairs(m, keep): for each entry of T's block, its place in R and the
 # index of the matching entry of B, cached like _step.
@@ -354,7 +363,44 @@ def _walk_ints(block, bits, mask, prev, psign, table):
         s = table[child] = (piv > 0) - (piv < 0)
         if a < m - 2:
             if not s:
-                _pivot2_ints(block, a, bits, child, prev, psign, table)
+                if a < m - 4:
+                    _pivot2_ints(block, a, bits, child, prev, psign, table)
+                elif a == m - 4:
+                    # a zero-pivot leaf on the last three positions q, r and
+                    # t: M = B on {a} + V has the corner B[a, a] = 0, row u
+                    # and block C, so det M = -u adj(C[V]) u*
+                    _, uq, ur, ut, cqq, cqr, cqt, crr, crt, ctt = block[-10:]
+                    if not (uq or ur or ut):
+                        continue  # u = 0: every set through a keeps its 0
+                    sq, sr, st = uq * uq, ur * ur, ut * ut
+                    pqr, pqt, prt = uq * ur, uq * ut, ur * ut
+                    mqr = 2 * cqr * pqr - cqq * sr - crr * sq
+                    mqt = 2 * cqt * pqt - cqq * st - ctt * sq
+                    mrt = 2 * crt * prt - crr * st - ctt * sr
+                    mqrt = (
+                        (crt * crt - crr * ctt) * sq
+                        + (cqt * cqt - cqq * ctt) * sr
+                        + (cqr * cqr - cqq * crr) * st
+                        + 2 * ((cqr * ctt - cqt * crt) * pqr + (cqt * crr - cqr * crt) * pqt + (cqq * crt - cqr * cqt) * prt)
+                    )
+                    q, r, t = bits[-3:]
+                    table[child | q] = -psign if uq else 0
+                    table[child | q | r] = (mqr > 0) - (mqr < 0)
+                    table[child | q | t] = (mqt > 0) - (mqt < 0)
+                    table[child | q | r | t] = ((mqrt > 0) - (mqrt < 0)) * psign
+                    table[child | r] = -psign if ur else 0
+                    table[child | r | t] = (mrt > 0) - (mrt < 0)
+                    table[child | t] = -psign if ut else 0
+                else:
+                    # a zero-pivot leaf on the last two positions q and r
+                    _, uq, ur, cqq, cqr, crr = block[-6:]
+                    if not (uq or ur):
+                        continue
+                    mqr = 2 * cqr * uq * ur - cqq * ur * ur - crr * uq * uq
+                    q, r = bits[-2], bits[-1]
+                    table[child | q] = -psign if uq else 0
+                    table[child | r] = -psign if ur else 0
+                    table[child | q | r] = (mqr > 0) - (mqr < 0)
             elif a < m - 4:
                 _walk_ints(_reduce_ints(block, m, a, prev), bits[a + 1 :], child, piv, s, table)
             elif a == m - 4:
@@ -396,10 +442,11 @@ def _walk_pairs(block, bits, mask, prev, psign, table):
     raises.  The leaves read B[a, a] as real, since its sign was just
     taken, so a leaf minor's imaginary part is B[a, a] times that of its
     diagonal entry x: formed, and sent to _sign, only when x is non-real.
-    The loop would also raise on x when it reached it, but only after the
-    leaf had recorded signs through x; the leaves' own checks keep a wrong
-    sign from ever being recorded, as test_sign_walk_rejects_non_real_minor
-    pins."""
+    A zero-pivot leaf sends each non-real C_xx to _sign before it signs
+    any set.  The loop would also raise on x when it reached it, but only
+    after the leaf had recorded signs through x; the leaves' own checks
+    keep a wrong sign from ever being recorded, as
+    test_sign_walk_rejects_non_real_minor pins."""
     m = len(bits)
     for a, i in enumerate(_layout(m)):
         piv = block[i]
@@ -407,7 +454,59 @@ def _walk_pairs(block, bits, mask, prev, psign, table):
         s = table[child] = (piv[0] > 0) - (piv[0] < 0) if not piv[1] else _sign(piv, -1)
         if a < m - 2:
             if not s:
-                _pivot2_pairs(block, a, bits, child, prev, psign, table)
+                if a < m - 4:
+                    _pivot2_pairs(block, a, bits, child, prev, psign, table)
+                elif a == m - 4:
+                    # a zero-pivot leaf on the last three positions q, r and
+                    # t; each C_xx = det[S+x] is checked first, and a
+                    # non-real one raises before any set through x is signed
+                    (_, _), (qa, qb), (ra, rb), (ta, tb) = block[-10:-6]
+                    if not (qa or qb or ra or rb or ta or tb):
+                        continue  # u = 0: every set through a keeps its 0
+                    (xa, xb), (ea, eb), (fa, fb), (ya, yb), (ga, gb), (za, zb) = block[-6:]  # C_qq .. C_tt
+                    if xb or yb or zb:
+                        for diagonal in (xa, xb), (ya, yb), (za, zb):
+                            _sign(diagonal, -1)
+                    sq, sr, st = qa * qa + qb * qb, ra * ra + rb * rb, ta * ta + tb * tb
+                    # u_x conj(u_y) per pair, and the negated adj(C)_xy
+                    pqr, iqr = qa * ra + qb * rb, qb * ra - qa * rb
+                    pqt, iqt = qa * ta + qb * tb, qb * ta - qa * tb
+                    prt, irt = ra * ta + rb * tb, rb * ta - ra * tb
+                    aqr, bqr = ea * za - fa * ga - fb * gb, eb * za - fb * ga + fa * gb
+                    aqt, bqt = fa * ya - ea * ga + eb * gb, fb * ya - ea * gb - eb * ga
+                    art, brt = xa * ga - fa * ea - fb * eb, xa * gb - fb * ea + fa * eb
+                    # 2 Re(u_x C_xy conj u_y) - C_xx |u_y|**2 - C_yy |u_x|**2
+                    mqr = 2 * (ea * pqr - eb * iqr) - xa * sr - ya * sq
+                    mqt = 2 * (fa * pqt - fb * iqt) - xa * st - za * sq
+                    mrt = 2 * (ga * prt - gb * irt) - ya * st - za * sr
+                    mqrt = (
+                        (ga * ga + gb * gb - ya * za) * sq
+                        + (fa * fa + fb * fb - xa * za) * sr
+                        + (ea * ea + eb * eb - xa * ya) * st
+                        + 2 * (aqr * pqr - bqr * iqr + aqt * pqt - bqt * iqt + art * prt - brt * irt)
+                    )
+                    q, r, t = bits[-3:]
+                    table[child | q] = -psign if qa or qb else 0
+                    table[child | q | r] = (mqr > 0) - (mqr < 0)
+                    table[child | q | t] = (mqt > 0) - (mqt < 0)
+                    table[child | q | r | t] = ((mqrt > 0) - (mqrt < 0)) * psign
+                    table[child | r] = -psign if ra or rb else 0
+                    table[child | r | t] = (mrt > 0) - (mrt < 0)
+                    table[child | t] = -psign if ta or tb else 0
+                else:
+                    # a zero-pivot leaf on the last two positions q and r
+                    (_, _), (qa, qb), (ra, rb), (xa, xb), (ya, yb), (za, zb) = block[-6:]
+                    if not (qa or qb or ra or rb):
+                        continue
+                    if xb or zb:
+                        for diagonal in (xa, xb), (za, zb):
+                            _sign(diagonal, -1)
+                    pa, pb = qa * ra + qb * rb, qb * ra - qa * rb  # u_q conj(u_r)
+                    mqr = 2 * (ya * pa - yb * pb) - xa * (ra * ra + rb * rb) - za * (qa * qa + qb * qb)
+                    q, r = bits[-2], bits[-1]
+                    table[child | q] = -psign if qa or qb else 0
+                    table[child | r] = -psign if ra or rb else 0
+                    table[child | q | r] = (mqr > 0) - (mqr < 0)
             elif a < m - 4:
                 _walk_pairs(_reduce_pairs(block, m, a, prev), bits[a + 1 :], child, piv[0], s, table)
             elif a == m - 4:

@@ -210,10 +210,9 @@ def test_sign_table_matches_oracle(kind, orders, examples, det):
 def test_sign_table_below_negative_singular_prefix():
     # det[1] = -1 and det[1, j] = 0 for j = 2, 3, 4, so the block B of
     # S = {1} has a zero diagonal, and position 2 has the partners 3 and 4
-    # (B[2, 3] = -1, B[2, 4] = -2).  The walk takes a 2 x 2 pivot on each:
+    # (B[2, 3] = -1, B[2, 4] = -2).  The walk takes the zero-pivot leaf:
     # det[1, 2, w] = -|B[2, w]|**2 / det[1] has the sign opposite to
-    # det[1], and {1, 2, 3, 4} comes from the first pivot's block, whose
-    # entries are divided by (det[1])**2.
+    # det[1], and {1, 2, 3, 4} is det B[{2, 3, 4}] / (det[1])**2.
     m = HermitianMatrix([[-1, 1, 1, 1], [1, -1, 0, 1], [1, 0, -1, -1], [1, 1, -1, -1]])
     assert m._mask_signs() == oracle_sign_table(m)
     assert m._mask_signs() == [1, -1, -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, 1, 0]
@@ -288,8 +287,9 @@ def _hollow(draw, kind):
 @given(data=st.data())
 def test_sign_table_of_hollow_matrices(kind, data):
     # Every diagonal entry is a zero pivot of the root, so the walk takes a
-    # 2 x 2 pivot with each partner, and the pivots' reduced blocks often
-    # have zero diagonal entries again.
+    # 2 x 2 pivot with each partner, or a zero-pivot leaf when two or three
+    # positions follow, and the pivots' reduced blocks often have zero
+    # diagonal entries again.
     m = data.draw(_hollow(kind))
     assert m._mask_signs() == oracle_sign_table(m, elimination_det)
 
@@ -302,45 +302,133 @@ def _congruence(rows, unit):
     return matrix_of([[scale[i] * v * scale[j].conj() for j, v in enumerate(row)] for i, row in enumerate(rows)])
 
 
-# Each case has a zero pivot at position a of a node S with two or more
-# later positions.  Its facts are signs of minors, 1-based: det[S+a+r] = 0
-# for a non-partner r (B[a, r] = 0), and det[S+a+w] = -|B[a, w]|**2 / det S
-# for a partner w.
+# Each case has a zero pivot at position a of a node S with four or more
+# later positions, so the walk takes a 2 x 2 pivot there.  Its facts are
+# signs of minors, 1-based: det[S+a+r] = 0 for a non-partner r
+# (B[a, r] = 0), and det[S+a+w] = -|B[a, w]|**2 / det S for a partner w.
 _PIVOT_CASES = {
     # S = {1}, det S = -2, a = 2: non-partner 3 between a and its partners
-    # 4 and 5, whose minors are positive.
+    # 4, 5 and 6, whose minors are positive.  T's block is divided by
+    # (det S)**2 = 4; divided by det S, every entry would change sign.
     "negative-det": (
-        [[-2, 0, 2, 1, -1], [0, 0, 0, 2, 2], [2, 0, 0, 0, 0], [1, 2, 0, 2, 1], [-1, 2, 0, 1, 0]],
-        {(1,): -1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 1, (1, 2, 5): 1},
+        [
+            [-2, 0, 1, 2, -1, 2],
+            [0, 0, 0, 1, -2, 1],
+            [1, 0, 0, 2, 2, -1],
+            [2, 1, 2, 2, 1, 1],
+            [-1, -2, 2, 1, 0, 1],
+            [2, 1, -1, 1, 1, 0],
+        ],
+        {(1,): -1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 1, (1, 2, 5): 1, (1, 2, 6): 1, (1, 2, 3, 4, 5, 6): -1},
     ),
-    # S = {}, a = 1 with partners 4 and 5.  The first pivot, T = {1, 4}
-    # with det T = -1, has a zero pivot at 2 in its block again, with
-    # non-partner 3 and partner 5.
+    # S = {}, a = 1 with non-partners 2 and 3 and partners 4 to 7.  The first
+    # pivot, T = {1, 4} with det T = -4, has a zero pivot at 2 in its block
+    # again, with four later positions, all partners; that nested pivot
+    # divides by (det T)**2 = 16.
     "nested": (
-        [[0, 0, 0, -1, 1], [0, 0, 0, 2, 0], [0, 0, -2, -1, 0], [-1, 2, -1, 0, -1], [1, 0, 0, -1, -1]],
-        {(1,): 0, (1, 2): 0, (1, 3): 0, (1, 4): -1, (1, 5): -1, (1, 2, 4): 0, (1, 2, 3, 4): 0, (1, 2, 4, 5): 1},
+        [
+            [0, 0, 0, 2, -2, 1, 1],
+            [0, 0, 1, -1, -2, 1, -2],
+            [0, 1, 1, 1, 2, -2, 1],
+            [2, -1, 1, 0, -1, 2, -2],
+            [-2, -2, 2, -1, 0, -2, -2],
+            [1, 1, -2, 2, -2, -2, 2],
+            [1, -2, 1, -2, -2, 2, -2],
+        ],
+        {(1,): 0, (1, 2): 0, (1, 3): 0, (1, 4): -1, (1, 2, 4): 0, (1, 2, 3, 4): 1, (1, 2, 4, 5): 1, (1, 2, 4, 7): 1},
     ),
-    # S = {1}, det S = 2, a = 2: row 2 is twice row 1, so B's row 2 is zero
-    # and every set through {1, 2} is singular.
+    # S = {1}, det S = 2, a = 2: row 2 is twice row 1, so B's row 2 is zero,
+    # a has no partner and every set through {1, 2} is singular.
     "zero-row": (
-        [[2, 4, 2, 2], [4, 8, 4, 4], [2, 4, 3, 1], [2, 4, 1, -1]],
-        {(1,): 1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 0, (1, 2, 3, 4): 0},
+        [
+            [2, 4, 2, 2, 1, -1],
+            [4, 8, 4, 4, 2, -2],
+            [2, 4, 3, 1, 0, 1],
+            [2, 4, 1, -1, 1, 0],
+            [1, 2, 0, 1, 2, 1],
+            [-1, -2, 1, 0, 1, -2],
+        ],
+        {(1,): 1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 6): 0, (1, 2, 3, 4, 5, 6): 0},
     ),
 }
+
+
+def _check_cases(cases, case, kind):
+    # The congruence D B D* with D = diag(1, 1 + u, 1 + 2u, ...), u = i or
+    # sqrt 5, keeps the sign of every principal minor and the zero pattern
+    # of every block, and makes each B[a, w] non-real.  A Q(sqrt 5) matrix
+    # is not walked, and checks one elimination per principal submatrix.
+    rows, facts = cases[case]
+    m = _congruence(rows, _UNITS[kind])
+    expected = oracle_sign_table(m, elimination_det)
+    assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
+    assert m._mask_signs() == expected
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
 @pytest.mark.parametrize("case", sorted(_PIVOT_CASES))
 def test_two_by_two_pivot_matches_oracle(case, kind):
-    # The congruence D B D* with D = diag(1, 1 + u, 1 + 2u, ...), u = i or
-    # sqrt 5, keeps the sign of every principal minor and the zero pattern
-    # of every block, and makes each B[a, w] non-real.  A Q(sqrt 5) matrix
-    # is not walked, and checks one elimination per principal submatrix.
-    rows, facts = _PIVOT_CASES[case]
-    m = _congruence(rows, _UNITS[kind])
-    expected = oracle_sign_table(m, elimination_det)
-    assert {idx: expected[sum(1 << (i - 1) for i in idx)] for idx in facts} == facts
-    assert m._mask_signs() == expected
+    _check_cases(_PIVOT_CASES, case, kind)
+
+
+# Each case has a zero pivot at position a of a node S followed by exactly
+# two positions q, r or three q, r, t, where the walk takes a zero-pivot
+# leaf.  Its facts are signs of minors, 1-based: with u_x = B[a, x],
+# det[S+a+x] = -|u_x|**2 / det S, a pair takes the sign of
+# 2 Re(u_x C_xy conj u_y) - C_xx |u_y|**2 - C_yy |u_x|**2, and S+a+q+r+t
+# sign det S times that of -u adj(C) u*.
+_ZERO_LEAF_CASES = {
+    # S = {1}, det S = -2, a = 2 with three later positions: 3 is no
+    # partner (u_3 = 0), so {1, 2, 3} is singular, and 4, 5 are.
+    "negative-det": (
+        [[-2, 0, 2, 1, -1], [0, 0, 0, 2, 2], [2, 0, 0, 0, 0], [1, 2, 0, 2, 1], [-1, 2, 0, 1, 0]],
+        {(1,): -1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 1, (1, 2, 5): 1},
+    ),
+    # S = {}, a = 1 takes a 2 x 2 pivot with partners 4 and 5.  The first
+    # pivot, T = {1, 4} with det T = -1, has a zero pivot at 2 in its block,
+    # followed by 3 (no partner) and 5: a zero-pivot leaf on two positions.
+    "nested": (
+        [[0, 0, 0, -1, 1], [0, 0, 0, 2, 0], [0, 0, -2, -1, 0], [-1, 2, -1, 0, -1], [1, 0, 0, -1, -1]],
+        {(1,): 0, (1, 2): 0, (1, 3): 0, (1, 4): -1, (1, 5): -1, (1, 2, 4): 0, (1, 2, 3, 4): 0, (1, 2, 4, 5): 1},
+    ),
+    # S = {1}, det S = 2, a = 2: row 2 is twice row 1, so u = 0 and every
+    # set through {1, 2} is singular.
+    "zero-row": (
+        [[2, 4, 2, 2], [4, 8, 4, 4], [2, 4, 3, 1], [2, 4, 1, -1]],
+        {(1,): 1, (1, 2): 0, (1, 2, 3): 0, (1, 2, 4): 0, (1, 2, 3, 4): 0},
+    ),
+    # S = {1}, det S = -2, a = 2 followed by 3 and 4, both partners: the
+    # singles take -sign det S and the pair its own sign.
+    "pair-negative-det": (
+        [[-2, 0, -2, -1], [0, 0, -2, -2], [-2, -2, 2, 2], [-1, -2, 2, 1]],
+        {(1,): -1, (1, 2): 0, (1, 2, 3): 1, (1, 2, 4): 1, (1, 2, 3, 4): -1},
+    ),
+    # S = {}, a = 1 with u = (1, 2) and C = [[1, 1], [1, 0]]: both singles
+    # are negative, and 2 * 1 * 1 * 2 - 1 * 4 - 0 * 1 = 0.
+    "zero-pair": (
+        [[0, 1, 2], [1, 1, 1], [2, 1, 0]],
+        {(1, 2): -1, (1, 3): -1, (1, 2, 3): 0},
+    ),
+    # S = {1}, det S = -1, a = 2 followed by 3, 4 and 5, all partners; every
+    # pair is nonzero, and S+a+q+r+t takes sign det S times that of
+    # -u adj(C) u*.
+    "triple-negative-det": (
+        [[-1, 2, 0, 0, 0], [2, -4, -1, 1, 1], [0, -1, 0, -2, 0], [0, 1, -2, 1, 0], [0, 1, 0, 0, -2]],
+        {(1, 2): 0, (1, 2, 3): 1, (1, 2, 5): 1, (1, 2, 3, 4): -1, (1, 2, 4, 5): -1, (1, 2, 3, 4, 5): 1},
+    ),
+    # S = {}, a = 1 followed by 2, 3 and 4, all partners: every pair is
+    # nonzero but -u adj(C) u* = 0.
+    "zero-triple": (
+        [[0, 1, 2, 1], [1, 1, 1, 1], [2, 1, -2, -1], [1, 1, -1, -1]],
+        {(1, 2): -1, (1, 4): -1, (1, 2, 3): 1, (1, 2, 4): 1, (1, 3, 4): 1, (1, 2, 3, 4): 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_ZERO_LEAF_CASES))
+def test_zero_pivot_leaf_matches_oracle(case, kind):
+    _check_cases(_ZERO_LEAF_CASES, case, kind)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +570,12 @@ _NON_REAL_DIAGONALS = {
     "three-level-leaf-r": [(1, 0), (2, 0), (3, 1), (4, 0)],
     "three-level-leaf-t": [(1, 0), (2, 0), (3, 0), (4, 1)],
     "reduced-block": [(1, 0), (2, 0), (3, 0), (4, 0), (-1, 2)],
-    "pivot-partner": [(0, 0), (1, 1), (2, 0)],
+    "pivot-partner": [(0, 0), (1, 1), (2, 0), (3, 0), (4, 0)],
+    "zero-pivot-pair-leaf-q": [(0, 0), (1, 1), (2, 0)],
+    "zero-pivot-pair-leaf-r": [(0, 0), (1, 0), (2, 1)],
+    "zero-pivot-leaf-q": [(0, 0), (1, 1), (2, 0), (3, 0)],
+    "zero-pivot-leaf-r": [(0, 0), (1, 0), (2, 1), (3, 0)],
+    "zero-pivot-leaf-t": [(0, 0), (1, 0), (2, 0), (3, 1)],
 }
 
 
@@ -495,10 +588,13 @@ def test_sign_walk_rejects_non_real_minor(case):
     # of a block when it reaches it, so a leaf that skipped its own check
     # would still raise, but only after signing sets through that entry:
     # the test starts the walk as _sign_walk does, on a table it reads
-    # after the raise.  In "pivot-partner" the zero first pivot takes a
-    # 2 x 2 pivot with the partner whose diagonal entry is non-real; that
-    # pivot reads only real parts and signs T, and the walk must still
-    # raise rather than return a table.
+    # after the raise.  In the "zero-pivot" cases the zero first pivot is
+    # followed by two or three positions: the zero-pivot leaf must raise
+    # on C_xx = det[x] before it signs any set through x.  In
+    # "pivot-partner" it is followed by four, and takes a 2 x 2 pivot with
+    # the partner whose diagonal entry is non-real; that pivot reads only
+    # real parts and signs T, and the walk must still raise rather than
+    # return a table.
     diagonal = _NON_REAL_DIAGONALS[case]
     n = len(diagonal)
     grid = [[diagonal[i] if i == j else (1, 0) for j in range(n)] for i in range(n)]
